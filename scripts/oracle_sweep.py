@@ -12,7 +12,8 @@ degree.
 import argparse
 import time
 
-from ospz.zalgebra import ZElement, all_monomials, z_multiply, z_oracle_multiply
+from ospz.text import render_z
+from ospz.zalgebra import ZElement, all_monomials, oracle_sweep
 
 
 def main() -> int:
@@ -28,17 +29,14 @@ def main() -> int:
     print(f"{len(monos)} basis monomials, {total} ordered pairs")
     t0 = time.time()
     bad = []
-    for i, mu in enumerate(monos):
-        u = ZElement.monomial(mu)
-        for mv in monos:
-            v = ZElement.monomial(mv)
-            if z_multiply(u, v) != z_oracle_multiply(u, v):
-                bad.append((mu, mv))
-        if args.progress and (i + 1) % args.progress == 0:
-            print(f"  {i + 1}/{len(monos)} rows, {time.time() - t0:.1f} s")
+    for i, (mu, row) in enumerate(oracle_sweep(args.max_exp), 1):
+        bad += [(mu, mv) for mv in row]
+        if args.progress and i % args.progress == 0:
+            print(f"  {i}/{len(monos)} rows, {time.time() - t0:.1f} s")
     elapsed = time.time() - t0
     for mu, mv in bad:
-        print(f"MISMATCH {mu} * {mv}")
+        left, right = ZElement.monomial(mu), ZElement.monomial(mv)
+        print(f"MISMATCH {render_z(left)} * {render_z(right)}")
     print(f"{total} pairs, {len(bad)} mismatches, {elapsed:.1f} s")
     return 1 if bad else 0
 

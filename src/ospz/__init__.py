@@ -3,6 +3,8 @@
 The package provides:
 
 - ``coeffs``: the coefficient field Q(H) and the quadratic extension Q(sqrt 2);
+- ``engine``: the shared sparse-sum type, bilinear product and rewriting
+  engine;
 - ``uea``: PBW normal ordering in the localized enveloping algebra of
   osp(1|2) x osp(1|2) with its diagonal / anti-diagonal generators;
 - ``projector``: the extremal projector coefficients and the diamond product;
@@ -43,6 +45,7 @@ from .zalgebra import (
     ZMonomial,
     catalog,
     derived_rule,
+    oracle_sweep,
     tilde_to_z,
     verify_presentation,
     z_multiply,

@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from .coeffs import PoleEvaluationError
 from .projector import diamond, phi
 from .text import ExprSyntaxError, parse_element, render
-from .uea import UeaElement, theta
-from .zalgebra import ZElement, tilde_to_z, z_multiply, z_theta
+from .uea import theta
+from .zalgebra import tilde_to_z, z_multiply, z_theta
 from . import rep as repmod
 from . import verify as verifymod
 
@@ -105,12 +104,8 @@ def cmd_rep_primitives(args) -> int:
     module = repmod.TensorModule(repmod.PolyModule(args.trunc), irrep)
     # Weights run from the lowest tensor weight up to the largest value
     # whose weight space still fits inside the polynomial truncation.
-    mu = Fraction(1, 2) - args.lam
     top = Fraction(1, 2) + args.trunc - args.lam
-    weights = []
-    while mu <= top:
-        weights.append(mu)
-        mu += 1
+    weights = repmod.weight_window(Fraction(1, 2) - args.lam, top)
     vectors = module.primitive_vectors(weights)
     for v in vectors:
         print(v)
@@ -134,7 +129,6 @@ def cmd_rep_rho(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    random.seed(args.seed)
     if args.suite == "projector":
         report = verifymod.verify_projector(args.n)
     else:
@@ -151,6 +145,18 @@ def cmd_verify(args) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if report["passed"] else 1
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,26 +206,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("phi-table", help="print the projector coefficients")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_int_at_least(0), default=4)
     p.set_defaults(func=cmd_phi_table)
 
     p = sub.add_parser("rep", help="module computations")
     rep_sub = p.add_subparsers(dest="rep_command", required=True)
     q = rep_sub.add_parser("primitives", help="basis of the primitive subspace")
-    q.add_argument("--lam", "--lambda", dest="lam", type=int, default=1)
-    q.add_argument("--trunc", type=int, default=6)
+    q.add_argument("--lam", "--lambda", dest="lam", type=_int_at_least(0), default=1)
+    q.add_argument("--trunc", type=_int_at_least(0), default=6)
     q.set_defaults(func=cmd_rep_primitives)
     q = rep_sub.add_parser("rho", help="matrices of the reduction-algebra action")
-    q.add_argument("--trunc", type=int, default=6)
+    q.add_argument("--trunc", type=_int_at_least(0), default=6)
     add_format(q)
     q.set_defaults(func=cmd_rep_rho)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verifymod.SUITES)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--max-exp", type=int, default=1)
-    p.add_argument("--trunc", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_at_least(0), default=10)
+    p.add_argument("--max-exp", type=_int_at_least(1), default=1)
+    p.add_argument("--trunc", type=_int_at_least(0), default=6)
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -229,7 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (repmod.TruncationOverflow, repmod.WindowNotClosed) as exc:
+        print(f"error: {exc}; use a larger --trunc", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

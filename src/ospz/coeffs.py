@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 RationalLike = Union[int, Fraction]
 

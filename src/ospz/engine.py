@@ -1,0 +1,180 @@
+"""Machinery shared by the algebras: immutable sparse sums, their bilinear
+product, and the one rewriting engine that normal-orders words in U and Z.
+
+The engine is a reduction system in the sense of Bergman's diamond lemma
+(Adv. Math. 1978).  A word is a list of letters (ints) and coefficients
+(RationalFunction).  A violation is a coefficient right of the front, or two
+adjacent letters out of order, where an odd letter next to itself counts.
+A coefficient moves left across a letter g as f(H) -> f(H + root(g)); a
+letter pair rewrites by the alphabet's pair-rule table.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterator, Sequence
+
+from .coeffs import RF_ONE, RF_ZERO, as_rf
+
+
+class LinComb:
+    """Immutable finite sum {basis key: coefficient} without zero entries.
+
+    Subclasses set `coerce`, which turns a scalar into their coefficient type.
+    """
+
+    __slots__ = ("terms",)
+    coerce = staticmethod(as_rf)
+
+    def __init__(self, terms: dict | None = None):
+        clean = {m: c for m, c in (terms or {}).items() if c}
+        object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def __setattr__(self, *a):  # pragma: no cover
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __iter__(self):
+        return iter(self.terms.items())
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out[m] + c if m in out else c
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, f):
+        f = self.coerce(f)
+        return type(self)({m: f * c for m, c in self.terms.items()})
+
+    def __rmul__(self, f):
+        # scalar * element: the scalar acts from the left
+        return self.scale(f)
+
+
+def add_scaled(out: dict, c, terms) -> None:
+    """out += c * terms, for (monomial, coefficient) pairs `terms`."""
+    if c.is_one():
+        for m, f in terms:
+            out[m] = out.get(m, RF_ZERO) + f
+    else:
+        for m, f in terms:
+            out[m] = out.get(m, RF_ZERO) + c * f
+
+
+def bilinear(u, v, root_sum: Callable, mono_product: Callable) -> dict:
+    """Sum over the terms of u and v of cu * cv(H + root_sum(mu)) times
+    mono_product(mu, mv), an iterable of (monomial, coefficient) pairs.
+
+    Coefficients sit left of their monomials, so the right coefficient
+    shifts as it passes the left monomial.
+    """
+    out: dict = {}
+    for mu, cu in u:
+        su = root_sum(mu)
+        for mv, cv in v:
+            c = cu * cv.shift(su)
+            if c:
+                add_scaled(out, c, mono_product(mu, mv))
+    return out
+
+
+def fold_letters(mono, letters: Sequence[int], times_letter: Callable) -> dict:
+    """mono * letters[0] * letters[1] * ..., one letter at a time, where
+    times_letter(m, g) is the ordered form of monomial m times letter g."""
+    acc = {mono: RF_ONE}
+    for g in letters:
+        nxt: dict = {}
+        for m, f in acc.items():
+            add_scaled(nxt, f, times_letter(m, g))
+        acc = {m: f for m, f in nxt.items() if f}
+    return acc
+
+
+def _violations(w: list, odd: Sequence[bool]) -> Iterator[int]:
+    """Positions of the violations in `w`, left to right."""
+    for i, it in enumerate(w):
+        if type(it) is not int:
+            if i:
+                yield i
+        elif i + 1 < len(w):
+            nxt = w[i + 1]
+            if type(nxt) is int and (it > nxt or (it == nxt and odd[it])):
+                yield i
+
+
+def rewrite(
+    items: Sequence,
+    coeff,
+    chooser: Callable[[list[int], list], int] | None,
+    odd: Sequence[bool],
+    roots: Sequence[int],
+    rules: dict,
+    pack: Callable[[list[int]], object],
+) -> dict:
+    """Normal-order a raw word; returns {monomial: coefficient}.
+
+    `items` holds letters (ints indexing `odd` and `roots`) and coefficient
+    values (anything `as_rf` accepts).  `rules[(a, b)]` lists the terms
+    (sign, coefficient or None, letters) that replace a violating pair a b.
+    `pack` turns the letters of an ordered word into its monomial.
+    `chooser(violations, word)` picks which violation to rewrite next; the
+    default takes the leftmost without listing the others.  Any strategy
+    yields the same element (confluence; property-tested).
+    """
+    word = []
+    for it in items:
+        if isinstance(it, int):
+            if not 0 <= it < len(odd):
+                raise ValueError(f"bad generator letter {it}")
+            word.append(it)
+        else:
+            word.append(as_rf(it))
+    c = as_rf(coeff)
+    agenda = [(c, word)] if c else []
+    out: dict = {}
+    while agenda:
+        c, w = agenda.pop()
+        if chooser is None:
+            i = next(_violations(w, odd), -1)
+        else:
+            viols = list(_violations(w, odd))
+            i = viols[chooser(viols, w)] if viols else -1
+        if i < 0:
+            if w and type(w[0]) is not int:
+                c, w = c * w[0], w[1:]
+            m = pack(w)
+            out[m] = out.get(m, RF_ZERO) + c
+            continue
+        it = w[i]
+        if type(it) is not int:  # move the coefficient one slot left
+            left = w[i - 1]
+            if type(left) is int:
+                agenda.append((c, w[: i - 1] + [it.shift(roots[left]), left] + w[i + 1 :]))
+            else:
+                agenda.append((c, w[: i - 1] + [left * it] + w[i + 1 :]))
+            continue
+        pre, post = w[:i], w[i + 2 :]
+        for sign, f, letters in rules[(it, w[i + 1])]:
+            head = pre if f is None else pre + [f]
+            agenda.append((c if sign > 0 else -c, head + letters + post))
+    return out

@@ -16,20 +16,15 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import RF_ONE, RF_ZERO, Polynomial, RationalFunction, as_rf
+from .coeffs import RF_ONE, Polynomial, RationalFunction, as_rf
+from .engine import bilinear
 from .uea import (
-    T1,
-    T2,
-    TH,
     TILDE_GENS,
-    TN1,
-    TN2,
     X1,
     XN1,
     UeaElement,
     mul,
     super_bracket,
-    word_degree,
     word_root_sum,
 )
 
@@ -93,10 +88,6 @@ def verify_projector_recursion(n_max: int) -> list[dict]:
     return rows
 
 
-def _series_bound(u: UeaElement) -> int:
-    return 4 * u.max_degree() + 2
-
-
 def diamond(u: UeaElement, v: UeaElement) -> UeaElement:
     """Diamond product of the cosets of u and v in U/II.
 
@@ -104,50 +95,34 @@ def diamond(u: UeaElement, v: UeaElement) -> UeaElement:
     Inputs are arbitrary representatives whose iterated brackets with the
     diagonal root vectors terminate (all pure-tilde elements do).
     """
-    out: dict = {}
-    for mu, cu in u:
-        su = word_root_sum(mu)
-        for mv, cv in v:
-            c = cu * cv.shift(su)
-            if not c:
-                continue
-            if c.is_one():
-                for m, f in _diamond_mono(mu, mv):
-                    out[m] = out.get(m, RF_ZERO) + f
-            else:
-                for m, f in _diamond_mono(mu, mv):
-                    out[m] = out.get(m, RF_ZERO) + c * f
-    return UeaElement(out)
+    return UeaElement(bilinear(u, v, word_root_sum, _diamond_mono))
 
 
-@lru_cache(maxsize=None)
-def _lower_chain(mu) -> tuple[UeaElement, ...]:
-    """(u, [u, X(-1)], [[u, X(-1)], X(-1)], ...) until the bracket vanishes."""
-    u = UeaElement.monomial(mu) if mu else UeaElement.one()
-    bound = _series_bound(u)
+def _bracket_chain(word, bracket, kind: str) -> tuple[UeaElement, ...]:
+    """(u, bracket(u), bracket(bracket(u)), ...) for the monomial `word`,
+    until the bracket vanishes."""
+    u = UeaElement.monomial(word) if word else UeaElement.one()
+    bound = 4 * u.max_degree() + 2
     chain = [u]
     while u:
         if len(chain) > bound:
-            raise RuntimeError("lowering bracket chain failed to terminate")
-        u = super_bracket(u, _X_LOWER)
+            raise RuntimeError(f"{kind} bracket chain failed to terminate")
+        u = bracket(u)
         if u:
             chain.append(u)
     return tuple(chain)
 
 
 @lru_cache(maxsize=None)
+def _lower_chain(mu) -> tuple[UeaElement, ...]:
+    """(u, [u, X(-1)], [[u, X(-1)], X(-1)], ...) until the bracket vanishes."""
+    return _bracket_chain(mu, lambda u: super_bracket(u, _X_LOWER), "lowering")
+
+
+@lru_cache(maxsize=None)
 def _raise_chain(mv) -> tuple[UeaElement, ...]:
     """(v, [X(1), v], [X(1), [X(1), v]], ...) until the bracket vanishes."""
-    v = UeaElement.monomial(mv) if mv else UeaElement.one()
-    bound = _series_bound(v)
-    chain = [v]
-    while v:
-        if len(chain) > bound:
-            raise RuntimeError("raising bracket chain failed to terminate")
-        v = super_bracket(_X_RAISE, v)
-        if v:
-            chain.append(v)
-    return tuple(chain)
+    return _bracket_chain(mv, lambda v: super_bracket(_X_RAISE, v), "raising")
 
 
 @lru_cache(maxsize=None)

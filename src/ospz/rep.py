@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .coeffs import H, INV_SQRT2, RationalFunction, Sqrt2, as_rf
+from .engine import LinComb
 from .projector import phi, projected_generator
 from .uea import (
     GENERATORS,
@@ -27,10 +27,9 @@ from .uea import (
     X1,
     X2,
     XN1,
-    XN2,
     word_letters,
 )
-from .zalgebra import ZElement
+from .zalgebra import ZElement, ZMonomial
 
 _SR_ZERO = Sqrt2(0)
 _SR_ONE = Sqrt2(1)
@@ -270,49 +269,34 @@ class PolyModule:
         raise ValueError(f"unknown root {root}")
 
 
-class ModuleVector:
+def weight_window(low: Fraction, high: Fraction) -> list[Fraction]:
+    """low, low + 1, ... up to high."""
+    return [low + k for k in range((high - low) // 1 + 1)]
+
+
+def coordinate_rows(vectors) -> tuple[list, list]:
+    """The basis tensors the vectors involve, in order of first appearance,
+    and each vector's coordinates on them."""
+    support: list[tuple[int, int]] = []
+    for v in vectors:
+        for key in v.terms:
+            if key not in support:
+                support.append(key)
+    return support, [[v.terms.get(key, _SR_ZERO) for key in support] for v in vectors]
+
+
+class ModuleVector(LinComb):
     """Element of C[x] (x) V(lambda): coordinates on basis tensors x^k (x) v_i."""
 
-    __slots__ = ("coords",)
-
-    def __init__(self, coords=None):
-        clean = {b: c for b, c in (coords or {}).items() if c}
-        object.__setattr__(self, "coords", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("ModuleVector is immutable")
+    __slots__ = ()
+    coerce = staticmethod(lambda c: c if isinstance(c, Sqrt2) else Sqrt2(c))
 
     @classmethod
     def basis(cls, k: int, i: int) -> "ModuleVector":
         return cls({(k, i): _SR_ONE})
 
-    def __bool__(self):
-        return bool(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(frozenset(self.coords.items()))
-
-    def __add__(self, other):
-        out = dict(self.coords)
-        for b, c in other.coords.items():
-            out[b] = out.get(b, _SR_ZERO) + c
-        return ModuleVector(out)
-
-    def __sub__(self, other):
-        return self + other.scale(Sqrt2(-1))
-
-    def scale(self, c) -> "ModuleVector":
-        if not isinstance(c, Sqrt2):
-            c = Sqrt2(c)
-        return ModuleVector({b: c * x for b, x in self.coords.items()})
-
     def __repr__(self):
-        bits = [f"({c}) x^{k}*v{i}" for (k, i), c in sorted(self.coords.items())]
+        bits = [f"({c}) x^{k}*v{i}" for (k, i), c in sorted(self.terms.items())]
         return "ModuleVector(" + " + ".join(bits or ["0"]) + ")"
 
 
@@ -358,7 +342,7 @@ class TensorModule:
     # -- actions -------------------------------------------------------
     def _act_left(self, root: int, v: ModuleVector) -> ModuleVector:
         out: dict = {}
-        for (k, i), c in v.coords.items():
+        for (k, i), c in v.terms.items():
             k2, s = self.poly.act(root, k)
             if k2 < 0 or not s:
                 continue
@@ -370,7 +354,7 @@ class TensorModule:
         mat = self.irrep.matrices[root]
         odd = abs(root) == 1
         out: dict = {}
-        for (k, i), c in v.coords.items():
+        for (k, i), c in v.terms.items():
             sign = -1 if (odd and k % 2) else 1
             for i2 in range(self.irrep.dimension):
                 s = mat[i2][i]
@@ -392,7 +376,7 @@ class TensorModule:
     def act_cartan_diag(self, v: ModuleVector) -> ModuleVector:
         """H = h (x) 1 + 1 (x) h (diagonal Cartan)."""
         return ModuleVector(
-            {b: c * Sqrt2(self.weight(*b)) for b, c in v.coords.items()}
+            {b: c * Sqrt2(self.weight(*b)) for b, c in v.terms.items()}
         )
 
     def act_cartan_tilde(self, v: ModuleVector) -> ModuleVector:
@@ -402,7 +386,7 @@ class TensorModule:
     def act_coeff(self, f: RationalFunction, v: ModuleVector) -> ModuleVector:
         """f(H) acting by evaluation on H-eigencomponents."""
         out: dict = {}
-        for b, c in v.coords.items():
+        for b, c in v.terms.items():
             value = f.eval(self.weight(*b))  # off-pole: weights are in 1/2 + Z
             out[b] = out.get(b, _SR_ZERO) + c * Sqrt2(value)
         return ModuleVector(out)
@@ -420,11 +404,16 @@ class TensorModule:
     def act_uea(self, u: UeaElement, v: ModuleVector) -> ModuleVector:
         """Action of a normal-ordered element: letters right to left, the
         left coefficient last."""
+        return self._act_sum(u, word_letters, self.act, v)
+
+    def _act_sum(self, element, letters, act_letter, v: ModuleVector) -> ModuleVector:
+        """Action of a sum of words with left coefficients, where
+        act_letter(g, w) is the action of one letter."""
         total = ModuleVector()
-        for word, coeff in u:
+        for mono, coeff in element:
             w = v
-            for g in reversed(word_letters(word)):
-                w = self.act(g, w)
+            for g in reversed(letters(mono)):
+                w = act_letter(g, w)
                 if not w:
                     break
             if w:
@@ -443,24 +432,15 @@ class TensorModule:
             basis = self.basis_of_weight(Fraction(mu))
             if not basis:
                 continue
-            targets: list[tuple[int, int]] = []
             images = []
             for k, i in basis:
-                im1 = self.act_gen(X1, ModuleVector.basis(k, i))
-                im2 = self.act_gen(X2, ModuleVector.basis(k, i))
-                images.append((im1, im2))
-                for im in (im1, im2):
-                    for b in im.coords:
-                        if b not in targets:
-                            targets.append(b)
+                images.append(self.act_gen(X1, ModuleVector.basis(k, i)))
+                images.append(self.act_gen(X2, ModuleVector.basis(k, i)))
+            targets, coords = coordinate_rows(images)
             if not targets:  # every raising image already vanishes
                 out.extend(ModuleVector.basis(k, i) for k, i in basis)
                 continue
-            rows = []
-            for im1, im2 in images:
-                row = [im1.coords.get(b, _SR_ZERO) for b in targets]
-                row += [im2.coords.get(b, _SR_ZERO) for b in targets]
-                rows.append(row)
+            rows = [coords[j] + coords[j + 1] for j in range(0, len(coords), 2)]
             # kernel of the transpose: combinations of basis vectors killed
             cols = [[rows[j][c] for j in range(len(rows))] for c in range(len(rows[0]))]
             for vec in kernel_basis(cols, len(basis)):
@@ -491,32 +471,22 @@ class TensorModule:
         projected-generator representatives."""
         if not self.is_primitive(v):
             raise NotPrimitive("vector is not annihilated by the raising operators")
-        total = ModuleVector()
-        for mono, coeff in z:
-            w = v
-            for g in reversed(mono.letters()):
-                w = self.act_uea(projected_generator(TILDE_GENS[g]), w)
-                if not w:
-                    break
-            if w:
-                total = total + self.act_coeff(coeff, w)
-        return total
+
+        def act_letter(g, w):
+            return self.act_uea(projected_generator(TILDE_GENS[g]), w)
+
+        return self._act_sum(z, ZMonomial.letters, act_letter, v)
 
     def rho_matrix(self, z: ZElement, basis: list[ModuleVector]):
         """Matrix of the z-action on the span of `basis` (columns act on
         basis vectors; entries over Q(sqrt 2))."""
-        support: list[tuple[int, int]] = []
-        for b in basis:
-            for key in b.coords:
-                if key not in support:
-                    support.append(key)
-        rows = [[b.coords.get(key, _SR_ZERO) for key in support] for b in basis]
+        support, rows = coordinate_rows(basis)
         n = len(basis)
         out = mat_zero(n)
         for j, b in enumerate(basis):
             image = self.act_z(z, b)
-            target = [image.coords.get(key, _SR_ZERO) for key in support]
-            extra = [key for key in image.coords if key not in support]
+            target = [image.terms.get(key, _SR_ZERO) for key in support]
+            extra = [key for key in image.terms if key not in support]
             coeffs = None if extra else solve_in_span(rows, target)
             if coeffs is None:
                 raise NotPrimitive("image left the primitive span")

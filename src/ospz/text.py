@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import RationalFunction, RF_ONE, H, Polynomial, as_rf
-from .uea import TOKEN_TO_GEN, UeaElement, straighten, word_degree
-from .zalgebra import TOKEN_TO_ZGEN, ZElement, ZMonomial, Z_TOKENS, z_straighten
+from .uea import GENERATORS, TOKEN_TO_GEN, UeaElement, straighten
+from .zalgebra import TOKEN_TO_ZGEN, ZElement, Z_TOKENS, z_straighten
 
 
 class ExprSyntaxError(ValueError):
@@ -281,22 +281,34 @@ def parse_ratfunc(text: str) -> RationalFunction:
     return value
 
 
+# Most generator letters one term may expand to (see to_element).
+MAX_TERM_LETTERS = 64
+
+
 def to_element(expr: ElementExpr):
-    """Evaluate an AST to a canonical element of the selected algebra."""
+    """Evaluate an AST to a canonical element of the selected algebra.
+
+    A term that expands to more than MAX_TERM_LETTERS generator letters is
+    an ExprSyntaxError.  The limit bounds the size of the input, not the cost
+    of straightening it: X(1)^8 X(-1)^8 takes several seconds.
+    """
     if expr.algebra == "u":
-        total = UeaElement.zero()
-        for t in expr.terms:
-            items: list = [t.coeff if t.coeff is not None else RF_ONE]
-            for f in t.factors:
-                items.extend([TOKEN_TO_GEN[f.token]] * f.exponent)
-            total = total + straighten(items, t.sign)
-        return total
-    total = ZElement.zero()
+        total, index, straighten_fn = UeaElement.zero(), TOKEN_TO_GEN, straighten
+    else:
+        total, index, straighten_fn = ZElement.zero(), TOKEN_TO_ZGEN, z_straighten
     for t in expr.terms:
-        items = [t.coeff if t.coeff is not None else RF_ONE]
+        items: list = [t.coeff if t.coeff is not None else RF_ONE]
+        letters = 0
         for f in t.factors:
-            items.extend([TOKEN_TO_ZGEN[f.token]] * f.exponent)
-        total = total + z_straighten(items, t.sign)
+            letters += f.exponent
+            if letters > MAX_TERM_LETTERS:
+                raise ExprSyntaxError(
+                    f"term has more than {MAX_TERM_LETTERS} generator letters",
+                    f.line,
+                    f.column,
+                )
+            items.extend([index[f.token]] * f.exponent)
+        total = total + straighten_fn(items, t.sign)
     return total
 
 
@@ -307,21 +319,17 @@ def parse_element(text: str, algebra: str = "u"):
 # ---------------------------------------------------------------------------
 # Rendering
 
-def _poly_str(p: Polynomial) -> str:
-    return str(p)
-
-
 def _coeff_text(c: RationalFunction) -> tuple[str, bool]:
     """(rendered coefficient, needs-parentheses)."""
     num, den = c.num, c.den
     if den == 1:
-        s = _poly_str(num)
+        s = str(num)
         atomic = num.degree <= 0 and num.lead >= 0 and num.lead.denominator == 1
         return s, not atomic
-    ns = _poly_str(num)
+    ns = str(num)
     if num.degree > 0 or num.lead < 0 or num.lead.denominator != 1:
         ns = f"({ns})"
-    ds = _poly_str(den)
+    ds = str(den)
     if len(den.coeffs) > 1:  # e.g. "H - 1"; bare "H" or "H^2" stays unwrapped
         ds = f"({ds})"
     return f"{ns}/{ds}", True
@@ -351,23 +359,6 @@ def _render_terms(items: list[tuple[int, RationalFunction, str]]) -> str:
         else:
             parts.append(f"{'+' if sign > 0 else '-'} {body}")
     return " ".join(parts)
-
-
-def _uea_mono_str(word) -> str:
-    from .uea import GENERATORS
-
-    return " ".join(
-        f"{GENERATORS[g].token}^{e}" if e > 1 else GENERATORS[g].token for g, e in word
-    )
-
-
-def _z_mono_str(mono: ZMonomial) -> str:
-    bits = [
-        f"{Z_TOKENS[g]}^{e}" if e > 1 else Z_TOKENS[g]
-        for g, e in enumerate(mono)
-        if e
-    ]
-    return " <> ".join(bits)
 
 
 _U_LATEX = {
@@ -435,23 +426,23 @@ def _json_payload(terms, word_fn) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def render_uea(e: UeaElement, fmt: str = "text") -> str:
-    from .uea import GENERATORS
-
-    order = sorted(e.terms, key=lambda m: (word_degree(m), m))
+def _render(e, fmt: str, factors, sep: str, latex_sep: str, latex_names: dict) -> str:
+    """Render a sum in either algebra.  `factors(m)` lists the (token,
+    exponent) pairs of monomial m; `sep` and `latex_sep` join them."""
+    order = sorted(e.terms, key=lambda m: (sum(ex for _, ex in factors(m)), m))
     if fmt == "json":
         return _json_payload(
             [(m, e.terms[m]) for m in order],
-            lambda m: [[GENERATORS[g].token, ex] for g, ex in m],
+            lambda m: [[tok, ex] for tok, ex in factors(m)],
         )
     if not e:
         return "0"
     if fmt == "latex":
         items = []
         for m in order:
-            mono = " ".join(
-                _U_LATEX[GENERATORS[g].token] + (f"^{{{ex}}}" if ex > 1 else "")
-                for g, ex in m
+            mono = latex_sep.join(
+                latex_names[tok] + (f"^{{{ex}}}" if ex > 1 else "")
+                for tok, ex in factors(m)
             )
             items.append((e.terms[m], mono))
         return _latex_terms(items)
@@ -460,36 +451,23 @@ def render_uea(e: UeaElement, fmt: str = "text") -> str:
     items = []
     for m in order:
         sign, c = _negate_coeff(e.terms[m])
-        items.append((sign, c, _uea_mono_str(m)))
+        mono = sep.join(f"{tok}^{ex}" if ex > 1 else tok for tok, ex in factors(m))
+        items.append((sign, c, mono))
     return _render_terms(items)
+
+
+def render_uea(e: UeaElement, fmt: str = "text") -> str:
+    def factors(word):
+        return [(GENERATORS[g].token, ex) for g, ex in word]
+
+    return _render(e, fmt, factors, " ", " ", _U_LATEX)
 
 
 def render_z(z: ZElement, fmt: str = "text") -> str:
-    order = sorted(z.terms, key=lambda m: (m.degree(), m))
-    if fmt == "json":
-        return _json_payload(
-            [(m, z.terms[m]) for m in order],
-            lambda m: [[Z_TOKENS[g], ex] for g, ex in enumerate(m) if ex],
-        )
-    if not z:
-        return "0"
-    if fmt == "latex":
-        items = []
-        for m in order:
-            mono = r" \mathbin{\diamond} ".join(
-                _Z_LATEX[Z_TOKENS[g]] + (f"^{{{ex}}}" if ex > 1 else "")
-                for g, ex in enumerate(m)
-                if ex
-            )
-            items.append((z.terms[m], mono))
-        return _latex_terms(items)
-    if fmt != "text":
-        raise ValueError(f"unknown format {fmt!r}")
-    items = []
-    for m in order:
-        sign, c = _negate_coeff(z.terms[m])
-        items.append((sign, c, _z_mono_str(m)))
-    return _render_terms(items)
+    def factors(mono):
+        return [(Z_TOKENS[g], ex) for g, ex in enumerate(mono) if ex]
+
+    return _render(z, fmt, factors, " <> ", r" \mathbin{\diamond} ", _Z_LATEX)
 
 
 def render(e, fmt: str = "text") -> str:
@@ -498,23 +476,3 @@ def render(e, fmt: str = "text") -> str:
     if isinstance(e, ZElement):
         return render_z(e, fmt)
     raise TypeError(f"cannot render {type(e).__name__}")
-
-
-def catalog_latex() -> str:
-    """The two-generator rewrite rules as LaTeX align lines (derived form)."""
-    from .zalgebra import RULE_KEYS, catalog
-
-    cat = catalog()
-    lines = [r"\begin{align}"]
-    for key in RULE_KEYS:
-        a, b = key
-        lhs = (
-            _Z_LATEX[Z_TOKENS[a]]
-            + r" \mathbin{\diamond} "
-            + _Z_LATEX[Z_TOKENS[b]]
-        )
-        rhs = render_z(cat.rules[key], "latex")
-        lines.append(f"  {lhs} &= {rhs} \\\\")
-    lines[-1] = lines[-1].rstrip("\\")
-    lines.append(r"\end{align}")
-    return "\n".join(lines)

@@ -16,13 +16,14 @@ appear with exponent at most 1, squares rewrite through the half-bracket.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from itertools import groupby
+from typing import Callable, Sequence
 
 from .coeffs import RF_ONE, RF_ZERO, Polynomial, RationalFunction, as_rf
+from .engine import LinComb, bilinear, fold_letters, rewrite
 
 Word = tuple  # ((gen, exp), ...) ascending
 
@@ -95,23 +96,12 @@ def _base_bracket(j: int, k: int) -> dict[int, int]:
     return table.get((j, k), {})
 
 
-class UeaElement:
+class UeaElement(LinComb):
     """Finite sum of PBW-ordered monomials with left RationalFunction coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Word, RationalFunction] | None = None):
-        clean = {m: c for m, c in (terms or {}).items() if c}
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("UeaElement is immutable")
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------
-    @classmethod
-    def zero(cls) -> "UeaElement":
-        return _ZERO
-
     @classmethod
     def one(cls) -> "UeaElement":
         return _ONE
@@ -129,44 +119,10 @@ class UeaElement:
         return cls({word: as_rf(c)})
 
     # -- structure ----------------------------------------------------
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UeaElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __add__(self, other: "UeaElement") -> "UeaElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, RF_ZERO) + c
-        return UeaElement(out)
-
-    def __neg__(self) -> "UeaElement":
-        return UeaElement({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "UeaElement") -> "UeaElement":
-        return self + (-other)
-
-    def scale(self, f) -> "UeaElement":
-        f = as_rf(f)
-        return UeaElement({m: f * c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, UeaElement):
             return mul(self, other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        # scalar * element, scalar in the coefficient ring (acts from the left)
-        return self.scale(other)
 
     def parity(self) -> int:
         """0 or 1 for homogeneous elements; raises MixedParityError otherwise."""
@@ -174,9 +130,6 @@ class UeaElement:
         if len(ps) > 1:
             raise MixedParityError("element mixes even and odd monomials")
         return ps.pop()
-
-    def support_degrees(self) -> set[int]:
-        return {word_degree(m) for m in self.terms}
 
     def max_degree(self) -> int:
         return max((word_degree(m) for m in self.terms), default=0)
@@ -209,7 +162,6 @@ class UeaElement:
         return f"UeaElement({render_uea(self)})"
 
 
-_ZERO = UeaElement({})
 _ONE = UeaElement({(): RF_ONE})
 
 
@@ -219,11 +171,6 @@ def word_degree(m: Word) -> int:
 
 def word_parity(m: Word) -> int:
     return sum(e for g, e in m if _ODD[g]) & 1
-
-
-def word_weight(m: Word) -> int:
-    """H-weight: eigenvalue of ad H, i.e. -sum(root * exponent)."""
-    return -sum(_ROOT[g] * e for g, e in m)
 
 
 def word_root_sum(m: Word) -> int:
@@ -269,12 +216,27 @@ def commutator_table(a: int, b: int) -> UeaElement:
     return UeaElement(terms)
 
 
-def _swap_sign(a: int, b: int) -> int:
-    return -1 if (_ODD[a] and _ODD[b]) else 1
-
-
 # ---------------------------------------------------------------------------
 # Straightening
+
+
+def _pair_rule(a: int, b: int) -> tuple:
+    """Terms replacing the letter pair a b: the swapped pair with its sign,
+    then the bracket terms; an odd letter twice is half its bracket."""
+    bracket = [(1, f, word_letters(m)) for m, f in commutator_table(a, b)]
+    if a == b:
+        half = Fraction(1, 2)
+        return tuple((1, half * f, letters) for _, f, letters in bracket)
+    return ((-1 if _ODD[a] and _ODD[b] else 1, None, [b, a]), *bracket)
+
+
+_PAIR_RULES = {
+    (a, b): _pair_rule(a, b) for a in range(9) for b in range(a + 1) if a > b or _ODD[a]
+}
+
+
+def _pack(letters: list[int]) -> Word:
+    return tuple((g, len(list(run))) for g, run in groupby(letters))
 
 
 def straighten(
@@ -290,112 +252,7 @@ def straighten(
     what the cached fast path uses.  Any strategy yields the same canonical
     element (confluence; property-tested).
     """
-    out: dict[Word, RationalFunction] = {}
-    agenda: list[tuple[RationalFunction, list]] = [(as_rf(coeff), _normalize_items(items))]
-    while agenda:
-        c, w = agenda.pop()
-        if chooser is None:
-            i = _first_violation(w)
-            if i < 0:
-                mono = _pack(w)
-                if mono is not None:
-                    m, f = mono
-                    out[m] = out.get(m, RF_ZERO) + c * f
-                continue
-        else:
-            viols = _violations(w)
-            if not viols:
-                mono = _pack(w)
-                if mono is not None:
-                    m, f = mono
-                    out[m] = out.get(m, RF_ZERO) + c * f
-                continue
-            i = viols[chooser(viols, w)]
-        for nc, nw in _rewrite_at(c, w, i):
-            if nc:
-                agenda.append((nc, nw))
-    return UeaElement(out)
-
-
-def _normalize_items(items: Sequence) -> list:
-    out = []
-    for it in items:
-        if isinstance(it, int):
-            out.append(it)
-        else:
-            out.append(as_rf(it))
-    return out
-
-
-def _first_violation(w: list) -> int:
-    """Index of the leftmost violation, or -1 (same order as _violations)."""
-    n = len(w)
-    for i in range(n):
-        it = w[i]
-        if type(it) is int:
-            if i + 1 < n:
-                nxt = w[i + 1]
-                if type(nxt) is int and (it > nxt or (it == nxt and _ODD[it])):
-                    return i
-        elif i > 0:
-            return i
-    return -1
-
-
-def _violations(w: list) -> list[int]:
-    viols = []
-    for i, it in enumerate(w):
-        if isinstance(it, RationalFunction):
-            if i > 0:
-                viols.append(i)
-            continue
-        if i + 1 < len(w):
-            nxt = w[i + 1]
-            if isinstance(nxt, int):
-                if it > nxt or (it == nxt and _ODD[it]):
-                    viols.append(i)
-    # a leading coefficient is fine only if it is the whole prefix
-    if w and isinstance(w[0], RationalFunction):
-        viols = [v for v in viols if v != 0]
-    return viols
-
-
-def _rewrite_at(c: RationalFunction, w: list, i: int):
-    it = w[i]
-    if isinstance(it, RationalFunction):
-        # move the coefficient one slot left across a generator
-        left = w[i - 1]
-        if isinstance(left, RationalFunction):
-            yield c, w[: i - 1] + [left * it] + w[i + 1 :]
-        else:
-            yield c, w[: i - 1] + [it.shift(_ROOT[left]), left] + w[i + 1 :]
-        return
-    a, b = w[i], w[i + 1]
-    pre, post = w[:i], w[i + 2 :]
-    if a == b:  # odd square: g*g = (1/2)[g, g]
-        half = Fraction(1, 2)
-        for m, f in commutator_table(a, a):
-            yield c, pre + [half * f] + word_letters(m) + post
-        return
-    sign = _swap_sign(a, b)
-    yield (c if sign == 1 else -c), pre + [b, a] + post
-    for m, f in commutator_table(a, b):
-        yield c, pre + [f] + word_letters(m) + post
-
-
-def _pack(w: list) -> tuple[Word, RationalFunction] | None:
-    """Collapse a violation-free item list into (monomial, inner coefficient)."""
-    f = RF_ONE
-    mono: list[list[int]] = []
-    for it in w:
-        if isinstance(it, RationalFunction):
-            f = f * it
-            continue
-        if mono and mono[-1][0] == it:
-            mono[-1][1] += 1
-        else:
-            mono.append([it, 1])
-    return tuple((g, e) for g, e in mono), f
+    return UeaElement(rewrite(items, coeff, chooser, _ODD, _ROOT, _PAIR_RULES, _pack))
 
 
 @lru_cache(maxsize=None)
@@ -405,30 +262,12 @@ def _word_times_gen(word: Word, g: int) -> UeaElement:
 
 @lru_cache(maxsize=None)
 def _word_times_word(mu: Word, mv: Word) -> UeaElement:
-    acc = {mu: RF_ONE}
-    for g in word_letters(mv):
-        nxt: dict[Word, RationalFunction] = {}
-        for m, f in acc.items():
-            for m2, f2 in _word_times_gen(m, g):
-                nxt[m2] = nxt.get(m2, RF_ZERO) + f * f2
-        acc = {m: f for m, f in nxt.items() if f}
-    return UeaElement(acc)
+    return UeaElement(fold_letters(mu, word_letters(mv), _word_times_gen))
 
 
 def mul(u: UeaElement, v: UeaElement) -> UeaElement:
     """Product of canonical elements, returned in canonical form."""
-    out: dict[Word, RationalFunction] = {}
-    for mu, cu in u:
-        su = word_root_sum(mu)
-        for mv, cv in v:
-            c = cu * cv.shift(su)
-            if c.is_one():
-                for m, f in _word_times_word(mu, mv):
-                    out[m] = out.get(m, RF_ZERO) + f
-            else:
-                for m, f in _word_times_word(mu, mv):
-                    out[m] = out.get(m, RF_ZERO) + c * f
-    return UeaElement(out)
+    return UeaElement(bilinear(u, v, word_root_sum, _word_times_word))
 
 
 def normal_order(raw, chooser=None) -> UeaElement:
@@ -482,14 +321,6 @@ def theta(u: UeaElement) -> UeaElement:
         rev.append(c)  # theta fixes f(H); it ends up on the right, to be shifted left
         total = total + straighten(rev, sign)
     return total
-
-
-def reduce_mod_I(u: UeaElement) -> UeaElement:
-    return u.mod_i()
-
-
-def reduce_mod_II(u: UeaElement) -> UeaElement:
-    return u.mod_ii()
 
 
 def tilde_word(exponents: Sequence[int]) -> Word:

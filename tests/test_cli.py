@@ -1,6 +1,9 @@
 """Tests for the command-line interface: exit codes, formats, reports."""
 
 import json
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,37 @@ class TestExitCodes:
             main(["verify", "nope"])
         capsys.readouterr()
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rep", "primitives", "--lam", "-1"],
+            ["rep", "primitives", "--trunc", "-1"],
+            ["rep", "rho", "--trunc", "2"],
+            ["rep", "rho", "--trunc", "0"],
+            ["verify", "rep", "--trunc", "3"],
+            ["verify", "presentation", "--max-exp", "0"],
+            ["phi-table", "--n", "-1"],
+            ["verify", "projector", "--n", "-1"],
+        ],
+    )
+    def test_bad_option_value_is_usage_error(self, capsys, argv):
+        # exit 2 with a message, not a traceback
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "error" in err and "Traceback" not in err
+
+    def test_oversized_term_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "normalize", "t(1)^100000")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert "more than 64 generator letters" in err
+
+    def test_term_at_the_letter_limit_normalizes(self, capsys):
+        code, out, _ = run(capsys, "normalize", "t(1)^64")
+        assert code == 0
+        assert out.strip() != "0"
 
     def test_verify_pass_is_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "lemmas")
@@ -122,3 +156,21 @@ class TestVerifyReports:
         code, out, _ = run(capsys, "verify", "projector")
         assert code == 0
         assert "[PASS] phi_0 closed form" in out
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("ospz ")]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    # every example of the README's CLI block, as written there
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (line, err)
+    assert (tmp_path / "report.json").exists()

@@ -93,7 +93,7 @@ class TestTensorModule:
         mu = module.weight(2, 1)
         for g, root in ((XN2, -2), (XN1, -1), (X1, 1), (X2, 2)):
             image = module.act_gen(g, v)
-            for k, i in image.coords:
+            for k, i in image.terms:
                 assert module.weight(k, i) == mu - root, g
 
     def test_supercommutators_hold_on_vectors(self, module):
@@ -119,7 +119,7 @@ class TestTensorModule:
         assert len(prims) == 2
         support = [(0, 2), (0, 0), (1, 2)]
         rows = [
-            [v.coords.get(key, Sqrt2(0)) for key in support]
+            [v.terms.get(key, Sqrt2(0)) for key in support]
             for v in prims + [w1(), w2()]
         ]
         assert span_dim(rows) == 2
@@ -130,7 +130,7 @@ class TestTensorModule:
         assert len(prims) == 3
         # the third primitive vector sits at weight 3/2
         v3 = prims[2]
-        assert all(module.weight(k, i) == Fraction(3, 2) for k, i in v3.coords)
+        assert all(module.weight(k, i) == Fraction(3, 2) for k, i in v3.terms)
         assert module.is_primitive(v3)
 
     def test_projector_fixes_primitives_and_kills_translates(self, module):

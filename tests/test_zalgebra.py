@@ -19,9 +19,9 @@ from ospz.zalgebra import (
     all_monomials,
     catalog,
     derived_rule,
+    oracle_sweep,
     tilde_to_z,
     z_multiply,
-    z_oracle_multiply,
     z_straighten,
     z_theta,
     z_to_tilde,
@@ -86,13 +86,31 @@ class TestMultiplication:
     def test_oracle_equivalence_on_unit_exponents(self):
         monos = all_monomials(1)
         assert len(monos) >= 24  # 32 ordered monomials with all exps <= 1
-        bad = []
-        for mu, mv in itertools.product(monos, repeat=2):
-            eu, ev = ZElement.monomial(mu), ZElement.monomial(mv)
-            if z_multiply(eu, ev) != z_oracle_multiply(eu, ev):
-                bad.append((mu, mv))
+        bad = [(mu, mv) for mu, row in oracle_sweep(1) for mv in row]
         assert len(monos) ** 2 >= 576
         assert not bad
+
+    def test_oracle_sweep_reports_a_wrong_product(self, monkeypatch):
+        # the sweep must see a product that disagrees with the oracle, and
+        # the presentation report must count it
+        import ospz.zalgebra as zalgebra
+
+        mu, mv = ZMonomial.make(q=1, r=1), ZMonomial.make(s=1, t=1)
+        right = zalgebra.z_multiply
+
+        def wrong_on_one_pair(u, v):
+            product = right(u, v)
+            if u == ZElement.monomial(mu) and v == ZElement.monomial(mv):
+                return product + ZElement.one()
+            return product
+
+        monkeypatch.setattr(zalgebra, "z_multiply", wrong_on_one_pair)
+        found = [(a, b) for a, row in oracle_sweep(1) for b in row]
+        assert found == [(mu, mv)]
+        report = zalgebra.verify_presentation(1)
+        sweep = next(c for c in report["checks"] if c["name"].startswith("oracle sweep"))
+        assert sweep["mismatches"] == 1
+        assert not sweep["pass"] and not report["passed"]
 
     def test_associativity_on_generator_triples(self):
         for a, b, c in itertools.product(range(5), repeat=3):
