@@ -2,13 +2,14 @@
 
 Three scalar domains:
 
-* sparse univariate polynomials in the Cartan symbol H over Q,
+* polynomials in the Cartan symbol H over Q, each stored as one integer
+  coefficient list over one common denominator,
 * rational functions num/den in H (the left coefficient ring of the
   normal-ordering engine), kept in canonical form: coprime, monic
   denominator, so equality is syntactic,
 * the quadratic extension Q(sqrt 2) used by the representation code.
 
-Everything is immutable and pure; no floating point anywhere.
+Everything is immutable and pure; scalars are int or Fraction, never float.
 """
 
 from __future__ import annotations
@@ -24,79 +25,34 @@ class PoleEvaluationError(ArithmeticError):
     """Raised when a rational function is evaluated at a zero of its denominator."""
 
 
-class Polynomial:
-    """Sparse polynomial in H with Fraction coefficients.
+def _rational(x) -> Fraction:
+    """x as a Fraction; anything but int or Fraction (a float above all) is a TypeError."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"{type(x).__name__} is not an exact rational (int or Fraction)")
 
-    The degree of the zero polynomial is the sentinel -1.
+
+class Polynomial:
+    """Polynomial in H with rational coefficients, in integer form.
+
+    The one stored value is ``_form = (den, a)``: the polynomial is
+    ``(1/den) * sum(a[d] * H**d)`` with ``a`` a tuple of ints whose last
+    entry is nonzero, ``den > 0`` and ``gcd(den, *a) == 1``.  That form is
+    canonical, so equality and hashing compare it directly.  The zero
+    polynomial is ``(1, ())`` and has degree -1.
     """
 
-    __slots__ = ("_coeffs", "_intform")
+    __slots__ = ("_form",)
 
     def __init__(self, coeffs: Mapping[int, RationalLike] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for d, c in coeffs.items():
-                if d < 0:
-                    raise ValueError("negative degree")
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
-                if c:
-                    clean[d] = c
-        object.__setattr__(self, "_coeffs", clean)
-        object.__setattr__(self, "_intform", None)
-
-    # -- dual representation --------------------------------------------
-    # The hot arithmetic (products, sums, shifts) runs on a dense integer
-    # coefficient list with one common denominator; the Fraction dict is
-    # materialized lazily.  Both forms are canonical: the integer form is
-    # content-reduced with positive denominator, so equality and hashing can
-    # use it directly.
-
-    @property
-    def coeffs(self) -> dict[int, Fraction]:
-        c = self._coeffs
-        if c is None:
-            den, a = self._intform
-            c = {d: Fraction(n, den) for d, n in enumerate(a) if n}
-            object.__setattr__(self, "_coeffs", c)
-        return c
-
-    def _ints(self) -> tuple[int, list[int]]:
-        """Integer form (den, a): self = (1/den) * sum a[d] H^d, a trimmed."""
-        cached = self._intform
-        if cached is None:
-            c = self._coeffs
-            if not c:
-                cached = (1, [])
-            else:
-                den = lcm(*(f.denominator for f in c.values()))
-                a = [0] * (max(c) + 1)
-                for d, f in c.items():
-                    a[d] = int(f * den)
-                cached = (den, a)
-            object.__setattr__(self, "_intform", cached)
-        return cached
-
-    @classmethod
-    def _from_ints(cls, den: int, a: list[int]) -> "Polynomial":
-        while a and not a[-1]:
-            a.pop()
-        if a:
-            g = den
-            for n in a:
-                if n:
-                    g = gcd(g, n)
-                    if g == 1:
-                        break
-            if g > 1:
-                den //= g
-                a = [n // g for n in a]
-        else:
-            den = 1
-        self = object.__new__(cls)
-        object.__setattr__(self, "_coeffs", None)
-        object.__setattr__(self, "_intform", (den, a))
-        return self
+        coeffs = {d: _rational(c) for d, c in (coeffs or {}).items()}
+        if any(d < 0 for d in coeffs):
+            raise ValueError("negative degree")
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        a = [0] * (max(coeffs) + 1 if coeffs else 0)
+        for d, c in coeffs.items():
+            a[d] = c.numerator * (den // c.denominator)
+        object.__setattr__(self, "_form", _canonical(den, a))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
@@ -104,58 +60,54 @@ class Polynomial:
     # -- constructors -------------------------------------------------
     @classmethod
     def const(cls, c: RationalLike) -> "Polynomial":
-        return cls({0: c})
+        c = _rational(c)
+        return _poly(c.denominator, [c.numerator])
 
     @classmethod
     def var(cls) -> "Polynomial":
         """The polynomial H."""
-        return cls({1: 1})
+        return _poly(1, [0, 1])
 
     # -- structure ----------------------------------------------------
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """Read-only view {degree: nonzero coefficient}, built on each call."""
+        den, a = self._form
+        return {d: Fraction(n, den) for d, n in enumerate(a) if n}
+
     def __bool__(self) -> bool:
-        c = self._coeffs
-        if c is not None:
-            return bool(c)
-        return bool(self._intform[1])
+        return bool(self._form[1])
 
     @property
     def degree(self) -> int:
-        i = self._intform
-        if i is not None:
-            return len(i[1]) - 1
-        return max(self._coeffs) if self._coeffs else -1
+        return len(self._form[1]) - 1
+
+    @property
+    def height(self) -> int:
+        """Largest integer of the integer form: den or some |a[d]|."""
+        den, a = self._form
+        return max([den, *map(abs, a)])
 
     @property
     def lead(self) -> Fraction:
-        den, a = self._ints()
-        if not a:
-            return Fraction(0)
-        return Fraction(a[-1], den)
-
-    def is_const(self) -> bool:
-        return self.degree <= 0
-
-    def const_value(self) -> Fraction:
-        if not self.is_const():
-            raise ValueError("not a constant polynomial")
-        return self.coeffs.get(0, Fraction(0))
+        den, a = self._form
+        return Fraction(a[-1], den) if a else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self._ints() == other._ints()
+            return self._form == other._form
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.const(other)
         return NotImplemented
 
     def __hash__(self):
-        den, a = self._ints()
-        return hash((den, tuple(a)))
+        return hash(self._form)
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other) -> "Polynomial":
         other = _as_poly(other)
-        da, a = self._ints()
-        db, b = other._ints()
+        da, a = self._form
+        db, b = other._form
         if not a:
             return other
         if not b:
@@ -167,13 +119,13 @@ class Polynomial:
             out[i] = c * fa
         for i, c in enumerate(b):
             out[i] += c * fb
-        return Polynomial._from_ints(den, out)
+        return _poly(den, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        den, a = self._ints()
-        return Polynomial._from_ints(den, [-c for c in a])
+        den, a = self._form
+        return _poly(den, [-c for c in a])
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-_as_poly(other))
@@ -183,8 +135,8 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = _as_poly(other)
-        da, a = self._ints()
-        db, b = other._ints()
+        da, a = self._form
+        db, b = other._form
         if not a or not b:
             return Polynomial()
         out = [0] * (len(a) + len(b) - 1)
@@ -193,7 +145,7 @@ class Polynomial:
                 for j, cb in enumerate(b):
                     if cb:
                         out[i + j] += ca * cb
-        return Polynomial._from_ints(da * db, out)
+        return _poly(da * db, out)
 
     __rmul__ = __mul__
 
@@ -213,84 +165,38 @@ class Polynomial:
         other = _as_poly(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        dd, dl = other.degree, other.lead
-        if self.degree < dd:
-            return Polynomial(), self
-        rem = [self.coeffs.get(i, Fraction(0)) for i in range(self.degree + 1)]
-        bs = [other.coeffs.get(i, Fraction(0)) for i in range(dd + 1)]
-        q: dict[int, Fraction] = {}
-        for d in range(len(rem) - 1 - dd, -1, -1):
-            c = rem[d + dd] / dl
-            if c:
-                q[d] = c
-                for i, bc in enumerate(bs):
-                    if bc:
-                        rem[d + i] -= c * bc
-        return Polynomial(q), Polynomial(
-            {i: c for i, c in enumerate(rem[:dd]) if c}
-        )
+        da, a = self._form
+        db, b = other._form
+        # l^k a = q b + r, with self = a/da and other = b/db
+        k, q, r = _pseudo_divmod(a, b)
+        scale = b[-1] ** k * da
+        return _poly(scale, [c * db for c in q]), _poly(scale, r)
 
     def __floordiv__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        dg, b = other._ints()
-        if b and b[-1] == dg:  # monic divisor: integer synthetic division
-            return self._div_by_monic(other)
         return divmod(self, other)[0]
-
-    def _div_by_monic(self, other: "Polynomial") -> "Polynomial":
-        """Quotient by a monic divisor, fraction-free.
-
-        Works on the integer forms: the running dividend is rescaled by the
-        divisor's denominator before each step so every subtraction stays
-        over the integers; the discarded tail is the remainder.
-        """
-        dn, a0 = self._ints()
-        dg, b = other._ints()
-        m = len(a0) - len(b)
-        if m < 0:
-            return Polynomial()
-        a = list(a0)
-        den = dn
-        out = [0] * (m + 1)
-        nb = len(b) - 1
-        for k in range(m, -1, -1):
-            if dg != 1:
-                a = [c * dg for c in a]
-                out = [c * dg for c in out]
-                den *= dg
-            top = a.pop()
-            out[k] = top
-            if top:
-                lead = top // dg
-                off = len(a) - nb
-                for i in range(nb):
-                    a[off + i] -= lead * b[i]
-        return Polynomial._from_ints(den, out)
 
     def __mod__(self, other) -> "Polynomial":
         return divmod(self, other)[1]
 
     def monic(self) -> "Polynomial":
-        if not self:
-            return self
-        l = self.lead
-        return Polynomial({d: c / l for d, c in self.coeffs.items()})
+        den, a = self._form
+        return _poly(a[-1], list(a)) if a and a[-1] != den else self
 
     def shift(self, k: int) -> "Polynomial":
         """Substitute H -> H + k (integer Taylor shift by synthetic Horner)."""
         if k == 0 or not self:
             return self
-        den, m = self._ints()
+        den, m = self._form
         a = list(m)
         n = len(a) - 1
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
                 a[j] += k * a[j + 1]
-        return Polynomial._from_ints(den, a)
+        return _poly(den, a)
 
     def eval(self, x: RationalLike) -> Fraction:
-        x = Fraction(x)
-        den, a = self._ints()
+        x = _rational(x)
+        den, a = self._form
         acc = Fraction(0)
         for c in reversed(a):
             acc = acc * x + c
@@ -298,25 +204,52 @@ class Polynomial:
 
     # -- text ---------------------------------------------------------
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
+        den, a = self._form
         parts = []
-        for d in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[d]
-            mag = abs(c)
+        for d in range(len(a) - 1, -1, -1):
+            if not a[d]:
+                continue
+            mag = Fraction(abs(a[d]), den)
             if d == 0:
                 body = str(mag)
             else:
                 var = "H" if d == 1 else f"H^{d}"
                 body = var if mag == 1 else f"{mag}*{var}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if a[d] > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                parts.append(f"+ {body}" if a[d] > 0 else f"- {body}")
+        return " ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def _canonical(den: int, a: list[int]) -> tuple[int, tuple[int, ...]]:
+    """The integer form of (1/den) * sum a[d] H^d: trimmed, den > 0, content 1."""
+    while a and not a[-1]:
+        a.pop()
+    if not a:
+        return 1, ()
+    if den < 0:
+        den, a = -den, [-n for n in a]
+    g = den
+    for n in a:
+        if n:
+            g = gcd(g, n)
+            if g == 1:
+                break
+    if g > 1:
+        den //= g
+        a = [n // g for n in a]
+    return den, tuple(a)
+
+
+def _poly(den: int, a: list[int]) -> Polynomial:
+    """The polynomial (1/den) * sum a[d] H^d (a is consumed)."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "_form", _canonical(den, a))
+    return p
 
 
 def _as_poly(x) -> Polynomial:
@@ -327,55 +260,43 @@ def _as_poly(x) -> Polynomial:
     raise TypeError(f"cannot coerce {type(x).__name__} to Polynomial")
 
 
-def _primitive(a: list[int]) -> list[int]:
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    if g <= 1:
-        return a
-    return [c // g for c in a]
+def _pseudo_divmod(a, b) -> tuple[int, list[int], list[int]]:
+    """Fraction-free pseudo-division of integer coefficient sequences, the
+    one division loop behind divmod, //, % and poly_gcd.
 
-
-def _dense_ints(p: Polynomial) -> list[int]:
-    """Primitive dense integer coefficient list, highest degree last."""
-    _, a = p._ints()
-    return _primitive(list(a))
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of a by b up to content, over the integers.  Requires b
-    nonzero; lists are dense with a nonzero last entry."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db:
-        if not a[-1]:
-            a.pop()
+    Returns (k, q, r) with l**k * a == q*b + r and r shorter than b, where
+    l = b[-1] is the leading coefficient of the trimmed, nonzero b.  A step
+    scales the running remainder by l only when l does not divide its
+    leading coefficient, so a monic integer divisor never scales.
+    """
+    r = list(a)
+    nb, l = len(b) - 1, b[-1]
+    q = [0] * max(len(r) - nb, 0)
+    k = 0
+    for j in range(len(q) - 1, -1, -1):
+        t = r.pop()
+        if not t:
             continue
-        la = a.pop()
-        if lb != 1:
-            a = [lb * c for c in a]
-        off = len(a) - db
-        for i in range(db):
-            a[off + i] -= la * b[i]
-    while a and not a[-1]:
-        a.pop()
-    return a
+        if t % l:
+            r = [l * c for c in r]
+            q = [l * c for c in q]
+            k += 1
+        else:
+            t //= l
+        q[j] = t
+        for i in range(nb):
+            r[j + i] -= t * b[i]
+    return k, q, r
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor, via a primitive pseudo-remainder
-    sequence over the integers (content is irrelevant to a monic gcd)."""
-    fa, fb = _dense_ints(a), _dense_ints(b)
-    while fb:
-        if len(fb) > len(fa):
-            fa, fb = fb, fa
-            continue
-        fa, fb = fb, _primitive(_pseudo_rem(fa, fb))
-    if not fa:
-        return Polynomial()
-    lead = fa[-1]
-    return Polynomial({d: Fraction(c, lead) for d, c in enumerate(fa) if c})
+    """Monic greatest common divisor by Euclid's algorithm on integer forms.
+    Every term is kept monic, so its integer coefficients are primitive and
+    the remainders form a primitive pseudo-remainder sequence."""
+    a, b = a.monic(), b.monic()
+    while b:
+        a, b = b, _poly(1, _pseudo_divmod(a._form[1], b._form[1])[2]).monic()
+    return a
 
 
 H = Polynomial.var()
@@ -497,15 +418,16 @@ class RationalFunction:
         n2, d2 = other.num, other.den
         if not n1 or not n2:
             return RF_ZERO
-        # scalar factors cannot disturb coprimality or the monic denominator
+        # scalar factors cannot disturb coprimality or the monic denominator;
+        # a canonical denominator of degree 0 is exactly 1
         if n1.degree == 0 and d1.degree == 0:
             if n1 == d1:
                 return other
-            return RationalFunction._make(n2 * n1.const_value(), d2)
+            return RationalFunction._make(n2 * n1, d2)
         if n2.degree == 0 and d2.degree == 0:
             if n2 == d2:
                 return self
-            return RationalFunction._make(n1 * n2.const_value(), d1)
+            return RationalFunction._make(n1 * n2, d1)
         # cross-cancel: each factor is already coprime, so removing the two
         # cross gcds leaves a canonical product (denominators stay monic)
         if n1.degree > 0 and d2.degree > 0:
@@ -534,7 +456,8 @@ class RationalFunction:
     def __pow__(self, n: int):
         if n < 0:
             return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
+        # powers of coprime polynomials stay coprime, of a monic one monic
+        return RationalFunction._make(self.num**n, self.den**n)
 
     def shift(self, k: int) -> "RationalFunction":
         """Substitute H -> H + k.  A field automorphism for every integer k."""
@@ -588,8 +511,8 @@ class Sqrt2(object):
     __slots__ = ("a", "b")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "a", _rational(a))
+        object.__setattr__(self, "b", _rational(b))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Sqrt2 is immutable")
@@ -633,9 +556,6 @@ class Sqrt2(object):
         return Sqrt2(self.a * other.a + 2 * self.b * other.b, self.a * other.b + self.b * other.a)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "Sqrt2":
-        return Sqrt2(self.a, -self.b)
 
     def inverse(self) -> "Sqrt2":
         n = self.a * self.a - 2 * self.b * self.b

@@ -73,6 +73,8 @@ def tokenize(text: str) -> list[Token]:
             raise UnknownToken(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         chunk = m.group()
+        if kind == "num" and len(chunk) > MAX_COEFF_DIGITS:
+            raise ExprSyntaxError(f"integer of more than {MAX_COEFF_DIGITS} digits", line, col)
         if kind != "ws":
             out.append(Token(kind, chunk, line, col))
         nl = chunk.count("\n")
@@ -129,6 +131,18 @@ class _Parser:
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise ExprSyntaxError(message, tok.line, tok.column)
+
+    def bounded(self, value: RationalFunction, tok: Token, power: int = 1) -> RationalFunction:
+        """value, if value**power stays within the coefficient limits; else an
+        ExprSyntaxError at tok.  Checked before the power is taken: every
+        integer of the integer form of p**n is at most
+        height(p)**n * (deg p + 1)**(n - 1)."""
+        for p in (value.num, value.den):
+            if p.degree * power > MAX_TERM_LETTERS:
+                self.fail(f"coefficient of degree above {MAX_TERM_LETTERS} in H", tok)
+            if p.height**power * (p.degree + 1) ** max(power - 1, 0) >= _COEFF_BOUND:
+                self.fail(f"coefficient with integers of more than {MAX_COEFF_DIGITS} digits", tok)
+        return value
 
     def expect(self, text: str) -> Token:
         t = self.peek()
@@ -220,22 +234,23 @@ class _Parser:
     def ratfunc(self) -> RationalFunction:
         value = self.rterm()
         while self.peek().text in ("+", "-"):
-            op = self.next().text
+            op = self.next()
             rhs = self.rterm()
-            value = value + rhs if op == "+" else value - rhs
+            value = self.bounded(value + rhs if op.text == "+" else value - rhs, op)
         return value
 
     def rterm(self) -> RationalFunction:
         value = self.runary()
         while self.peek().text in ("*", "/"):
-            op = self.next().text
+            op = self.next()
             rhs = self.runary()
-            if op == "*":
+            if op.text == "*":
                 value = value * rhs
             else:
                 if not rhs:
                     self.fail("division by zero in coefficient")
                 value = value / rhs
+            value = self.bounded(value, op)
         return value
 
     def runary(self) -> RationalFunction:
@@ -249,7 +264,10 @@ class _Parser:
             et = self.peek()
             if et.kind != "num":
                 self.fail("expected integer exponent")
-            value = value ** int(self.next().text)
+            exp = int(self.next().text)
+            if exp > MAX_TERM_LETTERS:
+                self.fail(f"coefficient exponent above {MAX_TERM_LETTERS}", et)
+            value = self.bounded(value, et, exp) ** exp
         return value if sign == 1 else -value
 
     def ratom(self) -> RationalFunction:
@@ -281,8 +299,14 @@ def parse_ratfunc(text: str) -> RationalFunction:
     return value
 
 
-# Most generator letters one term may expand to (see to_element).
+# Most generator letters one term may expand to (see to_element); also the
+# largest exponent and degree in H of a parsed coefficient.
 MAX_TERM_LETTERS = 64
+# Most decimal digits of an integer literal, and of any integer in the integer
+# form of a coefficient the parser builds; the text renderer's int-to-str
+# conversion stops at 4300.
+MAX_COEFF_DIGITS = 1000
+_COEFF_BOUND = 10**MAX_COEFF_DIGITS
 
 
 def to_element(expr: ElementExpr):

@@ -56,16 +56,28 @@ class TestExitCodes:
         assert "error" in err and "Traceback" not in err
 
     def test_oversized_term_fails_fast(self, capsys):
-        t0 = time.perf_counter()
-        code, _, err = run(capsys, "normalize", "t(1)^100000")
-        assert time.perf_counter() - t0 < 1.0
-        assert code == 2
-        assert "more than 64 generator letters" in err
+        cases = [
+            (["t(1)^100000"], "more than 64 generator letters"),
+            (["((H+1)^3000)", "--algebra", "z"], "column 8: coefficient exponent above 64"),
+            (["(2^100000)", "--algebra", "z"], "column 4: coefficient exponent above 64"),
+            (["((H^2+1)^33)", "--algebra", "z"], "coefficient of degree above 64"),
+            (["((2^60)^60)", "--algebra", "z"], "column 9: coefficient with integers of more than 1000"),
+            ([f"(({'7' * 999}+H)^64)", "--algebra", "z"], "integers of more than 1000 digits"),
+            ([f"({'9' * 600}*{'9' * 600})", "--algebra", "z"], "integers of more than 1000 digits"),
+            ([f"({'1' * 5000})", "--algebra", "z"], "integer of more than 1000 digits"),
+        ]
+        for argv, message in cases:
+            t0 = time.perf_counter()
+            code, _, err = run(capsys, "normalize", *argv)
+            assert time.perf_counter() - t0 < 1.0, argv[0][:40]
+            assert code == 2, argv[0][:40]
+            assert message in err and "Traceback" not in err
 
     def test_term_at_the_letter_limit_normalizes(self, capsys):
-        code, out, _ = run(capsys, "normalize", "t(1)^64")
-        assert code == 0
-        assert out.strip() != "0"
+        for argv in (["t(1)^64"], ["((H+1)^64)", "--algebra", "z"]):
+            code, out, _ = run(capsys, "normalize", *argv)
+            assert code == 0
+            assert out.strip() != "0"
 
     def test_verify_pass_is_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "lemmas")

@@ -18,7 +18,9 @@ from ospz.coeffs import (
     RationalFunction,
     Sqrt2,
     as_rf,
+    poly_gcd,
 )
+from ospz.text import parse_ratfunc
 
 # Sample points that avoid the integer lattice, where localized
 # denominators may vanish.
@@ -30,6 +32,17 @@ def small_polys():
     return st.lists(coeff, min_size=1, max_size=4).map(
         lambda cs: Polynomial({i: c for i, c in enumerate(cs)})
     )
+
+
+def fraction_polys(min_size=1):
+    """Polynomials with fractional coefficients, leading one included."""
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+    return st.lists(coeff, min_size=min_size, max_size=5).map(
+        lambda cs: Polynomial(dict(enumerate(cs)))
+    )
+
+
+nonzero_polys = fraction_polys().filter(bool)
 
 
 def small_rfs():
@@ -59,6 +72,42 @@ class TestPolynomial:
     def test_degree_and_zero(self):
         assert not Polynomial()
         assert (H * H).degree == 2
+
+    def test_float_coefficients_are_rejected(self):
+        with pytest.raises(TypeError):
+            Polynomial({0: 0.1})
+        with pytest.raises(TypeError):
+            Polynomial.const(0.5)
+
+    @given(fraction_polys(0), nonzero_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_divmod_is_euclidean_division(self, a, b):
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+        assert a // b == q and a % b == r
+
+    def test_division_by_a_non_monic_fractional_divisor(self):
+        a = H**3 + 2 * H + Fraction(1, 3)
+        b = Fraction(-2, 3) * H**2 + Fraction(5, 7)
+        q, r = divmod(a, b)
+        assert q == Fraction(-3, 2) * H
+        assert r == Fraction(43, 14) * H + Fraction(1, 3)
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, Polynomial())
+
+    @given(fraction_polys(0), fraction_polys(0), fraction_polys(0))
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_is_monic_and_divides_both(self, a, b, c):
+        a, b = a * c, b * c
+        g = poly_gcd(a, b)
+        if not (a or b):
+            assert not g
+            return
+        assert g.lead == 1
+        assert a % g == 0 and b % g == 0
+        if c:
+            assert g % c == 0  # c divides both, so it divides the greatest divisor
 
 
 class TestRationalFunction:
@@ -106,6 +155,11 @@ class TestRationalFunction:
                 continue
             assert rf_eval(f.shift(k), x) == expected
 
+    @given(st.one_of(small_rfs(), st.builds(RationalFunction, fraction_polys(0), nonzero_polys)))
+    @settings(max_examples=100, deadline=None)
+    def test_rendering_parses_back(self, f):
+        assert parse_ratfunc(str(f)) == f
+
     def test_canonical_form_is_reduced(self):
         f = RationalFunction((H - 1) * (H - 2), (H - 1) * (H + 3))
         g = RationalFunction(H - 2, H + 3)
@@ -140,6 +194,12 @@ class TestSqrt2:
         assert u + v == v + u
         assert u * v == v * u
         assert (u + v) * u == u * u + v * u
+
+    def test_float_components_are_rejected(self):
+        with pytest.raises(TypeError):
+            Sqrt2(0.5)
+        with pytest.raises(TypeError):
+            Sqrt2(1, 0.5)
 
     def test_sqrt2_squares_to_two(self):
         assert Sqrt2(0, 1) * Sqrt2(0, 1) == Sqrt2(2)
