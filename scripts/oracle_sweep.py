@@ -10,6 +10,7 @@ degree.
 """
 
 import argparse
+import resource
 import time
 
 from ospz.text import render_z
@@ -27,17 +28,18 @@ def main() -> int:
     monos = all_monomials(args.max_exp)
     total = len(monos) ** 2
     print(f"{len(monos)} basis monomials, {total} ordered pairs")
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     for i, (mu, row) in enumerate(oracle_sweep(args.max_exp), 1):
         bad += [(mu, mv) for mv in row]
         if args.progress and i % args.progress == 0:
-            print(f"  {i}/{len(monos)} rows, {time.time() - t0:.1f} s")
-    elapsed = time.time() - t0
+            print(f"  {i}/{len(monos)} rows, {time.perf_counter() - t0:.1f} s")
+    elapsed = time.perf_counter() - t0
     for mu, mv in bad:
         left, right = ZElement.monomial(mu), ZElement.monomial(mv)
         print(f"MISMATCH {render_z(left)} * {render_z(right)}")
-    print(f"{total} pairs, {len(bad)} mismatches, {elapsed:.1f} s")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"{total} pairs, {len(bad)} mismatches, {elapsed:.1f} s, peak RSS {peak_mb:.0f} MB")
     return 1 if bad else 0
 
 

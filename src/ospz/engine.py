@@ -98,15 +98,19 @@ def bilinear(u, v, root_sum: Callable, mono_product: Callable) -> dict:
     return out
 
 
-def fold_letters(mono, letters: Sequence[int], times_letter: Callable) -> dict:
+def fold_letters(
+    mono, letters: Sequence[int], times_letter: Callable, keep: Callable | None = None
+) -> dict:
     """mono * letters[0] * letters[1] * ..., one letter at a time, where
-    times_letter(m, g) is the ordered form of monomial m times letter g."""
+    times_letter(m, g) is the ordered form of monomial m times letter g.
+    With `keep`, only the monomials it accepts stay after each letter: that
+    is exact when the rejected ones span a right ideal."""
     acc = {mono: RF_ONE}
     for g in letters:
         nxt: dict = {}
         for m, f in acc.items():
             add_scaled(nxt, f, times_letter(m, g))
-        acc = {m: f for m, f in nxt.items() if f}
+        acc = {m: f for m, f in nxt.items() if f and (keep is None or keep(m))}
     return acc
 
 

@@ -7,7 +7,17 @@ computed from
 
     u <> v  =  sum_n  [.,X(-1)]^n(u) * phi_n(H+n) * [X(1),.]^n(v)   mod II,
 
-with the series truncated as soon as one iterated bracket vanishes.
+and every step is taken in the quotient its result ends up in, II being
+g_-U + U g_+.  The left chain is carried modulo g_-U: since [g_-U, X(-1)]
+lies in g_-U, a representative there is as good as the exact bracket, and
+[u, X(-1)] = u X(-1) modulo g_-U, so the X(-1) u half of the bracket is never
+formed.  Symmetrically the right chain is carried modulo U g_+, where
+[X(1), v] = X(1) v.  This is exact because g_-U * w and w * U g_+ lie in II
+for every w, so a term changed by an element of its ideal changes the
+product only modulo II, and the middle product is straightened straight into
+U/II.  For the same reason the chains need only terminate modulo their
+ideals, and the series stops as soon as one of them vanishes there; each
+chain is computed only as far as the other one reaches.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 from .coeffs import RF_ONE, Polynomial, RationalFunction, as_rf
 from .engine import bilinear
@@ -25,6 +36,7 @@ from .uea import (
     UeaElement,
     mul,
     super_bracket,
+    word_degree,
     word_root_sum,
 )
 
@@ -89,51 +101,61 @@ def verify_projector_recursion(n_max: int) -> list[dict]:
 
 
 def diamond(u: UeaElement, v: UeaElement) -> UeaElement:
-    """Diamond product of the cosets of u and v in U/II.
+    """Diamond product of the cosets of u and v in U/II, returned as its
+    pure-tilde representative.
 
     Bilinear over the coefficient ring; per-monomial products are cached.
-    Inputs are arbitrary representatives whose iterated brackets with the
-    diagonal root vectors terminate (all pure-tilde elements do).
+    Each monomial product is the quotient formula of the module docstring:
+    the n-th left bracket modulo g_-U times phi_n(H+n) times the n-th right
+    bracket modulo U g_+, straightened modulo II, summed until either chain
+    vanishes modulo its ideal.  Inputs are arbitrary representatives: the
+    chains start from monomials, on which ad X(-1) and ad X(1) are locally
+    nilpotent, so they always end.
     """
     return UeaElement(bilinear(u, v, word_root_sum, _diamond_mono))
 
 
-def _bracket_chain(word, bracket, kind: str) -> tuple[UeaElement, ...]:
-    """(u, bracket(u), bracket(bracket(u)), ...) for the monomial `word`,
-    until the bracket vanishes."""
-    u = UeaElement.monomial(word) if word else UeaElement.one()
-    bound = 4 * u.max_degree() + 2
-    chain = [u]
-    while u:
-        if len(chain) > bound:
-            raise RuntimeError(f"{kind} bracket chain failed to terminate")
-        u = bracket(u)
-        if u:
-            chain.append(u)
-    return tuple(chain)
+def _chain(word, length: int, shorter, bracket) -> tuple[UeaElement, ...]:
+    """The first `length` terms of (u, bracket(u), bracket(bracket(u)), ...)
+    for the monomial u = `word`, fewer if the bracket vanishes first;
+    `shorter(word, n)` is the cached prefix of length n."""
+    if length == 1:
+        return (UeaElement.monomial(word),)
+    chain = shorter(word, length - 1)
+    if len(chain) < length - 1:
+        return chain
+    nxt = bracket(chain[-1])
+    return chain + (nxt,) if nxt else chain
 
 
 @lru_cache(maxsize=None)
-def _lower_chain(mu) -> tuple[UeaElement, ...]:
-    """(u, [u, X(-1)], [[u, X(-1)], X(-1)], ...) until the bracket vanishes."""
-    return _bracket_chain(mu, lambda u: super_bracket(u, _X_LOWER), "lowering")
+def _lower_chain(mu, length: int) -> tuple[UeaElement, ...]:
+    """(u, [u, X(-1)], [[u, X(-1)], X(-1)], ...) modulo g_-U, up to `length`
+    terms or until the bracket vanishes there."""
+    return _chain(mu, length, _lower_chain, lambda u: super_bracket(u, _X_LOWER, "left"))
 
 
 @lru_cache(maxsize=None)
-def _raise_chain(mv) -> tuple[UeaElement, ...]:
-    """(v, [X(1), v], [X(1), [X(1), v]], ...) until the bracket vanishes."""
-    return _bracket_chain(mv, lambda v: super_bracket(_X_RAISE, v), "raising")
+def _raise_chain(mv, length: int) -> tuple[UeaElement, ...]:
+    """(v, [X(1), v], [X(1), [X(1), v]], ...) modulo U g_+, up to `length`
+    terms or until the bracket vanishes there."""
+    return _chain(mv, length, _raise_chain, lambda v: super_bracket(_X_RAISE, v, "right"))
 
 
 @lru_cache(maxsize=None)
 def _diamond_mono(mu, mv) -> UeaElement:
-    lefts = _lower_chain(mu)
-    rights = _raise_chain(mv)
-    total = mul(lefts[0], rights[0]).mod_ii()
-    for n in range(1, min(len(lefts), len(rights))):
-        mid = UeaElement.coeff(phi(n).shift(n))
-        total = total + mul(mul(lefts[n], mid), rights[n]).mod_ii()
-    return total
+    # Each chain vanishes within 4 * degree + 2 steps (the root sum of its
+    # terms moves by one per step), so the series stops by the smaller bound.
+    bound = 4 * min(word_degree(mu), word_degree(mv)) + 2
+    total = UeaElement.zero()
+    for n in count():
+        lefts, rights = _lower_chain(mu, n + 1), _raise_chain(mv, n + 1)
+        if len(lefts) <= n or len(rights) <= n:
+            return total
+        if n > bound:
+            raise RuntimeError("diamond series failed to terminate")
+        left = mul(lefts[n], UeaElement.coeff(phi(n).shift(n))) if n else lefts[0]
+        total = total + mul(left, rights[n], "both")
 
 
 @lru_cache(maxsize=None)
@@ -142,18 +164,13 @@ def projected_generator(g: int) -> UeaElement:
     X(-1) powers on the left of the surviving tilde letters."""
     if g not in TILDE_GENS:
         raise ValueError("projected generators are defined for tilde generators only")
-    acc = UeaElement.gen(g)
-    total = acc.mod_i()
+    chain = _raise_chain(((g, 1),), 8)
+    if len(chain) > 7:
+        raise RuntimeError("projected generator series failed to terminate")
+    # X(1)^n g = [X(1), .]^n(g) modulo U g_+, which X(-1)^n keeps.
+    total = UeaElement.zero()
     lower_pow = UeaElement.one()
-    n = 0
-    while True:
-        n += 1
-        acc = super_bracket(_X_RAISE, acc)
-        if not acc:
-            break
-        if n > 6:
-            raise RuntimeError("projected generator series failed to terminate")
+    for n, acc in enumerate(chain):
+        total = total + mul(UeaElement.coeff(phi(n)), mul(lower_pow, acc, "right"))
         lower_pow = mul(lower_pow, _X_LOWER)
-        term = mul(UeaElement.coeff(phi(n)), mul(lower_pow, acc))
-        total = total + term.mod_i()
     return total

@@ -131,30 +131,13 @@ class UeaElement(LinComb):
             raise MixedParityError("element mixes even and odd monomials")
         return ps.pop()
 
-    def max_degree(self) -> int:
-        return max((word_degree(m) for m in self.terms), default=0)
-
     # -- coset reductions ---------------------------------------------
-    def mod_i(self) -> "UeaElement":
-        """Canonical representative modulo the left ideal generated by X(1), X(2)."""
-        return UeaElement(
-            {m: c for m, c in self.terms.items() if not any(g in (X1, X2) for g, _ in m)}
-        )
-
     def mod_ii(self) -> "UeaElement":
         """Canonical representative modulo g_-*U + U*g_+ (pure tilde monomials)."""
-        return UeaElement(
-            {
-                m: c
-                for m, c in self.terms.items()
-                if all(g not in (XN2, XN1, X1, X2) for g, _ in m)
-            }
-        )
+        return UeaElement(_reduce(self.terms, "both"))
 
     def is_pure_tilde(self) -> bool:
-        return all(
-            g not in (XN2, XN1, X1, X2) for m in self.terms for g, _ in m
-        )
+        return not any(_in_left(m) or _in_right(m) for m in self.terms)
 
     def __repr__(self):
         from .text import render_uea
@@ -255,19 +238,70 @@ def straighten(
     return UeaElement(rewrite(items, coeff, chooser, _ODD, _ROOT, _PAIR_RULES, _pack))
 
 
+# ---------------------------------------------------------------------------
+# Quotients.  The lowering letters sort first and the raising letters last, so
+# a PBW monomial lies in the right ideal g_-U exactly when it starts with X(-2)
+# or X(-1), in the left ideal U g_+ exactly when it ends with X(1) or X(2), and
+# in II = g_-U + U g_+ exactly when it has a diagonal letter.  A quotient is
+# named None (U itself), "left" (U/g_-U), "right" (U/U g_+) or "both" (U/II).
+
+
+def _in_left(m: Word) -> bool:
+    return bool(m) and m[0][0] <= XN1
+
+
+def _in_right(m: Word) -> bool:
+    return bool(m) and m[-1][0] >= X1
+
+
+# quotient -> (drop g_-U monomials, drop U g_+ monomials)
+_SIDES = {None: (False, False), "left": (True, False), "right": (False, True), "both": (True, True)}
+
+
+def _reduce(terms: dict, quotient) -> dict:
+    """The terms whose monomials survive in the quotient."""
+    left, right = _SIDES[quotient]
+    return {
+        m: c
+        for m, c in terms.items()
+        if not (left and _in_left(m)) and not (right and _in_right(m))
+    }
+
+
+def _not_left(m: Word) -> bool:
+    return not _in_left(m)
+
+
 @lru_cache(maxsize=None)
 def _word_times_gen(word: Word, g: int) -> UeaElement:
     return straighten(word_letters(word) + [g])
 
 
 @lru_cache(maxsize=None)
-def _word_times_word(mu: Word, mv: Word) -> UeaElement:
-    return UeaElement(fold_letters(mu, word_letters(mv), _word_times_gen))
+def _word_times_word(mu: Word, mv: Word, quotient) -> UeaElement:
+    # g_-U * U lies in g_-U, so its terms can go after every letter; a term
+    # ending in X(1) or X(2) mid-fold is not in U g_+ until no letter follows it.
+    left, right = _SIDES[quotient]
+    terms = fold_letters(mu, word_letters(mv), _word_times_gen, _not_left if left else None)
+    return UeaElement(_reduce(terms, "right") if right else terms)
 
 
-def mul(u: UeaElement, v: UeaElement) -> UeaElement:
-    """Product of canonical elements, returned in canonical form."""
-    return UeaElement(bilinear(u, v, word_root_sum, _word_times_word))
+def mul(u: UeaElement, v: UeaElement, quotient=None) -> UeaElement:
+    """Product of canonical elements, returned in canonical form.
+
+    With a `quotient` ("left", "right" or "both", see above) the result is
+    the canonical representative of the product in that quotient.  A left
+    factor in g_-U or a right factor in U g_+ gives a product in the same
+    ideal, so such terms are dropped before anything is multiplied.
+    """
+    left, right = _SIDES[quotient]
+    if left:
+        u = [(m, c) for m, c in u if not _in_left(m)]
+    if right:
+        v = [(m, c) for m, c in v if not _in_right(m)]
+    return UeaElement(
+        bilinear(u, v, word_root_sum, lambda mu, mv: _word_times_word(mu, mv, quotient))
+    )
 
 
 def normal_order(raw, chooser=None) -> UeaElement:
@@ -284,13 +318,14 @@ def normal_order(raw, chooser=None) -> UeaElement:
     return straighten(raw, RF_ONE, chooser)
 
 
-def super_bracket(u: UeaElement, v: UeaElement) -> UeaElement:
-    """[u, v] = u v - (-1)^{|u||v|} v u for parity-homogeneous u, v."""
+def super_bracket(u: UeaElement, v: UeaElement, quotient=None) -> UeaElement:
+    """[u, v] = u v - (-1)^{|u||v|} v u for parity-homogeneous u, v, in the
+    quotient named by `quotient` (see `mul`)."""
     if not u or not v:
         return UeaElement.zero()
     pu, pv = u.parity(), v.parity()
-    uv = mul(u, v)
-    vu = mul(v, u)
+    uv = mul(u, v, quotient)
+    vu = mul(v, u, quotient)
     return uv - vu if pu * pv == 0 else uv + vu
 
 

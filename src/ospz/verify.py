@@ -127,6 +127,9 @@ def verify_projector(n_max: int = 10) -> dict:
 # inversion formulas expressing tilde products through diamond products.
 # ---------------------------------------------------------------------------
 
+# `_lc` and `prod` below multiply in U and reduce modulo II only at the end,
+# not with mul(..., "both") as `diamond` does: they are the independent
+# reference the lemmas are checked against.
 def _lc(f: RationalFunction, e: UeaElement) -> UeaElement:
     """Left coefficient times an element of U/II."""
     return mul(UeaElement.coeff(f), e).mod_ii()

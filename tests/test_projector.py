@@ -3,7 +3,12 @@
 import itertools
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ospz.coeffs import H, RationalFunction, as_rf
+from ospz.engine import bilinear
 from ospz.uea import (
     GENERATORS,
     T1,
@@ -14,10 +19,14 @@ from ospz.uea import (
     TN2,
     UeaElement,
     X1,
+    X2,
     XN1,
+    XN2,
     mul,
     normal_order,
     super_bracket,
+    tilde_word,
+    word_root_sum,
 )
 from ospz.projector import (
     diamond,
@@ -107,6 +116,79 @@ class TestDiamond:
         lhs = diamond(mul(UeaElement.coeff(f), u), v)
         rhs = mul(UeaElement.coeff(f), diamond(u, v))
         assert lhs == rhs
+
+
+def _exact_chain(word, bracket):
+    u, chain = UeaElement.monomial(word), []
+    while u:
+        chain.append(u)
+        u = bracket(u)
+    return chain
+
+
+def _exact_diamond_mono(mu, mv):
+    lefts = _exact_chain(mu, lambda u: super_bracket(u, gen(XN1)))
+    rights = _exact_chain(mv, lambda v: super_bracket(gen(X1), v))
+    total = UeaElement.zero()
+    for n in range(min(len(lefts), len(rights))):
+        mid = UeaElement.coeff(phi(n).shift(n))
+        total = total + mul(mul(lefts[n], mid), rights[n])
+    return total.mod_ii()
+
+
+def exact_diamond(u, v):
+    """Reference: the diamond formula in U itself -- exact bracket chains,
+    full products, and only then the reduction modulo II."""
+    return UeaElement(bilinear(u, v, word_root_sum, _exact_diamond_mono))
+
+
+# The 19 tilde monomials of degree at most 2.
+TILDE_MONOS = [
+    tilde_word(e)
+    for e in itertools.product(range(3), range(2), range(3), range(2), range(3))
+    if sum(e) <= 2
+]
+NON_TILDE = {
+    "X(-1) t(1)": normal_order([XN1, T1]),
+    "X(1) t(1)": normal_order([X1, T1]),
+    "t(-1) X(1)": normal_order([TN1, X1]),
+}
+
+
+class TestQuotientDiamond:
+    """`diamond` works modulo g_-U, U g_+ and II from the start; it must
+    agree with the exact formula that reduces only at the end."""
+
+    def test_tilde_monomials_up_to_degree_two(self):
+        assert len(TILDE_MONOS) == 19
+        for mu, mv in itertools.product(TILDE_MONOS, repeat=2):
+            u, v = UeaElement.monomial(mu), UeaElement.monomial(mv)
+            assert diamond(u, v) == exact_diamond(u, v), (mu, mv)
+
+    @pytest.mark.parametrize("name", sorted(NON_TILDE))
+    def test_non_tilde_representatives(self, name):
+        rep = NON_TILDE[name]
+        others = [UeaElement.monomial(m) for m in TILDE_MONOS] + list(NON_TILDE.values())
+        for other in others:
+            assert diamond(rep, other) == exact_diamond(rep, other), other
+            assert diamond(other, rep) == exact_diamond(other, rep), other
+
+
+_IDEAL_LETTERS = {"left": (XN2, XN1), "right": (X1, X2), "both": (XN2, XN1, X1, X2)}
+_ITEMS = st.one_of(st.sampled_from(range(9)), st.just(H + 1))
+_TERMS = st.lists(st.tuples(st.integers(-3, 3), st.lists(_ITEMS, max_size=4)), min_size=1, max_size=3)
+
+
+@given(_TERMS, _TERMS)
+@settings(max_examples=60, deadline=None)
+def test_quotient_mul_drops_exactly_the_ideal(us, vs):
+    # g_-U is spanned by the PBW monomials with a lowering letter, U g_+ by
+    # those with a raising letter, II by those with a diagonal letter.
+    u, v = normal_order(us), normal_order(vs)
+    full = mul(u, v)
+    for q, letters in _IDEAL_LETTERS.items():
+        kept = {m: c for m, c in full.terms.items() if not any(g in letters for g, _ in m)}
+        assert mul(u, v, q) == UeaElement(kept), q
 
 
 class TestProjectedGenerators:
