@@ -13,15 +13,16 @@ import argparse
 import resource
 import time
 
+from ospz.cli import int_at_least
 from ospz.text import render_z
 from ospz.zalgebra import ZElement, all_monomials, oracle_sweep
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-exp", type=int, default=1,
+    ap.add_argument("--max-exp", type=int_at_least(1), default=1,
                     help="bound on the even-generator exponents (odd ones cap at 1)")
-    ap.add_argument("--progress", type=int, default=0,
+    ap.add_argument("--progress", type=int_at_least(0), default=0,
                     help="print a progress line every N left factors")
     args = ap.parse_args()
 

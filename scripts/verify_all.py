@@ -10,14 +10,16 @@ import json
 import os
 import time
 
+from ospz.cli import int_at_least
+from ospz.rep import TruncationOverflow, WindowNotClosed
 from ospz.verify import SUITES, run_suite
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-exp", type=int, default=1,
+    ap.add_argument("--max-exp", type=int_at_least(1), default=1,
                     help="exponent bound for the presentation sweep")
-    ap.add_argument("--trunc", type=int, default=6,
+    ap.add_argument("--trunc", type=int_at_least(0), default=6,
                     help="polynomial truncation for the module suite")
     ap.add_argument("--json-dir", help="write per-suite JSON reports here")
     args = ap.parse_args()
@@ -28,7 +30,10 @@ def main() -> int:
     all_ok = True
     for suite in SUITES:
         t0 = time.perf_counter()
-        report = run_suite(suite, max_exp=args.max_exp, trunc=args.trunc)
+        try:
+            report = run_suite(suite, max_exp=args.max_exp, trunc=args.trunc)
+        except (TruncationOverflow, WindowNotClosed) as exc:
+            ap.error(f"{exc}; use a larger --trunc")
         elapsed = time.perf_counter() - t0
         n = len(report["checks"])
         good = sum(1 for c in report["checks"] if c["pass"])

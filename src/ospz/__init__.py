@@ -38,7 +38,7 @@ from .uea import (
     super_bracket,
     theta,
 )
-from .projector import PhiTable, diamond, kappa, phi, projected_generator
+from .projector import diamond, kappa, phi, projected_generator
 from .zalgebra import (
     RelationCatalog,
     ZElement,
@@ -47,7 +47,6 @@ from .zalgebra import (
     derived_rule,
     oracle_sweep,
     tilde_to_z,
-    verify_presentation,
     z_multiply,
     z_oracle_multiply,
     z_straighten,

@@ -121,12 +121,9 @@ def cmd_rep_rho(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "projector":
-        report = verifymod.verify_projector(args.n)
-    else:
-        report = verifymod.run_suite(
-            args.suite, max_exp=args.max_exp, trunc=args.trunc
-        )
+    report = verifymod.run_suite(
+        args.suite, n=args.n, max_exp=args.max_exp, trunc=args.trunc
+    )
     for check in report["checks"]:
         print(f"[{_mark(check['pass'])}] {check['name']}")
     total = len(report["checks"])
@@ -139,7 +136,7 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _int_at_least(low: int):
+def int_at_least(low: int):
     """argparse type: an integer no smaller than `low`."""
 
     def integer(text: str) -> int:
@@ -198,25 +195,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("phi-table", help="print the projector coefficients")
-    p.add_argument("--n", type=_int_at_least(0), default=4)
+    p.add_argument("--n", type=int_at_least(0), default=4)
     p.set_defaults(func=cmd_phi_table)
 
     p = sub.add_parser("rep", help="module computations")
     rep_sub = p.add_subparsers(dest="rep_command", required=True)
     q = rep_sub.add_parser("primitives", help="basis of the primitive subspace")
-    q.add_argument("--lam", "--lambda", dest="lam", type=_int_at_least(0), default=1)
-    q.add_argument("--trunc", type=_int_at_least(0), default=6)
+    q.add_argument("--lam", "--lambda", dest="lam", type=int_at_least(0), default=1)
+    q.add_argument("--trunc", type=int_at_least(0), default=6)
     q.set_defaults(func=cmd_rep_primitives)
     q = rep_sub.add_parser("rho", help="matrices of the reduction-algebra action")
-    q.add_argument("--trunc", type=_int_at_least(0), default=6)
+    q.add_argument("--trunc", type=int_at_least(0), default=6)
     add_format(q)
     q.set_defaults(func=cmd_rep_rho)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verifymod.SUITES)
-    p.add_argument("--n", type=_int_at_least(0), default=10)
-    p.add_argument("--max-exp", type=_int_at_least(1), default=1)
-    p.add_argument("--trunc", type=_int_at_least(0), default=6)
+    p.add_argument("--n", type=int_at_least(0), default=10)
+    p.add_argument("--max-exp", type=int_at_least(1), default=1)
+    p.add_argument("--trunc", type=int_at_least(0), default=6)
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -22,7 +22,6 @@ chain is computed only as far as the other one reaches.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -56,38 +55,20 @@ def kappa(n: int) -> Polynomial:
     return Polynomial.var() - Polynomial.const(Fraction(n - 1, 2))
 
 
-class PhiTable:
-    """Memoized projector coefficients phi_n(H).
-
-    phi_0 = 1 and phi_n(h) = (-1)^n / kappa_n(h-1) * phi_{n-1}(h); the cache
-    fill is idempotent and guarded by a lock so the table can be shared
-    across threads.
-    """
-
-    def __init__(self):
-        self._memo: dict[int, RationalFunction] = {0: RF_ONE}
-        self._lock = threading.Lock()
-
-    def phi(self, n: int) -> RationalFunction:
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        got = self._memo.get(n)
-        if got is not None:
-            return got
-        with self._lock:
-            top = max(self._memo)
-            for m in range(top + 1, n + 1):
-                sign = 1 if m % 2 == 0 else -1
-                f = self._memo[m - 1] / as_rf(kappa(m).shift(-1)) * sign
-                self._memo[m] = f
-            return self._memo[n]
-
-
-_TABLE = PhiTable()
+# phi_0, phi_1, ... as far as they have been asked for.
+_PHI = [RF_ONE]
 
 
 def phi(n: int) -> RationalFunction:
-    return _TABLE.phi(n)
+    """Projector coefficient phi_n(H), memoized:
+    phi_0 = 1 and phi_n(h) = (-1)^n / kappa_n(h-1) * phi_{n-1}(h)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    while len(_PHI) <= n:
+        m = len(_PHI)
+        sign = 1 if m % 2 == 0 else -1
+        _PHI.append(_PHI[m - 1] / as_rf(kappa(m).shift(-1)) * sign)
+    return _PHI[n]
 
 
 def verify_projector_recursion(n_max: int) -> list[dict]:

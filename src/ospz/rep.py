@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import H, INV_SQRT2, RationalFunction, Sqrt2, as_rf
+from .coeffs import H, INV_SQRT2, RationalFunction, Sqrt2
 from .engine import LinComb
 from .projector import phi, projected_generator
 from .uea import (
@@ -373,12 +373,6 @@ class TensorModule:
             return left + right
         return left - right
 
-    def act_cartan_diag(self, v: ModuleVector) -> ModuleVector:
-        """H = h (x) 1 + 1 (x) h (diagonal Cartan)."""
-        return ModuleVector(
-            {b: c * Sqrt2(self.weight(*b)) for b, c in v.terms.items()}
-        )
-
     def act_cartan_tilde(self, v: ModuleVector) -> ModuleVector:
         """th = h (x) 1 - 1 (x) h."""
         return self._act_left(0, v) - self._act_right(0, v)
@@ -391,15 +385,11 @@ class TensorModule:
             out[b] = out.get(b, _SR_ZERO) + c * Sqrt2(value)
         return ModuleVector(out)
 
-    def act(self, g, v: ModuleVector) -> ModuleVector:
-        """Dispatch: generator index, "H", "th", or a coefficient f(H)."""
-        if isinstance(g, int):
-            if g == TH:
-                return self.act_cartan_tilde(v)
-            return self.act_gen(g, v)
-        if g == "H":
-            return self.act_cartan_diag(v)
-        return self.act_coeff(as_rf(g), v)
+    def act(self, g: int, v: ModuleVector) -> ModuleVector:
+        """Action of one letter of U: th or one of the nine other generators."""
+        if g == TH:
+            return self.act_cartan_tilde(v)
+        return self.act_gen(g, v)
 
     def act_uea(self, u: UeaElement, v: ModuleVector) -> ModuleVector:
         """Action of a normal-ordered element: letters right to left, the

@@ -343,45 +343,41 @@ def parse_element(text: str, algebra: str = "u"):
 # ---------------------------------------------------------------------------
 # Rendering
 
-def _coeff_text(c: RationalFunction) -> tuple[str, bool]:
-    """(rendered coefficient, needs-parentheses)."""
+def _coeff_text(c: RationalFunction) -> str:
+    """The coefficient as a text factor, parenthesized unless atomic."""
     num, den = c.num, c.den
     if den == 1:
         s = str(num)
         atomic = num.degree <= 0 and num.lead >= 0 and num.lead.denominator == 1
-        return s, not atomic
+        return s if atomic else f"({s})"
     ns = str(num)
     if num.degree > 0 or num.lead < 0 or num.lead.denominator != 1:
         ns = f"({ns})"
     ds = str(den)
     if len(den.coeffs) > 1:  # e.g. "H - 1"; bare "H" or "H^2" stays unwrapped
         ds = f"({ds})"
-    return f"{ns}/{ds}", True
+    return f"({ns}/{ds})"
 
 
-def _negate_coeff(c: RationalFunction) -> tuple[int, RationalFunction]:
-    """Split off a leading sign for pretty "a - b" joins."""
-    if c.num.lead < 0:
-        return -1, -c
-    return 1, c
-
-
-def _render_terms(items: list[tuple[int, RationalFunction, str]]) -> str:
-    """items: (sign, positive coefficient, monomial string)."""
+def _join_terms(items: list[tuple[RationalFunction, str]], coeff_str, sep: str) -> str:
+    """Join (coefficient, monomial string) terms into "a + b - c": a leading
+    sign is split off each coefficient, `coeff_str` renders what is left and
+    `sep` stands between a coefficient other than 1 and its monomial."""
     parts: list[str] = []
-    for i, (sign, c, mono) in enumerate(items):
-        cs, wrap = _coeff_text(c)
+    for i, (c, mono) in enumerate(items):
+        negative = c.num.lead < 0
+        if negative:
+            c = -c
         if mono and c.is_one():
             body = mono
         elif mono:
-            cs = f"({cs})" if wrap else cs
-            body = f"{cs} * {mono}"
+            body = f"{coeff_str(c)}{sep}{mono}"
         else:
-            body = f"({cs})" if wrap else cs
+            body = coeff_str(c)
         if i == 0:
-            parts.append(body if sign > 0 else f"-{body}")
+            parts.append(f"-{body}" if negative else body)
         else:
-            parts.append(f"{'+' if sign > 0 else '-'} {body}")
+            parts.append(f"{'-' if negative else '+'} {body}")
     return " ".join(parts)
 
 
@@ -420,23 +416,6 @@ def _coeff_latex(c: RationalFunction) -> str:
     return rf"\frac{{{_poly_latex(c.num)}}}{{{_poly_latex(c.den)}}}"
 
 
-def _latex_terms(items: list[tuple[RationalFunction, str]]) -> str:
-    parts = []
-    for i, (c, mono) in enumerate(items):
-        sign, c = _negate_coeff(c)
-        if mono and c.is_one():
-            body = mono
-        elif mono:
-            body = f"{_coeff_latex(c)} \\, {mono}"
-        else:
-            body = _coeff_latex(c)
-        if i == 0:
-            parts.append(body if sign > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if sign > 0 else "- ") + body)
-    return " ".join(parts)
-
-
 def _json_payload(terms, word_fn) -> str:
     data = {
         "terms": [
@@ -462,22 +441,24 @@ def _render(e, fmt: str, factors, sep: str, latex_sep: str, latex_names: dict) -
     if not e:
         return "0"
     if fmt == "latex":
-        items = []
-        for m in order:
-            mono = latex_sep.join(
-                latex_names[tok] + (f"^{{{ex}}}" if ex > 1 else "")
-                for tok, ex in factors(m)
+        items = [
+            (
+                e.terms[m],
+                latex_sep.join(
+                    latex_names[tok] + (f"^{{{ex}}}" if ex > 1 else "")
+                    for tok, ex in factors(m)
+                ),
             )
-            items.append((e.terms[m], mono))
-        return _latex_terms(items)
+            for m in order
+        ]
+        return _join_terms(items, _coeff_latex, r" \, ")
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
-    items = []
-    for m in order:
-        sign, c = _negate_coeff(e.terms[m])
-        mono = sep.join(f"{tok}^{ex}" if ex > 1 else tok for tok, ex in factors(m))
-        items.append((sign, c, mono))
-    return _render_terms(items)
+    items = [
+        (e.terms[m], sep.join(f"{tok}^{ex}" if ex > 1 else tok for tok, ex in factors(m)))
+        for m in order
+    ]
+    return _join_terms(items, _coeff_text, " * ")
 
 
 def render_uea(e: UeaElement, fmt: str = "text") -> str:

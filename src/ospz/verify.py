@@ -39,15 +39,18 @@ from .zalgebra import (
     ZH,
     ZN1,
     ZN2,
+    Z_ROOTS,
     Z_TOKENS,
     ZElement,
     ZMonomial,
     _tilde_key,
+    all_monomials,
     catalog,
     derived_rule,
     monomials_up_to_degree,
-    verify_presentation,
+    oracle_sweep,
     z_multiply,
+    z_oracle_multiply,
     z_to_tilde,
     tilde_to_z,
 )
@@ -263,10 +266,16 @@ def verify_lemmas() -> dict:
 # published coefficients are compared alongside, never assumed.
 # ---------------------------------------------------------------------------
 
+def _family_holds(row: dict) -> bool:
+    """Whether the derived rule of a `catalog().compare()` row, E(a) E(b),
+    expands through z_to_tilde to exactly the diamond product t(a) <> t(b)."""
+    a, b = row["key"]
+    lhs = diamond(UeaElement.gen(TILDE_GENS[a]), UeaElement.gen(TILDE_GENS[b]))
+    return lhs == z_to_tilde(row["derived"])
+
+
 def verify_relations() -> dict:
     checks = []
-    cat = catalog()
-    comparison = cat.compare()
 
     # Family (a): coefficients commute among themselves.
     f = RationalFunction(1, H - 1)
@@ -288,23 +297,19 @@ def verify_relations() -> dict:
             )
         )
 
-    # The 12 ordered-product families.  For each, the derived right-hand
-    # side must expand (through the diamond product) to exactly the same
-    # tilde normal form as the left-hand side.
+    # The 12 ordered-product families.
     mismatches = []
-    for row in comparison:
+    for row in catalog().compare():
         a, b = row["key"]
-        lhs_tilde = diamond(UeaElement.gen(TILDE_GENS[a]), UeaElement.gen(TILDE_GENS[b]))
-        rhs_tilde = z_to_tilde(cat.rules[(a, b)])
-        oracle_ok = lhs_tilde == rhs_tilde
-        entry = _check(
-            f"{Z_TOKENS[a]} * {Z_TOKENS[b]} rewrites exactly (oracle)",
-            oracle_ok,
-            discovered=render_z(row["derived"]),
-            published=render_z(row["stated"]),
-            published_matches=row["match"],
+        checks.append(
+            _check(
+                f"{Z_TOKENS[a]} * {Z_TOKENS[b]} rewrites exactly (oracle)",
+                _family_holds(row),
+                discovered=render_z(row["derived"]),
+                published=render_z(row["stated"]),
+                published_matches=row["match"],
+            )
         )
-        checks.append(entry)
         if not row["match"]:
             mismatches.append(
                 {
@@ -348,9 +353,54 @@ def verify_relations() -> dict:
 # presentation suite
 # ---------------------------------------------------------------------------
 
-def verify_presentation_suite(max_exponent: int = 1) -> dict:
-    rep = verify_presentation(max_exponent)
-    checks = rep["checks"]
+def verify_presentation(max_exponent: int = 1) -> dict:
+    """Check the presentation against the diamond oracle.
+
+    (i) every rewrite-rule family holds under the oracle (and the published
+    coefficients are compared against the derived ones), (ii) z_multiply
+    agrees with z_oracle_multiply on all ordered-monomial pairs with
+    p, r, t <= max_exponent, (iii) round-trip triangularity up to total
+    degree 2 * max_exponent.
+    """
+    if max_exponent < 1:
+        raise ValueError("max_exponent must be at least 1")
+    checks = [
+        _check(
+            f"family {row['family']}",
+            _family_holds(row),
+            stated_matches_derived=row["match"],
+            discovered=render_z(row["derived"]),
+            stated=render_z(row["stated"]),
+        )
+        for row in catalog().compare()
+    ]
+    # structural families: Cartan commutativity and the coefficient shift
+    f = RationalFunction(1, H - 1)
+    cartan_ok = z_multiply(ZElement.coeff(f), ZElement.gen(ZH)) == z_multiply(
+        ZElement.gen(ZH), ZElement.coeff(f)
+    )
+    checks.append(_check("family f(H) E(0) commutation", cartan_ok))
+    shift_ok = all(
+        z_oracle_multiply(ZElement.gen(g), ZElement.coeff(f))
+        == ZElement.gen(g).scale(f.shift(Z_ROOTS[g]))
+        for g in range(5)
+    )
+    checks.append(_check("family E(k) f(H) shift", shift_ok))
+
+    monos = len(all_monomials(max_exponent))
+    mismatches = sum(len(bad) for _, bad in oracle_sweep(max_exponent))
+    checks.append(
+        _check(
+            f"oracle sweep ({monos}^2 monomial pairs)",
+            mismatches == 0,
+            pairs=monos**2,
+            mismatches=mismatches,
+        )
+    )
+
+    round_trip = (ZElement.monomial(m) for m in monomials_up_to_degree(2 * max_exponent))
+    tri_ok = all(tilde_to_z(z_to_tilde(z)) == z for z in round_trip)
+    checks.append(_check(f"round trip to degree {2 * max_exponent}", tri_ok))
     return _report("presentation", checks, max_exponent=max_exponent)
 
 
@@ -580,15 +630,17 @@ def verify_rep(trunc: int = 6) -> dict:
 # dispatcher
 # ---------------------------------------------------------------------------
 
-def run_suite(name: str, *, max_exp: int = 1, trunc: int = 6) -> dict:
+def run_suite(name: str, *, n: int = 10, max_exp: int = 1, trunc: int = 6) -> dict:
+    """Run one suite: `n` bounds the projector suite, `max_exp` the
+    presentation sweep and `trunc` the rep suite's polynomial truncation."""
     if name == "projector":
-        return verify_projector()
+        return verify_projector(n)
     if name == "lemmas":
         return verify_lemmas()
     if name == "relations":
         return verify_relations()
     if name == "presentation":
-        return verify_presentation_suite(max_exp)
+        return verify_presentation(max_exp)
     if name == "pbw":
         return verify_pbw()
     if name == "rep":

@@ -378,7 +378,7 @@ def z_theta(z: ZElement) -> ZElement:
 
 
 # ---------------------------------------------------------------------------
-# Verification sweeps
+# Monomial ranges and the oracle sweep
 
 
 def all_monomials(max_exponent: int) -> list[ZMonomial]:
@@ -411,71 +411,3 @@ def oracle_sweep(max_exponent: int) -> Iterator[tuple[ZMonomial, list[ZMonomial]
             if z_multiply(u, v) != z_oracle_multiply(u, v):
                 bad.append(mv)
         yield mu, bad
-
-
-def verify_presentation(max_exponent: int) -> dict:
-    """Check the presentation against the diamond oracle.
-
-    (i) every rewrite-rule family holds under the oracle (and the published
-    coefficients are compared against the derived ones), (ii) z_multiply
-    agrees with z_oracle_multiply on all ordered-monomial pairs with
-    p, r, t <= max_exponent, (iii) round-trip triangularity up to total
-    degree 2 * max_exponent.
-    """
-    if max_exponent < 1:
-        raise ValueError("max_exponent must be at least 1")
-    from .text import render_z
-
-    checks: list[dict] = []
-    cat = catalog()
-    for row in cat.compare():
-        a, b = row["key"]
-        lhs = diamond(_tilde_gen(a), _tilde_gen(b))
-        rhs = z_to_tilde(row["derived"])
-        checks.append(
-            {
-                "name": f"family {row['family']}",
-                "pass": lhs == rhs,
-                "stated_matches_derived": row["match"],
-                "discovered": render_z(row["derived"]),
-                "stated": render_z(row["stated"]),
-            }
-        )
-    # structural families: Cartan commutativity and the coefficient shift
-    f = RationalFunction(1, H - 1)
-    cartan_ok = z_multiply(ZElement.coeff(f), ZElement.gen(ZH)) == z_multiply(
-        ZElement.gen(ZH), ZElement.coeff(f)
-    )
-    checks.append({"name": "family f(H) E(0) commutation", "pass": cartan_ok})
-    shift_ok = True
-    for g in range(5):
-        lhs = z_oracle_multiply(ZElement.gen(g), ZElement.coeff(f))
-        rhs = ZElement.gen(g).scale(f.shift(Z_ROOTS[g]))
-        shift_ok = shift_ok and lhs == rhs
-    checks.append({"name": "family E(k) f(H) shift", "pass": shift_ok})
-
-    monos = all_monomials(max_exponent)
-    mismatches = sum(len(bad) for _, bad in oracle_sweep(max_exponent))
-    checks.append(
-        {
-            "name": f"oracle sweep ({len(monos)}^2 monomial pairs)",
-            "pass": mismatches == 0,
-            "pairs": len(monos) ** 2,
-            "mismatches": mismatches,
-        }
-    )
-
-    tri_ok = True
-    for m in monomials_up_to_degree(2 * max_exponent):
-        z = ZElement.monomial(m)
-        if tilde_to_z(z_to_tilde(z)) != z:
-            tri_ok = False
-    checks.append(
-        {"name": f"round trip to degree {2 * max_exponent}", "pass": tri_ok}
-    )
-    return {
-        "suite": "presentation",
-        "max_exponent": max_exponent,
-        "passed": all(c["pass"] for c in checks),
-        "checks": checks,
-    }

@@ -1,0 +1,56 @@
+"""Tests for the scripts in `scripts/`, each run as its own process."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ospz.verify import SUITES, run_suite
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def test_verify_all_writes_the_run_suite_reports(tmp_path):
+    proc = run_script("verify_all.py", "--json-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{s}.json" for s in SUITES)
+    for suite in SUITES:
+        expected = json.dumps(run_suite(suite), indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / f"{suite}.json").read_text() == expected, suite
+
+
+def test_oracle_sweep_at_unit_exponents():
+    proc = run_script("oracle_sweep.py", "--max-exp", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("1024 pairs, 0 mismatches")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle_sweep.py", "--max-exp", "-1"],
+        ["oracle_sweep.py", "--max-exp", "0"],
+        ["oracle_sweep.py", "--progress", "-1"],
+        ["verify_all.py", "--max-exp", "0"],
+        ["verify_all.py", "--trunc", "-1"],
+        ["verify_all.py", "--trunc", "3"],
+    ],
+)
+def test_bad_option_value_is_usage_error(argv):
+    # exit 2 with a usage message, not a traceback
+    proc = run_script(*argv)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr

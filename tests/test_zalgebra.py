@@ -26,6 +26,7 @@ from ospz.zalgebra import (
     z_theta,
     z_to_tilde,
 )
+from ospz.verify import run_suite
 
 
 def zgen(g):
@@ -107,7 +108,7 @@ class TestMultiplication:
         monkeypatch.setattr(zalgebra, "z_multiply", wrong_on_one_pair)
         found = [(a, b) for a, row in oracle_sweep(1) for b in row]
         assert found == [(mu, mv)]
-        report = zalgebra.verify_presentation(1)
+        report = run_suite("presentation")
         sweep = next(c for c in report["checks"] if c["name"].startswith("oracle sweep"))
         assert sweep["mismatches"] == 1
         assert not sweep["pass"] and not report["passed"]
