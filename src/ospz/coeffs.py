@@ -495,7 +495,6 @@ def _as_rf(x):
 
 RF_ZERO = RationalFunction(0)
 RF_ONE = RationalFunction(1)
-RF_H = RationalFunction(H)
 
 
 def as_rf(x) -> RationalFunction:

@@ -22,14 +22,14 @@ from .projector import phi, projected_generator
 from .uea import (
     GENERATORS,
     TILDE_GENS,
-    TH,
     UeaElement,
     X1,
     X2,
     XN1,
+    _base_bracket,
     word_letters,
 )
-from .zalgebra import ZElement, ZMonomial
+from .zalgebra import RULE_KEYS, Z_ROOTS, Z_TOKENS, ZElement, ZMonomial, catalog
 
 _SR_ZERO = Sqrt2(0)
 _SR_ONE = Sqrt2(1)
@@ -52,11 +52,17 @@ class NotPrimitive(ValueError):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), _SR_ZERO) for j in range(m)]
-        for i in range(n)
-    ]
+    """a b, skipping zero entries: the matrices here are mostly zero."""
+    out = []
+    for row in a:
+        acc = [_SR_ZERO] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
 
 
 def mat_add(a, b):
@@ -217,8 +223,6 @@ class IrrepData:
 
     def validate(self):
         """All nine supercommutator relations, as exact matrix identities."""
-        from .uea import _base_bracket
-
         n = self.dimension
         for j in _OSP_ROOTS:
             for k in _OSP_ROOTS:
@@ -364,18 +368,15 @@ class TensorModule:
                 out[key] = out.get(key, _SR_ZERO) + c * s * Sqrt2(sign)
         return ModuleVector(out)
 
-    def act_gen(self, g: int, v: ModuleVector) -> ModuleVector:
-        """Action of one of the nine non-Cartan generators (by index)."""
+    def act(self, g: int, v: ModuleVector) -> ModuleVector:
+        """Action of one generator of U (by index); th, the anti-diagonal
+        generator of root 0, acts as h (x) 1 - 1 (x) h."""
         info = GENERATORS[g]
         left = self._act_left(info.root, v)
         right = self._act_right(info.root, v)
         if info.diagonal:
             return left + right
         return left - right
-
-    def act_cartan_tilde(self, v: ModuleVector) -> ModuleVector:
-        """th = h (x) 1 - 1 (x) h."""
-        return self._act_left(0, v) - self._act_right(0, v)
 
     def act_coeff(self, f: RationalFunction, v: ModuleVector) -> ModuleVector:
         """f(H) acting by evaluation on H-eigencomponents."""
@@ -384,12 +385,6 @@ class TensorModule:
             value = f.eval(self.weight(*b))  # off-pole: weights are in 1/2 + Z
             out[b] = out.get(b, _SR_ZERO) + c * Sqrt2(value)
         return ModuleVector(out)
-
-    def act(self, g: int, v: ModuleVector) -> ModuleVector:
-        """Action of one letter of U: th or one of the nine other generators."""
-        if g == TH:
-            return self.act_cartan_tilde(v)
-        return self.act_gen(g, v)
 
     def act_uea(self, u: UeaElement, v: ModuleVector) -> ModuleVector:
         """Action of a normal-ordered element: letters right to left, the
@@ -412,7 +407,7 @@ class TensorModule:
 
     # -- primitive vectors and the reduction-algebra action ------------
     def is_primitive(self, v: ModuleVector) -> bool:
-        return not self.act_gen(X1, v) and not self.act_gen(X2, v)
+        return not self.act(X1, v) and not self.act(X2, v)
 
     def primitive_vectors(self, weights) -> list[ModuleVector]:
         """Basis of the primitive subspace, weight by weight: the kernel of
@@ -424,8 +419,8 @@ class TensorModule:
                 continue
             images = []
             for k, i in basis:
-                images.append(self.act_gen(X1, ModuleVector.basis(k, i)))
-                images.append(self.act_gen(X2, ModuleVector.basis(k, i)))
+                images.append(self.act(X1, ModuleVector.basis(k, i)))
+                images.append(self.act(X2, ModuleVector.basis(k, i)))
             targets, coords = coordinate_rows(images)
             if not targets:  # every raising image already vanishes
                 out.extend(ModuleVector.basis(k, i) for k, i in basis)
@@ -448,10 +443,10 @@ class TensorModule:
         while w:
             acted = w
             for _ in range(n):
-                acted = self.act_gen(XN1, acted)
+                acted = self.act(XN1, acted)
             total = total + self.act_coeff(phi(n), acted)
             n += 1
-            w = self.act_gen(X1, w)
+            w = self.act(X1, w)
             if n > 4 * (self.poly.trunc + 2 * self.irrep.lam + 2):
                 raise RuntimeError("projector series failed to terminate")
         return total
@@ -502,8 +497,6 @@ def check_rep_relations(rho: dict, eigen: list[Fraction]) -> dict:
     `rho` maps z-generator index (0..4) to a matrix over Q(sqrt 2) in an
     H-eigenbasis with eigenvalues `eigen`; f(H) becomes diag(f(mu_i)).
     """
-    from .zalgebra import RULE_KEYS, Z_ROOTS, Z_TOKENS, catalog
-
     n = len(eigen)
 
     def z_matrix(zel: ZElement):

@@ -63,10 +63,7 @@ TOKEN_TO_GEN = {g.token: g.index for g in GENERATORS}
 # Convenient named indices.
 XN2, XN1, TN2, TN1, TH, T1, T2, X1, X2 = range(9)
 
-DIAGONAL_GENS = (XN2, XN1, X1, X2)
 TILDE_GENS = (TN2, TN1, TH, T1, T2)
-RAISING_GENS = (X1, X2)
-LOWERING_GENS = (XN2, XN1)
 
 _ROOT = tuple(g.root for g in GENERATORS)
 _ODD = tuple(g.odd for g in GENERATORS)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .coeffs import H, RF_ONE, RationalFunction, Sqrt2, as_rf
+from .coeffs import H, RF_ONE, RationalFunction, Sqrt2
 from .uea import (
     GENERATORS,
     T1,
@@ -127,135 +127,56 @@ def verify_projector(n_max: int = 10) -> dict:
 
 # ---------------------------------------------------------------------------
 # lemmas suite: the ordered diamond products of generator pairs and the
-# inversion formulas expressing tilde products through diamond products.
+# inversion formulas expressing tilde products through diamond products, as
+# two tables.  A row (a, b, [(f, c, d), ...]) states
+#     lhs(a, b) == rhs(a, b) + sum f(H) rhs(c, d),
+# where lhs is the diamond product and rhs the plain product for the product
+# table, and the other way round for the inversion table.
 # ---------------------------------------------------------------------------
 
-# `_lc` and `prod` below multiply in U and reduce modulo II only at the end,
-# not with mul(..., "both") as `diamond` does: they are the independent
-# reference the lemmas are checked against.
-def _lc(f: RationalFunction, e: UeaElement) -> UeaElement:
-    """Left coefficient times an element of U/II."""
-    return mul(UeaElement.coeff(f), e).mod_ii()
+# `_prod` multiplies in U and reduces modulo II only at the end, not with
+# mul(..., "both") as `diamond` does: it is the independent reference the
+# lemmas are checked against.
+def _prod(a: int, b: int) -> UeaElement:
+    return mul(UeaElement.gen(a), UeaElement.gen(b)).mod_ii()
+
+
+def _diamond(a: int, b: int) -> UeaElement:
+    return diamond(UeaElement.gen(a), UeaElement.gen(b))
 
 
 def verify_lemmas() -> dict:
-    checks = []
-    tn2, tn1, th, t1, t2 = (UeaElement.gen(g) for g in (TN2, TN1, TH, T1, T2))
-    phi1 = phi(1)
-    phi2 = phi(2)
-
-    def prod(u, v):
-        return mul(u, v).mod_ii()
-
-    # Ordered diamond products.
-    for g in (TN2, TN1, TH, T1, T2):
-        y = UeaElement.gen(g)
-        checks.append(
-            _check(
-                f"{GENERATORS[g].token} <> t(2) is the plain product",
-                diamond(y, t2) == prod(y, t2),
-            )
-        )
-        checks.append(
-            _check(
-                f"t(-2) <> {GENERATORS[g].token} is the plain product",
-                diamond(tn2, y) == prod(tn2, y),
-            )
-        )
+    p1, p2 = phi(1), phi(2)
+    p1u, p1d = p1.shift(1), p1.shift(-1)
+    # With t(2) on the right or t(-2) on the left both products agree.
+    plain = [row for g in TILDE_GENS for row in ((g, T2, []), (TN2, g, []))]
     products = [
-        (
-            "t(1) <> t(1)",
-            diamond(t1, t1),
-            prod(t1, t1) + _lc(as_rf(-2) * phi1.shift(1), prod(th, t2)),
-        ),
-        (
-            "th <> t(1)",
-            diamond(th, t1),
-            prod(th, t1) + _lc(as_rf(-2) * phi1, prod(tn1, t2)),
-        ),
-        (
-            "t(-1) <> t(1)",
-            diamond(tn1, t1),
-            prod(tn1, t1) + _lc(as_rf(-4) * phi1.shift(-1), prod(tn2, t2)),
-        ),
-        (
-            "th <> th",
-            diamond(th, th),
-            prod(th, th)
-            + _lc(phi1, prod(tn1, t1))
-            + _lc(as_rf(-4) * phi2, prod(tn2, t2)),
-        ),
-        (
-            "t(-1) <> th",
-            diamond(tn1, th),
-            prod(tn1, th) + _lc(as_rf(2) * phi1.shift(-1), prod(tn2, t1)),
-        ),
-        (
-            "t(-1) <> t(-1)",
-            diamond(tn1, tn1),
-            prod(tn1, tn1) + _lc(as_rf(2) * phi1.shift(-1), prod(tn2, th)),
-        ),
+        (T1, T1, [(-2 * p1u, TH, T2)]),
+        (TH, T1, [(-2 * p1, TN1, T2)]),
+        (TN1, T1, [(-4 * p1d, TN2, T2)]),
+        (TH, TH, [(p1, TN1, T1), (-4 * p2, TN2, T2)]),
+        (TN1, TH, [(2 * p1d, TN2, T1)]),
+        (TN1, TN1, [(2 * p1d, TN2, TH)]),
     ]
-    for name, lhs, rhs in products:
-        checks.append(_check(name, lhs == rhs))
-
-    # Inversions: tilde products recovered from diamond products.
-    for g in (TN2, TN1, TH, T1, T2):
-        y = UeaElement.gen(g)
-        checks.append(
-            _check(
-                f"inversion: {GENERATORS[g].token} t(2)",
-                prod(y, t2) == diamond(y, t2),
-            )
-        )
-        checks.append(
-            _check(
-                f"inversion: t(-2) {GENERATORS[g].token}",
-                prod(tn2, y) == diamond(tn2, y),
-            )
-        )
     inversions = [
-        (
-            "inversion: t(1) t(1)",
-            prod(t1, t1),
-            diamond(t1, t1) + _lc(as_rf(2) * phi1.shift(1), diamond(th, t2)),
-        ),
-        (
-            "inversion: th t(1)",
-            prod(th, t1),
-            diamond(th, t1) + _lc(as_rf(2) * phi1, diamond(tn1, t2)),
-        ),
-        (
-            "inversion: t(-1) t(1)",
-            prod(tn1, t1),
-            diamond(tn1, t1)
-            + _lc(as_rf(4) * phi1.shift(-1), diamond(tn2, t2)),
-        ),
-        (
-            "inversion: th th",
-            prod(th, th),
-            diamond(th, th)
-            + _lc(-phi1, diamond(tn1, t1))
-            + _lc(
-                as_rf(4) * (phi2 - phi1 * phi1.shift(-1)),
-                diamond(tn2, t2),
-            ),
-        ),
-        (
-            "inversion: t(-1) th",
-            prod(tn1, th),
-            diamond(tn1, th)
-            + _lc(as_rf(-2) * phi1.shift(-1), diamond(tn2, t1)),
-        ),
-        (
-            "inversion: t(-1) t(-1)",
-            prod(tn1, tn1),
-            diamond(tn1, tn1)
-            + _lc(as_rf(-2) * phi1.shift(-1), diamond(tn2, th)),
-        ),
+        (T1, T1, [(2 * p1u, TH, T2)]),
+        (TH, T1, [(2 * p1, TN1, T2)]),
+        (TN1, T1, [(4 * p1d, TN2, T2)]),
+        (TH, TH, [(-p1, TN1, T1), (4 * (p2 - p1 * p1d), TN2, T2)]),
+        (TN1, TH, [(-2 * p1d, TN2, T1)]),
+        (TN1, TN1, [(-2 * p1d, TN2, TH)]),
     ]
-    for name, lhs, rhs in inversions:
-        checks.append(_check(name, lhs == rhs))
+    checks = []
+    for lhs, rhs, names, table in (
+        (_diamond, _prod, ("{} <> {} is the plain product", "{} <> {}"), products),
+        (_prod, _diamond, ("inversion: {} {}",) * 2, inversions),
+    ):
+        for a, b, terms in plain + table:
+            want = rhs(a, b)
+            for f, c, d in terms:
+                want = want + rhs(c, d).scale(f)
+            name = names[bool(terms)].format(GENERATORS[a].token, GENERATORS[b].token)
+            checks.append(_check(name, lhs(a, b) == want))
     return _report("lemmas", checks)
 
 

@@ -219,7 +219,7 @@ def test_criterion_06_ordered_products_and_inversions():
     n = len(report["checks"])
     good = sum(1 for c in report["checks"] if c["pass"])
     ok = report["passed"] and n >= 16
-    _line(6, ok, f"8 ordered diamond products + 8 inversions exact ({good}/{n})")
+    _line(6, ok, f"16 ordered diamond products + 16 inversions exact ({good}/{n})")
     assert ok, [c["name"] for c in report["checks"] if not c["pass"]]
 
 

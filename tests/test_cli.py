@@ -132,6 +132,14 @@ class TestCommands:
         assert code == 0
         assert "3 primitive vector(s)" in out
 
+    def test_rep_primitives_large_irrep_is_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "rep", "primitives", "--lam", "10", "--trunc", "10")
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert "11 primitive vector(s)" in out
+        assert elapsed < 5.0
+
     def test_rep_rho_json(self, capsys):
         code, out, _ = run(capsys, "rep", "rho", "--format", "json")
         assert code == 0

@@ -28,6 +28,7 @@ from ospz.uea import (
     tilde_word,
     word_root_sum,
 )
+from ospz import verify
 from ospz.projector import (
     diamond,
     kappa,
@@ -245,3 +246,34 @@ class TestProjectedGenerators:
             ]
         )
         assert projected_generator(TN2) == expected
+
+
+class TestLemmaTables:
+    def test_check_names_and_order(self):
+        plain = [
+            pair
+            for g in ("t(-2)", "t(-1)", "th", "t(1)", "t(2)")
+            for pair in ((g, "t(2)"), ("t(-2)", g))
+        ]
+        corrected = [
+            ("t(1)", "t(1)"),
+            ("th", "t(1)"),
+            ("t(-1)", "t(1)"),
+            ("th", "th"),
+            ("t(-1)", "th"),
+            ("t(-1)", "t(-1)"),
+        ]
+        expected = (
+            [f"{a} <> {b} is the plain product" for a, b in plain]
+            + [f"{a} <> {b}" for a, b in corrected]
+            + [f"inversion: {a} {b}" for a, b in plain + corrected]
+        )
+        report = verify.verify_lemmas()
+        assert [c["name"] for c in report["checks"]] == expected
+        assert report["passed"]
+
+    def test_a_wrong_phi_2_fails_exactly_the_rows_that_use_it(self, monkeypatch):
+        monkeypatch.setattr(verify, "phi", lambda n: phi(n) + 1 if n == 2 else phi(n))
+        report = verify.verify_lemmas()
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["th <> th", "inversion: th th"]

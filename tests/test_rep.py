@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ospz.coeffs import H, RationalFunction, Sqrt2
-from ospz.uea import T1, TILDE_GENS, TN1, X1, X2, XN1, XN2
+from ospz.uea import T1, T2, TH, TILDE_GENS, TN1, X1, X2, XN1, XN2
 from ospz.zalgebra import Z1, Z2, ZH, ZN1, ZN2, ZElement
 from ospz.rep import (
     IrrepData,
@@ -92,7 +92,7 @@ class TestTensorModule:
         v = ModuleVector.basis(2, 1)
         mu = module.weight(2, 1)
         for g, root in ((XN2, -2), (XN1, -1), (X1, 1), (X2, 2)):
-            image = module.act_gen(g, v)
+            image = module.act(g, v)
             for k, i in image.terms:
                 assert module.weight(k, i) == mu - root, g
 
@@ -102,7 +102,7 @@ class TestTensorModule:
         from ospz.uea import GENERATORS, UeaElement, super_bracket
 
         probes = [ModuleVector.basis(k, i) for k in range(3) for i in range(3)]
-        gens = (XN2, XN1, X1, X2, TILDE_GENS[0], TN1, T1)
+        gens = (XN2, XN1, X1, X2, TILDE_GENS[0], TN1, TH, T1, T2)
         for a in gens:
             for b in gens:
                 bracket = super_bracket(UeaElement.gen(a), UeaElement.gen(b))
