@@ -9,7 +9,7 @@ The package provides:
   osp(1|2) x osp(1|2) with its diagonal / anti-diagonal generators;
 - ``projector``: the extremal projector coefficients and the diamond product;
 - ``zalgebra``: the reduction algebra — ordered monomials, the rewriting
-  system, the oracle multiplication, and the relation catalog;
+  system, the oracle multiplication, and the stated and derived rules;
 - ``rep``: the polynomial-tensor-standard module and the induced matrix
   representation;
 - ``text``: parsing and rendering (text / LaTeX / JSON);
@@ -33,14 +33,12 @@ from .uea import (
     UeaElement,
     commutator_table,
     mul,
-    normal_order,
     straighten,
     super_bracket,
     theta,
 )
 from .projector import diamond, kappa, phi, projected_generator
 from .zalgebra import (
-    RelationCatalog,
     ZElement,
     ZMonomial,
     catalog,

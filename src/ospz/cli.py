@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .projector import diamond, phi
 from .text import ExprSyntaxError, parse_element, render
@@ -85,8 +86,6 @@ def cmd_phi_table(args) -> int:
 
 
 def cmd_rep_primitives(args) -> int:
-    from fractions import Fraction
-
     irrep = repmod.IrrepData.from_highest_weight(args.lam)
     module = repmod.TensorModule(repmod.PolyModule(args.trunc), irrep)
     # Weights run from the lowest tensor weight up to the largest value

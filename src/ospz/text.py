@@ -89,28 +89,7 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# AST
-
-@dataclass(frozen=True)
-class Factor:
-    token: str  # generator token, e.g. "t(-1)" or "E(2)"
-    exponent: int
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class Term:
-    sign: int
-    coeff: RationalFunction | None
-    factors: tuple[Factor, ...]
-
-
-@dataclass(frozen=True)
-class ElementExpr:
-    algebra: str  # "u" | "z"
-    terms: tuple[Term, ...]
-
+# Parser
 
 class _Parser:
     def __init__(self, tokens: list[Token], algebra: str):
@@ -119,6 +98,7 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.algebra = algebra
+        self.overflow: Token | None = None  # first letter past MAX_TERM_LETTERS
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -151,20 +131,26 @@ class _Parser:
         return self.next()
 
     # -- element -------------------------------------------------------
-    def element(self) -> ElementExpr:
-        terms = []
-        sign = 1
-        if self.peek().text in ("+", "-"):
-            sign = -1 if self.next().text == "-" else 1
-        terms.append(self.term(sign))
+    def element(self) -> list[tuple[int, list]]:
+        """The terms as (sign, items) pairs, ready for straighten or
+        z_straighten.  A term of more than MAX_TERM_LETTERS generator letters
+        is an ExprSyntaxError at the letter that passes the limit, raised
+        only once the whole input has parsed."""
+        terms = [self.term(self.sign())]
         while self.peek().text in ("+", "-"):
-            sign = -1 if self.next().text == "-" else 1
-            terms.append(self.term(sign))
+            terms.append(self.term(self.sign()))
         if self.peek().kind != "end":
             self.fail("trailing input")
-        return ElementExpr(self.algebra, tuple(terms))
+        if self.overflow:
+            self.fail(f"term has more than {MAX_TERM_LETTERS} generator letters", self.overflow)
+        return terms
 
-    def term(self, sign: int) -> Term:
+    def sign(self) -> int:
+        if self.peek().text in ("+", "-"):
+            return -1 if self.next().text == "-" else 1
+        return 1
+
+    def term(self, sign: int) -> tuple[int, list]:
         coeff = None
         if self.peek().text == "(":
             self.next()
@@ -187,18 +173,26 @@ class _Parser:
             coeff = as_rf(Fraction(num, den))
             if self.peek().text == "*":
                 self.next()
-        factors = []
+        if coeff is None and self.peek().kind != "name":
+            self.fail("expected a term")
+        items: list = [RF_ONE if coeff is None else coeff]
+        letters = 0
         while self.peek().kind == "name":
-            factors.append(self.factor())
+            tok = self.peek()
+            g, exp = self.factor()
+            letters += exp
+            if letters > MAX_TERM_LETTERS:
+                self.overflow = self.overflow or tok
+            else:
+                items.extend([g] * exp)
             if self.algebra == "z" and self.peek().kind == "diamond":
                 self.next()
             elif self.peek().kind == "diamond":
                 self.fail("'<>' is only valid in z-algebra expressions")
-        if coeff is None and not factors:
-            self.fail("expected a term")
-        return Term(sign, coeff, tuple(factors))
+        return sign, items
 
-    def factor(self) -> Factor:
+    def factor(self) -> tuple[int, int]:
+        """One generator power: (generator index, exponent)."""
         t = self.next()
         name = t.text
         if name == "th":
@@ -228,7 +222,8 @@ class _Parser:
             if et.kind != "num":
                 self.fail("expected integer exponent")
             exp = int(self.next().text)
-        return Factor(token, exp, t.line, t.column)
+        index = TOKEN_TO_GEN if self.algebra == "u" else TOKEN_TO_ZGEN
+        return index[token], exp
 
     # -- rational functions in H --------------------------------------
     def ratfunc(self) -> RationalFunction:
@@ -287,10 +282,6 @@ class _Parser:
         self.fail("expected a coefficient atom")
 
 
-def parse(text: str, algebra: str = "u") -> ElementExpr:
-    return _Parser(tokenize(text), algebra).element()
-
-
 def parse_ratfunc(text: str) -> RationalFunction:
     p = _Parser(tokenize(text), "u")
     value = p.ratfunc()
@@ -299,8 +290,10 @@ def parse_ratfunc(text: str) -> RationalFunction:
     return value
 
 
-# Most generator letters one term may expand to (see to_element); also the
-# largest exponent and degree in H of a parsed coefficient.
+# Most generator letters one term may expand to; also the largest exponent
+# and degree in H of a parsed coefficient.  The limit bounds the size of the
+# input, not the cost of straightening it: X(1)^8 X(-1)^8 takes several
+# seconds.
 MAX_TERM_LETTERS = 64
 # Most decimal digits of an integer literal, and of any integer in the integer
 # form of a coefficient the parser builds; the text renderer's int-to-str
@@ -309,35 +302,17 @@ MAX_COEFF_DIGITS = 1000
 _COEFF_BOUND = 10**MAX_COEFF_DIGITS
 
 
-def to_element(expr: ElementExpr):
-    """Evaluate an AST to a canonical element of the selected algebra.
-
-    A term that expands to more than MAX_TERM_LETTERS generator letters is
-    an ExprSyntaxError.  The limit bounds the size of the input, not the cost
-    of straightening it: X(1)^8 X(-1)^8 takes several seconds.
-    """
-    if expr.algebra == "u":
-        total, index, straighten_fn = UeaElement.zero(), TOKEN_TO_GEN, straighten
-    else:
-        total, index, straighten_fn = ZElement.zero(), TOKEN_TO_ZGEN, z_straighten
-    for t in expr.terms:
-        items: list = [t.coeff if t.coeff is not None else RF_ONE]
-        letters = 0
-        for f in t.factors:
-            letters += f.exponent
-            if letters > MAX_TERM_LETTERS:
-                raise ExprSyntaxError(
-                    f"term has more than {MAX_TERM_LETTERS} generator letters",
-                    f.line,
-                    f.column,
-                )
-            items.extend([index[f.token]] * f.exponent)
-        total = total + straighten_fn(items, t.sign)
-    return total
-
-
 def parse_element(text: str, algebra: str = "u"):
-    return to_element(parse(text, algebra))
+    """Parse and straighten an expression to a canonical element of the
+    selected algebra ("u" or "z")."""
+    terms = _Parser(tokenize(text), algebra).element()
+    if algebra == "u":
+        total, straighten_fn = UeaElement.zero(), straighten
+    else:
+        total, straighten_fn = ZElement.zero(), z_straighten
+    for sign, items in terms:
+        total = total + straighten_fn(items, sign)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -301,20 +301,6 @@ def mul(u: UeaElement, v: UeaElement, quotient=None) -> UeaElement:
     )
 
 
-def normal_order(raw, chooser=None) -> UeaElement:
-    """Normal-order raw input: an item sequence, an element, or a list of
-    (coeff, items) terms."""
-    if isinstance(raw, UeaElement):
-        return raw
-    raw = list(raw)
-    if raw and isinstance(raw[0], (tuple, list)) and len(raw[0]) == 2 and isinstance(raw[0][1], (tuple, list)):
-        total = UeaElement.zero()
-        for c, items in raw:
-            total = total + straighten(items, c, chooser)
-        return total
-    return straighten(raw, RF_ONE, chooser)
-
-
 def super_bracket(u: UeaElement, v: UeaElement, quotient=None) -> UeaElement:
     """[u, v] = u v - (-1)^{|u||v|} v u for parity-homogeneous u, v, in the
     quotient named by `quotient` (see `mul`)."""

@@ -188,7 +188,7 @@ def verify_lemmas() -> dict:
 # ---------------------------------------------------------------------------
 
 def _family_holds(row: dict) -> bool:
-    """Whether the derived rule of a `catalog().compare()` row, E(a) E(b),
+    """Whether the derived rule of a `catalog()` row, E(a) E(b),
     expands through z_to_tilde to exactly the diamond product t(a) <> t(b)."""
     a, b = row["key"]
     lhs = diamond(UeaElement.gen(TILDE_GENS[a]), UeaElement.gen(TILDE_GENS[b]))
@@ -220,7 +220,7 @@ def verify_relations() -> dict:
 
     # The 12 ordered-product families.
     mismatches = []
-    for row in catalog().compare():
+    for row in catalog():
         a, b = row["key"]
         checks.append(
             _check(
@@ -293,7 +293,7 @@ def verify_presentation(max_exponent: int = 1) -> dict:
             discovered=render_z(row["derived"]),
             stated=render_z(row["stated"]),
         )
-        for row in catalog().compare()
+        for row in catalog()
     ]
     # structural families: Cartan commutativity and the coefficient shift
     f = RationalFunction(1, H - 1)

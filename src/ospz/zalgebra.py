@@ -6,14 +6,16 @@ the Cartan element; E(k) carries root k), PBW monomials
     E(-2)^p E(-1)^q E(0)^r E(1)^s E(2)^t,      q, s <= 1,
 
 with left rational-function coefficients in H.  Products are straightened
-by a catalog of two-generator rewrite rules; the same products can be
-computed through the diamond-product oracle (expand to the tilde basis,
-multiply there, convert back), and the two routes are required to agree.
+by twelve two-generator rewrite rules; the same products can be computed
+through the diamond-product oracle (expand to the tilde basis, multiply
+there, convert back), and the two routes are required to agree.
 
-The rule catalog exists in two layers: `stated` holds the published
-closed-form coefficients, `rules` holds coefficients regenerated from the
-oracle.  Straightening always uses `rules`; `compare_catalogs` reports any
-family where the two disagree rather than silently preferring either.
+Each rule exists in two forms: `STATED_RULES` holds the published
+closed-form coefficients, `derived_rule` regenerates the coefficients from
+the oracle.  Straightening always uses `derived_rule`; `catalog` reports any
+family where the two disagree rather than silently preferring either.  The
+coefficient shift E(k) f(H) = f(H+k) E(k) and Cartan commutativity are
+structural (built into the straightener) and carry no rule.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .coeffs import H, RF_ONE, RF_ZERO, RationalFunction, as_rf
 from .engine import LinComb, add_scaled, bilinear, fold_letters, rewrite
 from .projector import diamond
-from .uea import TILDE_GENS, UeaElement, tilde_exponents
+from .uea import TILDE_GENS, UeaElement, theta, tilde_exponents
 
 Z_TOKENS = ("E(-2)", "E(-1)", "E(0)", "E(1)", "E(2)")
 Z_ROOTS = (-2, -1, 0, 1, 2)
@@ -103,9 +105,6 @@ class ZElement(LinComb):
         if isinstance(other, ZElement):
             return z_multiply(self, other)
         return NotImplemented
-
-    def max_degree(self) -> int:
-        return max((m.degree() for m in self.terms), default=0)
 
     def __repr__(self):
         from .text import render_z
@@ -195,39 +194,18 @@ def derived_rule(a: int, b: int) -> ZElement:
     return tilde_to_z(diamond(_tilde_gen(a), _tilde_gen(b)))
 
 
-class RelationCatalog:
-    """The two-generator rewrite rules, in published and oracle-derived form.
-
-    `rules` (oracle-derived) drives straightening; `stated` preserves the
-    published closed forms for comparison and export.  The coefficient-shift
-    family E(k) f(H) -> f(H+k) E(k) and Cartan commutativity are structural
-    (built into the straightener) and carry no table entry.
-    """
-
-    def __init__(self):
-        self.stated = dict(STATED_RULES)
-        self.rules = {key: derived_rule(*key) for key in RULE_KEYS}
-
-    def compare(self) -> list[dict]:
-        """Per-family comparison of stated vs derived coefficients."""
-        rows = []
-        for key in RULE_KEYS:
-            a, b = key
-            rows.append(
-                {
-                    "family": f"{Z_TOKENS[a]} {Z_TOKENS[b]}",
-                    "key": key,
-                    "match": self.stated[key] == self.rules[key],
-                    "stated": self.stated[key],
-                    "derived": self.rules[key],
-                }
-            )
-        return rows
-
-
-@lru_cache(maxsize=None)
-def catalog() -> RelationCatalog:
-    return RelationCatalog()
+def catalog() -> list[dict]:
+    """Per-family comparison of the stated and the derived rules."""
+    return [
+        {
+            "family": f"{Z_TOKENS[a]} {Z_TOKENS[b]}",
+            "key": (a, b),
+            "match": STATED_RULES[a, b] == derived_rule(a, b),
+            "stated": STATED_RULES[a, b],
+            "derived": derived_rule(a, b),
+        }
+        for a, b in RULE_KEYS
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +214,10 @@ def catalog() -> RelationCatalog:
 
 @lru_cache(maxsize=None)
 def _z_pair_rules() -> dict:
-    """The catalog's derived rules as a pair-rule table for the engine."""
+    """The derived rules as a pair-rule table for the engine."""
     return {
-        key: tuple((1, f, m.letters()) for m, f in rule)
-        for key, rule in catalog().rules.items()
+        key: tuple((1, f, m.letters()) for m, f in derived_rule(*key))
+        for key in RULE_KEYS
     }
 
 
@@ -372,8 +350,6 @@ def _oracle_fold(mu: ZMonomial, mv: ZMonomial) -> UeaElement:
 
 def z_theta(z: ZElement) -> ZElement:
     """The involutive anti-automorphism transported to the presented algebra."""
-    from .uea import theta
-
     return tilde_to_z(theta(z_to_tilde(z)))
 
 

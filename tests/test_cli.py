@@ -65,6 +65,9 @@ class TestExitCodes:
             ([f"(({'7' * 999}+H)^64)", "--algebra", "z"], "integers of more than 1000 digits"),
             ([f"({'9' * 600}*{'9' * 600})", "--algebra", "z"], "integers of more than 1000 digits"),
             ([f"({'1' * 5000})", "--algebra", "z"], "integer of more than 1000 digits"),
+            (["t(1)^60 t(2)^5"], "column 9: term has more than 64 generator letters"),
+            # a syntax error anywhere is reported before the letter limit
+            (["t(1)^65 + t("], "column 13: expected integer generator label"),
         ]
         for argv, message in cases:
             t0 = time.perf_counter()
@@ -133,12 +136,13 @@ class TestCommands:
         assert "3 primitive vector(s)" in out
 
     def test_rep_primitives_large_irrep_is_fast(self, capsys):
-        t0 = time.perf_counter()
-        code, out, _ = run(capsys, "rep", "primitives", "--lam", "10", "--trunc", "10")
-        elapsed = time.perf_counter() - t0
-        assert code == 0
-        assert "11 primitive vector(s)" in out
-        assert elapsed < 5.0
+        for lam, trunc, count in (("10", "10", 11), ("100", "0", 1)):
+            t0 = time.perf_counter()
+            code, out, _ = run(capsys, "rep", "primitives", "--lam", lam, "--trunc", trunc)
+            elapsed = time.perf_counter() - t0
+            assert code == 0
+            assert out.splitlines()[-1].startswith(f"{count} primitive vector(s)")
+            assert elapsed < 5.0, (lam, trunc)
 
     def test_rep_rho_json(self, capsys):
         code, out, _ = run(capsys, "rep", "rho", "--format", "json")

@@ -16,19 +16,19 @@ from ospz.text import (
     render_uea,
     render_z,
 )
-from ospz.uea import TILDE_GENS, UeaElement, normal_order
+from ospz.uea import TILDE_GENS, UeaElement, straighten
 from ospz.zalgebra import ZElement, ZMonomial, all_monomials, z_multiply
 
 
 class TestParsing:
     def test_simple_product(self):
         e = parse_element("t(1) t(1)", "u")
-        assert e == normal_order([TILDE_GENS[3], TILDE_GENS[3]])
+        assert e == straighten([TILDE_GENS[3], TILDE_GENS[3]])
 
     def test_coefficient_term(self):
         e = parse_element("(1 - 2/(H-1)) t(1) t(2)", "u")
         coeff = as_rf(1) - RationalFunction(2, H - 1)
-        expected = UeaElement.coeff(coeff) * normal_order(
+        expected = UeaElement.coeff(coeff) * straighten(
             [TILDE_GENS[3], TILDE_GENS[4]]
         )
         assert e == expected
@@ -79,7 +79,7 @@ class TestRendering:
         z = ZElement.monomial(ZMonomial.make(r=1, t=1), RationalFunction(2, H))
         tex = render(z, "latex")
         assert "\\bar" in tex and "\\diamond" in tex
-        u = normal_order([TILDE_GENS[3]])
+        u = straighten([TILDE_GENS[3]])
         assert "\\tilde" in render(u, "latex")
 
     def test_deterministic_ordering(self):
@@ -107,7 +107,7 @@ class TestRoundTrip:
         rng = random.Random(37)
         for _ in range(25):
             word = [rng.choice(TILDE_GENS) for _ in range(rng.randint(1, 3))]
-            e = normal_order(word)
+            e = straighten(word)
             assert parse_element(render_uea(e), "u") == e
 
     @given(st.text(alphabet="Et(-)1202^ <>+*/Hh\t\n", max_size=30))

@@ -28,7 +28,6 @@ from ospz.uea import (
     XN2,
     commutator_table,
     mul,
-    normal_order,
     straighten,
     super_bracket,
     theta,
@@ -156,7 +155,7 @@ class TestStraightening:
         for seed in range(120):
             rng = random.Random(seed)
             word = random_word(rng, rng.randint(2, 6))
-            reference = normal_order(word)
+            reference = straighten(word)
             pick = random.Random(seed + 1)
             chooser = lambda viols, w: pick.randrange(len(viols))
             assert straighten(word, chooser=chooser) == reference, (seed, word)
@@ -164,9 +163,9 @@ class TestStraightening:
     def test_associativity_of_mul(self):
         rng = random.Random(5)
         for _ in range(40):
-            a = normal_order(random_word(rng, 2))
-            b = normal_order(random_word(rng, 2))
-            c = normal_order(random_word(rng, 2))
+            a = straighten(random_word(rng, 2))
+            b = straighten(random_word(rng, 2))
+            c = straighten(random_word(rng, 2))
             assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
     def test_weight_conservation(self):
@@ -174,7 +173,7 @@ class TestStraightening:
         for _ in range(60):
             word = random_word(rng, rng.randint(2, 5))
             total = sum(GENERATORS[g].root for g in word)
-            for m in normal_order(word).terms:
+            for m in straighten(word).terms:
                 assert word_root_sum(m) == total, word
 
     def test_parity_conservation(self):
@@ -182,7 +181,7 @@ class TestStraightening:
         for _ in range(60):
             word = random_word(rng, rng.randint(2, 5))
             total = sum(1 for g in word if GENERATORS[g].odd) % 2
-            for m in normal_order(word).terms:
+            for m in straighten(word).terms:
                 assert word_parity(m) == total, word
 
     def test_shift_rule(self):
@@ -194,7 +193,7 @@ class TestStraightening:
 
     def test_odd_exponent_capped(self):
         for g in (XN1, TN1, T1, X1):
-            result = normal_order([g, g])
+            result = straighten([g, g])
             for m in result.terms:
                 for letter, exp in m:
                     if GENERATORS[letter].odd:
@@ -209,7 +208,7 @@ class TestTheta:
     def test_involution_on_products(self):
         rng = random.Random(17)
         for _ in range(30):
-            e = normal_order(random_word(rng, rng.randint(2, 4)))
+            e = straighten(random_word(rng, rng.randint(2, 4)))
             assert theta(theta(e)) == e
 
     def test_anti_multiplicative_on_mul(self):
