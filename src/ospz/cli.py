@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -20,16 +19,9 @@ from . import rep as repmod
 from . import verify as verifymod
 
 
-def _use_color() -> bool:
-    env = os.environ.get("OSPZ_COLOR")
-    if env is not None:
-        return env != "0"
-    return sys.stdout.isatty()
-
-
 def _mark(ok: bool) -> str:
     word = "PASS" if ok else "FAIL"
-    if _use_color():
+    if sys.stdout.isatty():
         code = "32" if ok else "31"
         return f"\x1b[{code}m{word}\x1b[0m"
     return word

@@ -2,11 +2,12 @@
 product, and the one rewriting engine that normal-orders words in U and Z.
 
 The engine is a reduction system in the sense of Bergman's diamond lemma
-(Adv. Math. 1978).  A word is a list of letters (ints) and coefficients
-(RationalFunction).  A violation is a coefficient right of the front, or two
-adjacent letters out of order, where an odd letter next to itself counts.
-A coefficient moves left across a letter g as f(H) -> f(H + root(g)); a
-letter pair rewrites by the alphabet's pair-rule table.
+(Adv. Math. 1978).  It rewrites letters (ints) only: the shift rule
+E(g) f(H) = f(H + root(g)) E(g) is scalar bookkeeping, so a coefficient is
+multiplied into its term's scalar as f(H + r) the moment it enters the word,
+r being the root sum of the letters to its left.  A violation is two adjacent
+letters out of order, where an odd letter next to itself counts; it rewrites
+by the alphabet's pair-rule table.
 """
 
 from __future__ import annotations
@@ -114,22 +115,18 @@ def fold_letters(
     return acc
 
 
-def _violations(w: list, odd: Sequence[bool]) -> Iterator[int]:
-    """Positions of the violations in `w`, left to right."""
-    for i, it in enumerate(w):
-        if type(it) is not int:
-            if i:
-                yield i
-        elif i + 1 < len(w):
-            nxt = w[i + 1]
-            if type(nxt) is int and (it > nxt or (it == nxt and odd[it])):
-                yield i
+def _violations(w: list[int], odd: Sequence[bool]) -> Iterator[int]:
+    """Positions i of the out-of-order pairs w[i] w[i+1], left to right."""
+    for i in range(len(w) - 1):
+        a, b = w[i], w[i + 1]
+        if a > b or (a == b and odd[a]):
+            yield i
 
 
 def rewrite(
     items: Sequence,
     coeff,
-    chooser: Callable[[list[int], list], int] | None,
+    chooser: Callable[[list[int], list[int]], int] | None,
     odd: Sequence[bool],
     roots: Sequence[int],
     rules: dict,
@@ -138,22 +135,24 @@ def rewrite(
     """Normal-order a raw word; returns {monomial: coefficient}.
 
     `items` holds letters (ints indexing `odd` and `roots`) and coefficient
-    values (anything `as_rf` accepts).  `rules[(a, b)]` lists the terms
-    (sign, coefficient or None, letters) that replace a violating pair a b.
-    `pack` turns the letters of an ordered word into its monomial.
+    values (anything `as_rf` accepts); each coefficient is absorbed into the
+    scalar as it is read.  `rules[(a, b)]` lists the terms (sign, coefficient
+    or None, letters) that replace a violating pair a b; a term's coefficient
+    is absorbed likewise, shifted by the root sum of the letters before the
+    pair.  `pack` turns the letters of an ordered word into its monomial.
     `chooser(violations, word)` picks which violation to rewrite next; the
     default takes the leftmost without listing the others.  Any strategy
     yields the same element (confluence; property-tested).
     """
-    word = []
+    c, word, r = as_rf(coeff), [], 0
     for it in items:
         if isinstance(it, int):
             if not 0 <= it < len(odd):
                 raise ValueError(f"bad generator letter {it}")
             word.append(it)
+            r += roots[it]
         else:
-            word.append(as_rf(it))
-    c = as_rf(coeff)
+            c = c * as_rf(it).shift(r)
     agenda = [(c, word)] if c else []
     out: dict = {}
     while agenda:
@@ -164,21 +163,12 @@ def rewrite(
             viols = list(_violations(w, odd))
             i = viols[chooser(viols, w)] if viols else -1
         if i < 0:
-            if w and type(w[0]) is not int:
-                c, w = c * w[0], w[1:]
             m = pack(w)
             out[m] = out.get(m, RF_ZERO) + c
             continue
-        it = w[i]
-        if type(it) is not int:  # move the coefficient one slot left
-            left = w[i - 1]
-            if type(left) is int:
-                agenda.append((c, w[: i - 1] + [it.shift(roots[left]), left] + w[i + 1 :]))
-            else:
-                agenda.append((c, w[: i - 1] + [left * it] + w[i + 1 :]))
-            continue
         pre, post = w[:i], w[i + 2 :]
-        for sign, f, letters in rules[(it, w[i + 1])]:
-            head = pre if f is None else pre + [f]
-            agenda.append((c if sign > 0 else -c, head + letters + post))
+        r = sum(roots[g] for g in pre)
+        for sign, f, letters in rules[(w[i], w[i + 1])]:
+            t = c if f is None else c * f.shift(r)
+            agenda.append((t if sign > 0 else -t, pre + letters + post))
     return out

@@ -96,11 +96,11 @@ def rref(rows):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -257,7 +257,7 @@ class PolyModule:
     [x_alpha, x_{-alpha}] = h: the eigenvalue on x^k is k + 1/2.
     """
 
-    trunc: int = 8
+    trunc: int
 
     def h_eigenvalue(self, k: int) -> Fraction:
         return Fraction(2 * k + 1, 2)
@@ -325,7 +325,7 @@ class TensorModule:
     irrep: IrrepData
 
     @classmethod
-    def standard(cls, trunc: int = 8) -> "TensorModule":
+    def standard(cls, trunc: int) -> "TensorModule":
         return cls(PolyModule(trunc), IrrepData.standard())
 
     def weight(self, k: int, i: int) -> Fraction:

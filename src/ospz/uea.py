@@ -227,10 +227,12 @@ def straighten(
     """Normal-order a raw word.
 
     `items` is a sequence of generator indices (ints) and coefficient values
-    (anything `as_rf` accepts).  `chooser(violations, word)` picks which
-    violation to rewrite next; the default takes the leftmost, which is also
-    what the cached fast path uses.  Any strategy yields the same canonical
-    element (confluence; property-tested).
+    (anything `as_rf` accepts); a coefficient right of letters of root sum r
+    enters as f(H + r).  `chooser(violations, word)` picks which
+    out-of-order letter pair of the letters-only word to rewrite next; the
+    default takes the leftmost, which is also what the cached fast path
+    uses.  Any strategy yields the same canonical element (confluence;
+    property-tested).
     """
     return UeaElement(rewrite(items, coeff, chooser, _ODD, _ROOT, _PAIR_RULES, _pack))
 

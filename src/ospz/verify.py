@@ -330,9 +330,12 @@ def verify_presentation(max_exponent: int = 1) -> dict:
 # diamond monomials and tilde monomials, plus exact round trips.
 # ---------------------------------------------------------------------------
 
-def verify_pbw(max_degree: int = 4) -> dict:
+PBW_MAX_DEGREE = 4
+
+
+def verify_pbw() -> dict:
     checks = []
-    monos = monomials_up_to_degree(max_degree)
+    monos = monomials_up_to_degree(PBW_MAX_DEGREE)
     bad_lead = []
     bad_lower = []
     bad_round = []
@@ -385,7 +388,7 @@ def verify_pbw(max_degree: int = 4) -> dict:
             failures=bad_rev,
         )
     )
-    return _report("pbw", checks, max_degree=max_degree)
+    return _report("pbw", checks, max_degree=PBW_MAX_DEGREE)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ closed-form coefficients, `derived_rule` regenerates the coefficients from
 the oracle.  Straightening always uses `derived_rule`; `catalog` reports any
 family where the two disagree rather than silently preferring either.  The
 coefficient shift E(k) f(H) = f(H+k) E(k) and Cartan commutativity are
-structural (built into the straightener) and carry no rule.
+structural and carry no rule: the straightener absorbs each coefficient into
+the scalar, shifted by the root sum of the letters to its left, and rewrites
+letter pairs only.
 """
 
 from __future__ import annotations
@@ -228,7 +230,8 @@ def z_straighten(
 ) -> ZElement:
     """Normal-order a raw word of generator letters (ints 0..4) and
     coefficient values.  Same engine as the enveloping-algebra straightener;
-    any violation-choice strategy yields the same element."""
+    any choice of which out-of-order letter pair to rewrite first yields the
+    same element."""
     rules = _z_pair_rules()
     return ZElement(
         rewrite(items, coeff, chooser, Z_ODD, Z_ROOTS, rules, ZMonomial.from_letters)

@@ -56,13 +56,11 @@ from ospz.zalgebra import (
     ZN1,
     ZN2,
     ZElement,
-    ZMonomial,
     all_monomials,
     derived_rule,
     oracle_sweep,
     z_multiply,
     z_theta,
-    z_to_tilde,
 )
 from ospz.verify import run_suite
 from ospz import rep as repmod

@@ -1,7 +1,8 @@
-"""Dead-import guard: every name a package module imports is used in it.
+"""Dead-import guard: every name a module of the package, the tests or the
+scripts imports is used in it.
 
 No linter ships with the toolchain, so this check uses only `ast`.
-`__init__.py` is exempt: its imports are the package's public names.
+The package's `__init__.py` is exempt: its imports are its public names.
 """
 
 import ast
@@ -9,8 +10,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ospz"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = [
+    p
+    for d in ("src/ospz", "tests", "scripts")
+    for p in sorted((ROOT / d).glob("*.py"))
+    if p.name != "__init__.py"
+]
 
 
 def _annotation_names(node) -> set[str]:

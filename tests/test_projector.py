@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ospz.coeffs import H, RationalFunction, as_rf
 from ospz.engine import bilinear
 from ospz.uea import (
-    GENERATORS,
     T1,
     T2,
     TH,
@@ -52,8 +51,6 @@ class TestPhiTable:
 
     def test_kappa_closed_form(self):
         # even n: n/2; odd n: H - (n-1)/2
-        from fractions import Fraction
-
         assert kappa(2) == 1
         assert kappa(4) == 2
         assert kappa(1) == H

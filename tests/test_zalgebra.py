@@ -4,7 +4,7 @@ oracle, the relation catalog, and the triangular change of basis."""
 import itertools
 import random
 
-from ospz.coeffs import H, RF_ONE, RationalFunction, as_rf
+from ospz.coeffs import H, RF_ONE, RationalFunction
 from ospz.uea import UeaElement, tilde_word
 from ospz.zalgebra import (
     RULE_KEYS,
@@ -139,6 +139,9 @@ class TestMultiplication:
             assert lhs == rhs, g
 
     def test_straightening_confluence(self):
+        # A coefficient item inserted anywhere must give the product with
+        # that coefficient, which `z_multiply` shifts itself (bilinear).
+        f = RationalFunction(H + 2, H - 1)
         for seed in range(40):
             rng = random.Random(seed)
             letters = [rng.randrange(5) for _ in range(rng.randint(2, 4))]
@@ -146,6 +149,14 @@ class TestMultiplication:
             pick = random.Random(seed + 1)
             chooser = lambda viols, w: pick.randrange(len(viols))
             assert z_straighten(letters, chooser=chooser) == reference, letters
+            cut = rng.randint(0, len(letters))
+            pre, post = letters[:cut], letters[cut:]
+            items = pre + [f] + post
+            expected = z_multiply(
+                z_multiply(z_straighten(pre), ZElement.coeff(f)), z_straighten(post)
+            )
+            assert z_straighten(items) == expected, items
+            assert z_straighten(items, chooser=chooser) == expected, items
 
 
 class TestTriangularity:
