@@ -2,11 +2,11 @@
 """Compare the straightening product against the projector-oracle product on
 every ordered pair of basis monomials up to an exponent bound.
 
-The straightening product multiplies in the presented algebra with the
-derived rewrite rules; the oracle expands both factors into the double coset
-space, multiplies with the projector series, and converts back.  Agreement
-on every pair is an end-to-end consistency proof of the rule catalog at that
-degree.
+Both products fold the right factor into the left one generator at a time.
+The straightening product takes each step from the derived rewrite rules; the
+oracle expands the monomial into the double coset space, multiplies it by the
+generator with the projector series, and converts back.  Agreement on every
+pair is an end-to-end consistency proof of the rule catalog at that degree.
 """
 
 import argparse

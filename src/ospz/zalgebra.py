@@ -5,10 +5,11 @@ the Cartan element; E(k) carries root k), PBW monomials
 
     E(-2)^p E(-1)^q E(0)^r E(1)^s E(2)^t,      q, s <= 1,
 
-with left rational-function coefficients in H.  Products are straightened
-by twelve two-generator rewrite rules; the same products can be computed
-through the diamond-product oracle (expand to the tilde basis, multiply
-there, convert back), and the two routes are required to agree.
+with left rational-function coefficients in H.  A product folds the right
+factor into the left one generator at a time, with one of two step tables:
+the twelve two-generator rewrite rules, or the diamond-product oracle
+(expand to the tilde basis, multiply there by the generator, convert back).
+The two products are required to agree.
 
 Each rule exists in two forms: `STATED_RULES` holds the published
 closed-form coefficients, `derived_rule` regenerates the coefficients from
@@ -188,12 +189,12 @@ def _tilde_gen(g: int) -> UeaElement:
     return UeaElement.gen(TILDE_GENS[g])
 
 
-@lru_cache(maxsize=None)
 def derived_rule(a: int, b: int) -> ZElement:
-    """Rewrite rule for E(a) E(b) regenerated from the diamond-product oracle."""
+    """Rewrite rule for E(a) E(b) regenerated from the diamond-product oracle:
+    the oracle's step on a one-letter monomial."""
     if (a, b) not in STATED_RULES:
         raise KeyError(f"no rule for pair ({a}, {b})")
-    return tilde_to_z(diamond(_tilde_gen(a), _tilde_gen(b)))
+    return _oracle_fold(ZMonomial.from_letters([a]), b)
 
 
 def catalog() -> list[dict]:
@@ -243,13 +244,19 @@ def _z_mono_times_gen(mono: ZMonomial, g: int) -> ZElement:
     return z_straighten(mono.letters() + [g])
 
 
-def _z_mono_times_mono(mu: ZMonomial, mv: ZMonomial):
-    return fold_letters(mu, mv.letters(), _z_mono_times_gen).items()
+def _fold_product(u: ZElement, v: ZElement, step: Callable) -> ZElement:
+    """u * v, folding the letters of each right monomial into each left one
+    by step(m, g), the normal form of monomial m times generator g."""
+
+    def times(mu, mv):
+        return fold_letters(mu, mv.letters(), step).items()
+
+    return ZElement(bilinear(u, v, ZMonomial.root_sum, times))
 
 
 def z_multiply(u: ZElement, v: ZElement) -> ZElement:
     """Product in the presented algebra, straightened to the PBW basis."""
-    return ZElement(bilinear(u, v, ZMonomial.root_sum, _z_mono_times_mono))
+    return _fold_product(u, v, _z_mono_times_gen)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +284,7 @@ def z_to_tilde(z: ZElement) -> UeaElement:
     return UeaElement(out)
 
 
+@lru_cache(maxsize=None)
 def _tilde_key(word) -> tuple:
     m = ZMonomial.make(*tilde_exponents(word))
     return (m.degree(), -m.spread(), m)
@@ -294,18 +302,10 @@ def tilde_to_z(u: UeaElement) -> ZElement:
         raise ValueError("input is not a pure tilde representative")
     out: dict[ZMonomial, RationalFunction] = {}
     rem = dict(u.terms)
-    keys: dict = {}
-
-    def key_of(w):
-        k = keys.get(w)
-        if k is None:
-            k = keys[w] = _tilde_key(w)
-        return k
-
     last = None
     while rem:
-        word = max(rem, key=key_of)
-        key = key_of(word)
+        word = max(rem, key=_tilde_key)
+        key = _tilde_key(word)
         if last is not None and key >= last:
             raise AssertionError("triangular back-substitution failed to progress")
         last = key
@@ -327,28 +327,21 @@ def tilde_to_z(u: UeaElement) -> ZElement:
 
 def z_oracle_multiply(u: ZElement, v: ZElement) -> ZElement:
     """Product computed through the diamond oracle instead of the rule
-    catalog: expand both factors to the tilde basis, multiply there with the
-    projector-series diamond, convert back.
+    catalog: the same fold as z_multiply, with the diamond as its step.
 
-    The right factor is folded in one generator at a time (diamond is
-    associative), which keeps every projector series short.  Folds that
-    share a right-factor prefix are cached, so a sweep over many monomial
-    pairs pays one diamond step per pair.
+    Each step expands a monomial to the tilde basis, multiplies it there by
+    one generator with the projector-series diamond, and converts back.  The
+    diamond is associative and z_to_tilde/tilde_to_z are exact inverses, so
+    the fold equals tilde_to_z(diamond(z_to_tilde(u), z_to_tilde(v))); no
+    rewrite rule is read.  Steps are cached, so a sweep pays one diamond and
+    one back-substitution per distinct (monomial, generator) pair.
     """
-    return ZElement(bilinear(u, v, ZMonomial.root_sum, _oracle_product))
+    return _fold_product(u, v, _oracle_fold)
 
 
-def _oracle_product(mu: ZMonomial, mv: ZMonomial) -> ZElement:
-    return tilde_to_z(_oracle_fold(mu, mv))
-
-
-@lru_cache(maxsize=1024)
-def _oracle_fold(mu: ZMonomial, mv: ZMonomial) -> UeaElement:
-    letters = mv.letters()
-    if not letters:
-        return _z_mono_tilde(mu)
-    parent = ZMonomial.from_letters(letters[:-1])
-    return diamond(_oracle_fold(mu, parent), _tilde_gen(letters[-1]))
+@lru_cache(maxsize=None)
+def _oracle_fold(mono: ZMonomial, g: int) -> ZElement:
+    return tilde_to_z(diamond(_z_mono_tilde(mono), _tilde_gen(g)))
 
 
 def z_theta(z: ZElement) -> ZElement:

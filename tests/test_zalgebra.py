@@ -22,6 +22,7 @@ from ospz.zalgebra import (
     oracle_sweep,
     tilde_to_z,
     z_multiply,
+    z_oracle_multiply,
     z_straighten,
     z_theta,
     z_to_tilde,
@@ -113,6 +114,32 @@ class TestMultiplication:
         assert sweep["mismatches"] == 1
         assert not sweep["pass"] and not report["passed"]
 
+    def test_oracle_reads_no_rewrite_rule(self, monkeypatch):
+        # perturbing one derived coefficient changes z_multiply but must not
+        # move the oracle, and the sweep must then report a mismatch
+        import ospz.zalgebra as zalgebra
+
+        caches = (
+            zalgebra._z_mono_times_gen,
+            zalgebra._oracle_fold,
+            zalgebra._z_mono_tilde,
+        )
+        u, v = zgen(Z1), z_multiply(zgen(ZN1), zgen(ZH))
+        expected = z_oracle_multiply(u, v)
+        rules = dict(zalgebra._z_pair_rules())
+        (sign, f, letters), *rest = rules[Z1, ZN1]
+        rules[Z1, ZN1] = ((sign, f + RF_ONE, letters), *rest)
+        monkeypatch.setattr(zalgebra, "_z_pair_rules", lambda: rules)
+        try:
+            for cache in caches:
+                cache.cache_clear()
+            assert z_oracle_multiply(u, v) == expected
+            assert z_multiply(u, v) != expected
+            assert any(row for _, row in oracle_sweep(1))
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
     def test_associativity_on_generator_triples(self):
         for a, b, c in itertools.product(range(5), repeat=3):
             u, v, w = zgen(a), zgen(b), zgen(c)
@@ -121,15 +148,23 @@ class TestMultiplication:
             ), (a, b, c)
 
     def test_associativity_on_random_elements(self):
+        # two-term factors with coefficients, so the oracle's coefficient
+        # shift is reached from both ends of a product
         rng = random.Random(23)
         monos = all_monomials(1)
+        coeffs = (RationalFunction(H + 2, H - 1), 3, RationalFunction(1, H + 1))
+
+        def element():
+            terms = [(rng.choice(monos), rng.choice(coeffs)) for _ in range(2)]
+            return sum((ZElement.monomial(m, c) for m, c in terms), ZElement.zero())
+
         for _ in range(10):
-            u = ZElement.monomial(rng.choice(monos))
-            v = ZElement.monomial(rng.choice(monos))
+            u, v = element(), element()
             w = zgen(rng.randrange(5))
             assert z_multiply(z_multiply(u, v), w) == z_multiply(
                 u, z_multiply(v, w)
             )
+            assert z_oracle_multiply(u, v) == z_multiply(u, v)
 
     def test_coefficient_shift(self):
         f = RationalFunction(1, H - 1)
