@@ -7,12 +7,22 @@ The straightening product takes each step from the derived rewrite rules; the
 oracle expands the monomial into the double coset space, multiplies it by the
 generator with the projector series, and converts back.  Agreement on every
 pair is an end-to-end consistency proof of the rule catalog at that degree.
+
+With --bench-out PATH it also writes one JSON record of the run: pairs,
+mismatches, wall seconds, peak RSS, the machine (Python version, CPU count,
+load average), the git commit, and the cache_info() of every cache in the
+uea, projector and zalgebra modules.
 """
 
 import argparse
+import json
+import os
+import platform
 import resource
+import subprocess
 import time
 
+from ospz import projector, uea, zalgebra
 from ospz.cli import int_at_least
 from ospz.text import render_z
 from ospz.zalgebra import ZElement, all_monomials, oracle_sweep
@@ -24,6 +34,8 @@ def main() -> int:
                     help="bound on the even-generator exponents (odd ones cap at 1)")
     ap.add_argument("--progress", type=int_at_least(0), default=0,
                     help="print a progress line every N left factors")
+    ap.add_argument("--bench-out", metavar="PATH", default=None,
+                    help="write a JSON record of the run to PATH")
     args = ap.parse_args()
 
     monos = all_monomials(args.max_exp)
@@ -41,7 +53,43 @@ def main() -> int:
         print(f"MISMATCH {render_z(left)} * {render_z(right)}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"{total} pairs, {len(bad)} mismatches, {elapsed:.1f} s, peak RSS {peak_mb:.0f} MB")
+    if args.bench_out:
+        record = {
+            "max_exp": args.max_exp,
+            "pairs": total,
+            "mismatches": len(bad),
+            "wall_s": round(elapsed, 3),
+            "peak_rss_mb": round(peak_mb, 1),
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "loadavg": list(os.getloadavg()),
+            "git_head": git_head(),
+            "caches": cache_infos(),
+        }
+        with open(args.bench_out, "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return 1 if bad else 0
+
+
+def git_head():
+    """The commit of the checkout this script lies in, or None outside git."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=here, capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def cache_infos() -> dict:
+    """{module.function: hits, misses, maxsize, currsize} of every lru_cache."""
+    out = {}
+    for module in (uea, projector, zalgebra):
+        for name, fn in sorted(vars(module).items()):
+            if hasattr(fn, "cache_info"):
+                out[f"{module.__name__.split('.')[-1]}.{name}"] = fn.cache_info()._asdict()
+    return out
 
 
 if __name__ == "__main__":

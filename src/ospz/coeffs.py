@@ -6,7 +6,13 @@ Three scalar domains:
   coefficient list over one common denominator,
 * rational functions num/den in H (the left coefficient ring of the
   normal-ordering engine), kept in canonical form: coprime, monic
-  denominator, so equality is syntactic,
+  denominator.  The denominator is held factored, as its integer roots with
+  multiplicities times a monic residual.  Every coefficient the engines make
+  is a localization at the H - k, so its residual is 1, and a product merges
+  root lists, a sum takes their lcm, cancellation divides synthetically at
+  the listed roots and a shift moves them, all without a gcd.  Only the
+  constructor (parsed or hand-written denominators, `/`, negative powers)
+  and operations on a residual other than 1 run the general gcd path,
 * the quadratic extension Q(sqrt 2) used by the representation code.
 
 Everything is immutable and pure; scalars are int or Fraction, never float.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -290,69 +297,173 @@ def _pseudo_divmod(a, b) -> tuple[int, list[int], list[int]]:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by Euclid's algorithm on integer forms.
-    Every term is kept monic, so its integer coefficients are primitive and
-    the remainders form a primitive pseudo-remainder sequence."""
+    """Monic greatest common divisor: 1 at once for coprime inputs that one
+    gcd modulo a prime certifies, else by Euclid's algorithm on integer
+    forms.  Every term is kept monic, so its integer coefficients are
+    primitive and the remainders form a primitive pseudo-remainder sequence."""
     a, b = a.monic(), b.monic()
+    if a.degree > 0 and b.degree > 0 and _coprime_mod_p(a._form[1], b._form[1]):
+        return _POLY_ONE
     while b:
         a, b = b, _poly(1, _pseudo_divmod(a._form[1], b._form[1])[2]).monic()
     return a
 
 
+# Primes for the coprimality certificate (Mersenne primes).
+_CERT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+def _coprime_mod_p(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether integer polynomials a, b of positive degree are certified
+    coprime over Q by their gcd modulo a prime p dividing neither leading
+    coefficient.  The gcd over Q reduces mod p to a divisor of the gcd over
+    F_p of the same degree, so a constant gcd mod p proves coprimality.
+    False means no certificate, not a common factor."""
+    p = next((p for p in _CERT_PRIMES if a[-1] % p and b[-1] % p), 0)
+    if not p:
+        return False
+    a, b = [c % p for c in a], [c % p for c in b]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]  # monic, so pseudo-division never scales
+        r = [c % p for c in _pseudo_divmod(a, b)[2]]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return False
+        a, b = b, r
+    return True
+
+
 H = Polynomial.var()
 _POLY_ONE = Polynomial.const(1)
 
+# A parsed or hand-made denominator is searched for integer roots up to this
+# absolute value; a larger root stays in the residual, which costs speed only.
+_ROOT_SEARCH = 4096
+
+
+def _raw(den: int, a) -> Polynomial:
+    """The polynomial of an integer form that is canonical as it stands."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "_form", (den, tuple(a)))
+    return p
+
+
+def _times_roots(p: Polynomial, roots) -> Polynomial:
+    """p * prod (H - k)^m over the (k, m) of roots (a monic integer factor
+    keeps the integer form canonical)."""
+    den, a = p._form
+    for k, m in roots:
+        for _ in range(m):
+            a = [x - k * y for x, y in zip((0, *a), (*a, 0))]
+    return _raw(den, a)
+
+
+def _peel(a, k: int, m: int) -> tuple[list[int], int]:
+    """Divide integer coefficients a by H - k, at most m times, while they
+    vanish at k (synthetic division); returns the quotient and m left."""
+    while m and len(a) > 1:
+        acc, q = 0, []
+        for c in reversed(a):
+            acc = acc * k + c
+            q.append(acc)
+        if q.pop():
+            break
+        a, m = q[::-1], m - 1
+    return a, m
+
+
+def _cancel(num: Polynomial, roots: tuple) -> tuple[Polynomial, tuple]:
+    """num divided by H - k while it vanishes at k and k's multiplicity in
+    roots is positive, for each (k, m) of roots; and the roots left."""
+    den, a = num._form
+    left = []
+    for k, m in roots:
+        a, m = _peel(a, k, m)
+        if m:
+            left.append((k, m))
+    return (_raw(den, a), tuple(left)) if len(a) < len(num._form[1]) else (num, roots)
+
+
+def _merge(r1: tuple, r2: tuple, op) -> tuple:
+    """Sorted roots of r1 and r2, a root in both getting op of the two
+    multiplicities (add for a product, max for an lcm)."""
+    m = dict(r1)
+    for k, e in r2:
+        m[k] = op(m.get(k, 0), e)
+    return tuple(sorted(m.items()))
+
+
+def _canonical_rf(num: Polynomial, den: Polynomial) -> tuple:
+    """(num, roots, rest) of num/den for coprime num and den: the denominator
+    made monic, then split by the rational-root test on its integer form (an
+    integer root divides the constant term and lies within Cauchy's bound
+    1 + max |a_i / a_n|)."""
+    if not num:
+        return num, (), _POLY_ONE
+    c, a = den._form
+    if a[-1] != c:
+        num, (c, a) = num * Fraction(c, a[-1]), den.monic()._form
+    roots = []
+    bound = 1 + max(map(abs, a[:-1]), default=0) // a[-1]
+    for d in range(min(bound, _ROOT_SEARCH) + 1):
+        if len(a) < 2:
+            break
+        if d and a[0] % d:
+            continue
+        for k in {-d, d}:
+            n = len(a)
+            a = _peel(a, k, n)[0]
+            if len(a) < n:
+                roots.append((k, n - len(a)))
+    return num, tuple(sorted(roots)), _raw(c, a) if len(a) > 1 else _POLY_ONE
+
 
 class RationalFunction:
-    """Quotient of polynomials in H, canonical: coprime with monic denominator."""
+    """Quotient of polynomials in H, canonical: coprime with monic denominator.
 
-    __slots__ = ("num", "den")
+    The numerator `num` is a Polynomial.  The denominator is kept factored:
+    `roots`, a sorted tuple of (k, m) for its factors (H - k)^m with integer
+    k, times `rest`, the monic residual without an integer root found.  Every
+    coefficient the engines make splits, with `rest` the shared `_POLY_ONE`,
+    and their arithmetic runs no gcd.  `den` expands the product on demand.
+    """
+
+    __slots__ = ("num", "roots", "rest")
 
     def __init__(self, num, den=1):
-        num = _as_poly(num)
-        den = _as_poly(den)
+        num, den = _as_poly(num), _as_poly(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if num:
-            if num.degree > 0 and den.degree > 0:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num, den = num // g, den // g
-            l = den.lead
-            if l != 1:
-                num = num * Fraction(l.denominator, l.numerator)
-                den = den.monic()
-        else:
-            den = _POLY_ONE
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _make(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """Wrap an already-canonical numerator/denominator pair without
-        renormalizing (for operations that preserve canonical form)."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        return self
+        if num and num.degree > 0 and den.degree > 0:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num // g, den // g
+        for name, value in zip(self.__slots__, _canonical_rf(num, den)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def const(cls, c: RationalLike) -> "RationalFunction":
-        return cls(Polynomial.const(c))
+    @property
+    def den(self) -> Polynomial:
+        """The monic denominator, expanded."""
+        d = _times_roots(_POLY_ONE, self.roots)
+        return d if self.rest is _POLY_ONE else d * self.rest
 
     def __bool__(self) -> bool:
         return bool(self.num)
 
     def is_one(self) -> bool:
-        return self.num == self.den
+        return self.num._form == (1, (1,)) and not self.roots and self.rest is _POLY_ONE
 
     def __eq__(self, other) -> bool:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.rest is other.rest is _POLY_ONE:
+            return self.num == other.num and self.roots == other.roots
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -366,40 +477,28 @@ class RationalFunction:
             return other
         if not other.num:
             return self
-        d1, d2 = self.den, other.den
-        if d1 == d2:
+        if self.rest is not _POLY_ONE or other.rest is not _POLY_ONE:
+            d1, d2 = self.den, other.den
+            if d1 == d2:
+                return RationalFunction(self.num + other.num, d1)
+            return RationalFunction(self.num * d2 + other.num * d1, d1 * d2)
+        r1, r2 = self.roots, other.roots
+        if r1 == r2:
             num = self.num + other.num
-            if not num:
-                return RF_ZERO
-            if d1.degree > 0:
-                g = poly_gcd(num, d1)
-                if g.degree > 0:
-                    return RationalFunction._make(num // g, d1 // g)
-            return RationalFunction._make(num, d1)
-        # with d1 = g q1, d2 = g q2 and q1, q2 coprime, any common factor of
-        # n1 q2 + n2 q1 and g q1 q2 divides g (numerators are coprime to
-        # their own denominators), so one small gcd finishes normalization
-        if d1.degree > 0 and d2.degree > 0:
-            g = poly_gcd(d1, d2)
-            if g.degree > 0:
-                q1, q2 = d1 // g, d2 // g
-                num = self.num * q2 + other.num * q1
-                if not num:
-                    return RF_ZERO
-                den = q1 * d2
-                gg = poly_gcd(num, g)
-                if gg.degree > 0:
-                    num, den = num // gg, den // gg
-                return RationalFunction._make(num, den)
-        num = self.num * d2 + other.num * d1
-        if not num:
-            return RF_ZERO
-        return RationalFunction._make(num, d1 * d2)
+        else:
+            # over the lcm of the denominators; a root of lower multiplicity
+            # in one summand leaves the other nonzero there, so _cancel stops
+            # at such a root after one evaluation
+            m1, m2, top = dict(r1), dict(r2), _merge(r1, r2, max)
+            num = _times_roots(self.num, [(k, m - m1.get(k, 0)) for k, m in top])
+            num += _times_roots(other.num, [(k, m - m2.get(k, 0)) for k, m in top])
+            r1 = top
+        return _make(*_cancel(num, r1)) if num else RF_ZERO
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._make(-self.num, self.den)
+        return _make(-self.num, self.roots, self.rest)
 
     def __sub__(self, other):
         o = _as_rf(other)
@@ -414,67 +513,65 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
+        n1, r1 = self.num, self.roots
+        n2, r2 = other.num, other.roots
         if not n1 or not n2:
             return RF_ZERO
-        # scalar factors cannot disturb coprimality or the monic denominator;
-        # a canonical denominator of degree 0 is exactly 1
-        if n1.degree == 0 and d1.degree == 0:
-            if n1 == d1:
-                return other
-            return RationalFunction._make(n2 * n1, d2)
-        if n2.degree == 0 and d2.degree == 0:
-            if n2 == d2:
-                return self
-            return RationalFunction._make(n1 * n2, d1)
-        # cross-cancel: each factor is already coprime, so removing the two
-        # cross gcds leaves a canonical product (denominators stay monic)
-        if n1.degree > 0 and d2.degree > 0:
-            g = poly_gcd(n1, d2)
-            if g.degree > 0:
-                n1, d2 = n1 // g, d2 // g
-        if n2.degree > 0 and d1.degree > 0:
-            g = poly_gcd(n2, d1)
-            if g.degree > 0:
-                n2, d1 = n2 // g, d1 // g
-        return RationalFunction._make(n1 * n2, d1 * d2)
+        if self.rest is not _POLY_ONE or other.rest is not _POLY_ONE:
+            return RationalFunction(n1 * n2, self.den * other.den)
+        if not r1 and n1._form == (1, (1,)):
+            return other
+        if not r2 and n2._form == (1, (1,)):
+            return self
+        # each factor is coprime, so only n1 against d2 and n2 against d1
+        # can cancel, and only at the listed roots
+        n1, r2 = _cancel(n1, r2)
+        n2, r1 = _cancel(n2, r1)
+        return _make(n1 * n2, _merge(r1, r2, add) if r1 and r2 else r1 or r2)
 
     __rmul__ = __mul__
+
+    def _reciprocal(self) -> "RationalFunction":
+        if not self:
+            raise ZeroDivisionError("division by zero rational function")
+        return _make(*_canonical_rf(self.den, self.num))
 
     def __truediv__(self, other):
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * other._reciprocal()
 
     def __rtruediv__(self, other):
         return _as_rf(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
-            return RationalFunction(self.den, self.num) ** (-n)
+            return self._reciprocal() ** (-n)
+        if n == 0:
+            return RF_ONE
         # powers of coprime polynomials stay coprime, of a monic one monic
-        return RationalFunction._make(self.num**n, self.den**n)
+        rest = self.rest if self.rest is _POLY_ONE else self.rest**n
+        return _make(self.num**n, tuple((k, m * n) for k, m in self.roots), rest)
 
     def shift(self, k: int) -> "RationalFunction":
-        """Substitute H -> H + k.  A field automorphism for every integer k."""
+        """Substitute H -> H + k.  A field automorphism for every integer k;
+        the root j of a factor H - j moves to j - k."""
         if k == 0:
             return self
-        # canonical form survives: substitution preserves coprimality and
-        # the monic leading coefficient
-        return RationalFunction._make(self.num.shift(k), self.den.shift(k))
+        rest = self.rest if self.rest is _POLY_ONE else self.rest.shift(k)
+        return _make(self.num.shift(k), tuple((j - k, m) for j, m in self.roots), rest)
 
     def eval(self, x: RationalLike) -> Fraction:
-        d = self.den.eval(x)
+        d = self.rest.eval(x)
+        for k, m in self.roots:
+            d *= (x - k) ** m
         if d == 0:
             raise PoleEvaluationError(f"pole at H = {x}")
         return self.num.eval(x) / d
 
     def __str__(self) -> str:
-        if self.den == 1:
+        if not self.roots and self.rest is _POLY_ONE:
             return str(self.num)
         num = str(self.num)
         if self.num.degree > 0 or self.num.lead < 0:
@@ -485,16 +582,25 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
+def _make(num: Polynomial, roots: tuple = (), rest: Polynomial = _POLY_ONE) -> RationalFunction:
+    """Wrap a canonical numerator and factored denominator."""
+    f = object.__new__(RationalFunction)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "roots", roots)
+    object.__setattr__(f, "rest", rest)
+    return f
+
+
 def _as_rf(x):
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, (int, Fraction, Polynomial)):
-        return RationalFunction(_as_poly(x))
+        return _make(_as_poly(x))
     return NotImplemented
 
 
-RF_ZERO = RationalFunction(0)
-RF_ONE = RationalFunction(1)
+RF_ZERO = _make(Polynomial())
+RF_ONE = _make(_POLY_ONE)
 
 
 def as_rf(x) -> RationalFunction:

@@ -18,7 +18,7 @@ import random
 import time
 from fractions import Fraction
 
-from ospz.coeffs import H, RationalFunction, Sqrt2, as_rf
+from ospz.coeffs import RF_ONE, H, RationalFunction, Sqrt2, as_rf
 from ospz.projector import (
     diamond,
     kappa,
@@ -64,6 +64,7 @@ from ospz.zalgebra import (
     z_theta,
 )
 from ospz.verify import run_suite
+from ospz import projector as projmod
 from ospz import rep as repmod
 
 ALL_GENS = (XN2, XN1, TN2, TN1, TH, T1, T2, X1, X2)
@@ -78,10 +79,16 @@ def gen(g: int) -> UeaElement:
 
 
 def test_criterion_01_phi_table():
-    gc.collect()  # so no pending collection lands in the timed window
-    t0 = time.perf_counter()
-    values = [phi(n) for n in range(5)]
-    elapsed = time.perf_counter() - t0
+    # the least of a few cold computations (memo reset to phi_0 before each)
+    # measures the work, not a moment when the process is off the CPU
+    gc.collect()  # so no pending collection lands in a timed window
+    times = []
+    for _ in range(5):
+        projmod._PHI[:] = [RF_ONE]
+        t0 = time.perf_counter()
+        values = [phi(n) for n in range(5)]
+        times.append(time.perf_counter() - t0)
+    elapsed = min(times)
     expected = [
         as_rf(1),
         RationalFunction(-1, H - 1),

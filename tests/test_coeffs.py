@@ -5,7 +5,9 @@ Identities are cross-checked against an independent oracle: evaluation
 at rational sample points chosen away from every pole.
 """
 
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,8 @@ from ospz.coeffs import (
     as_rf,
     poly_gcd,
 )
-from ospz.text import parse_ratfunc
+from ospz import coeffs, projector, uea, zalgebra
+from ospz.text import parse_element, parse_ratfunc
 
 # Sample points that avoid the integer lattice, where localized
 # denominators may vanish.
@@ -52,6 +55,26 @@ def small_rfs():
 
 def rf_eval(f, x):
     return f.eval(x)
+
+
+def int_polys(max_size=5, height=10**12):
+    return st.lists(st.integers(-height, height), min_size=1, max_size=max_size).map(
+        lambda cs: Polynomial(dict(enumerate(cs)))
+    )
+
+
+# Denominators that split into integer roots, and ones that keep a residual:
+# no integer root (H^2 + 1, 2H - 1) or one beyond the constructor's root search
+# (H - 5000), which a shift of 1/H still lists as a root.
+DENOMS = [H - 1, (H + 2) ** 2, H * (H - 3), H * H + 1, 2 * H - 1, H - 100, H - 5000]
+
+
+def mixed_rfs():
+    built = st.builds(RationalFunction, small_polys(), st.sampled_from(DENOMS))
+    shifted = st.builds(
+        lambda n, k: RationalFunction(n, H).shift(k), small_polys(), st.sampled_from([-5000, -100, 3])
+    )
+    return st.one_of(built, shifted)
 
 
 class TestPolynomial:
@@ -109,6 +132,29 @@ class TestPolynomial:
         if c:
             assert g % c == 0  # c divides both, so it divides the greatest divisor
 
+    @given(int_polys(), int_polys(), int_polys(max_size=4, height=9))
+    @settings(max_examples=150, deadline=None)
+    def test_certified_gcd_equals_the_prs_gcd(self, a, b, c):
+        # coprime pairs take the modular certificate, a planted factor the
+        # PRS; with no certificate primes every pair takes the PRS
+        for x, y in ((a, b), (a * c, b * c)):
+            with mock.patch.object(coeffs, "_CERT_PRIMES", ()):
+                prs = poly_gcd(x, y)
+            assert poly_gcd(x, y) == prs
+
+    def test_certificate_skips_a_prime_dividing_a_leading_coefficient(self):
+        p = coeffs._CERT_PRIMES[0]
+        assert coeffs._coprime_mod_p((1, p), (2, 1))  # p*H + 1 and H + 2
+        assert not coeffs._coprime_mod_p((-1, 0, 1), (1, 1))  # H + 1 divides both
+
+    def test_sum_of_large_coprime_powers_is_fast(self):
+        x = "((123456789*H^2+3*H+7)/(987654321*H^2+5*H+11))^32"
+        t0 = time.perf_counter()
+        total = parse_ratfunc(x + "+" + x)
+        elapsed = time.perf_counter() - t0
+        assert total == 2 * parse_ratfunc(x)
+        assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
 
 class TestRationalFunction:
     @given(small_rfs(), small_rfs())
@@ -165,6 +211,54 @@ class TestRationalFunction:
         g = RationalFunction(H - 2, H + 3)
         assert f == g
         assert str(f) == str(g)
+
+    @given(mixed_rfs(), mixed_rfs(), st.integers(-6, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_split_is_canonical(self, f, g, k):
+        values = [f, g, f + g, f - g, f * g, -f, f.shift(k)] + ([f / g] if g else [])
+        for r in values:
+            assert r.den.lead == 1
+            assert poly_gcd(r.num, r.den) == 1
+            back = parse_ratfunc(str(r))
+            assert back == r and str(back) == str(r)
+            assert r.shift(k).shift(-k) == r
+            for x in SAMPLES:
+                if r.den.eval(x):  # a shifted 2H - 1 may vanish at one
+                    assert back.eval(x) == r.eval(x) == r.num.eval(x) / r.den.eval(x)
+            for root, _ in r.roots:
+                with pytest.raises(PoleEvaluationError):
+                    r.eval(root)
+        for a in values:
+            for b in values:
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    def test_two_splits_of_one_denominator_are_equal(self):
+        built = RationalFunction(1, H - 5000)  # the root lies beyond the search
+        shifted = RationalFunction(1, H).shift(-5000)
+        assert built.rest == H - 5000 and shifted.roots == ((5000, 1),)
+        assert built == shifted and hash(built) == hash(shifted)
+        assert str(built) == str(shifted) == "1/(H - 5000)"
+        assert RationalFunction(1, H - 100).roots == ((100, 1),)
+
+    def test_oracle_product_runs_no_gcd(self, monkeypatch):
+        calls = []
+        real = coeffs.poly_gcd
+        monkeypatch.setattr(coeffs, "poly_gcd", lambda a, b: calls.append((a, b)) or real(a, b))
+        for step in (
+            zalgebra._oracle_fold,
+            zalgebra._z_mono_tilde,
+            projector._diamond_mono,
+            projector._lower_chain,
+            projector._raise_chain,
+            uea._word_times_gen,
+            uea._word_times_word,
+        ):
+            step.cache_clear()
+        left, right = parse_element("E(2)", "z"), parse_element("E(-2) E(-1)", "z")
+        calls.clear()
+        assert zalgebra.z_oracle_multiply(left, right)
+        assert calls == []
 
     def test_pole_evaluation_raises(self):
         f = RationalFunction(1, H - 1)

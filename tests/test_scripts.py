@@ -13,13 +13,14 @@ from ospz.verify import SUITES, run_suite
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *argv):
+def run_script(name, *argv, cwd=None):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *argv],
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
     )
 
 
@@ -36,6 +37,25 @@ def test_oracle_sweep_at_unit_exponents():
     proc = run_script("oracle_sweep.py", "--max-exp", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("1024 pairs, 0 mismatches")
+
+
+def test_oracle_sweep_bench_out_records_the_run(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script("oracle_sweep.py", "--max-exp", "1", "--bench-out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    keys = {"pairs", "mismatches", "wall_s", "peak_rss_mb", "python", "cpu_count", "loadavg", "git_head", "caches"}
+    assert keys <= set(record)
+    assert (record["pairs"], record["mismatches"]) == (1024, 0)
+    caches = record["caches"]
+    assert {"uea._word_times_word", "projector._diamond_mono", "zalgebra._oracle_fold"} <= set(caches)
+    assert caches["zalgebra._oracle_fold"]["misses"] > 0
+
+
+def test_oracle_sweep_writes_no_file_without_bench_out(tmp_path):
+    proc = run_script("oracle_sweep.py", "--max-exp", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
