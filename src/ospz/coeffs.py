@@ -10,9 +10,10 @@ Three scalar domains:
   multiplicities times a monic residual.  Every coefficient the engines make
   is a localization at the H - k, so its residual is 1, and a product merges
   root lists, a sum takes their lcm, cancellation divides synthetically at
-  the listed roots and a shift moves them, all without a gcd.  Only the
-  constructor (parsed or hand-written denominators, `/`, negative powers)
-  and operations on a residual other than 1 run the general gcd path,
+  the listed roots and a shift moves them, all without a gcd.  `/` and
+  negative powers invert a canonical value, which needs no gcd either.
+  Only the constructor (parsed or hand-written denominators) and
+  operations on a residual other than 1 run the general gcd path,
 * the quadratic extension Q(sqrt 2) used by the representation code.
 
 Everything is immutable and pure; scalars are int or Fraction, never float.
@@ -309,8 +310,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a
 
 
-# Primes for the coprimality certificate (Mersenne primes).
-_CERT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+# The prime of the coprimality certificate (a Mersenne prime).
+_CERT_PRIME = 2**61 - 1
 
 
 def _coprime_mod_p(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -319,8 +320,8 @@ def _coprime_mod_p(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     coefficient.  The gcd over Q reduces mod p to a divisor of the gcd over
     F_p of the same degree, so a constant gcd mod p proves coprimality.
     False means no certificate, not a common factor."""
-    p = next((p for p in _CERT_PRIMES if a[-1] % p and b[-1] % p), 0)
-    if not p:
+    p = _CERT_PRIME
+    if not (a[-1] % p and b[-1] % p):
         return False
     a, b = [c % p for c in a], [c % p for c in b]
     while len(b) > 1:

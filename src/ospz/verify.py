@@ -295,15 +295,18 @@ def verify_presentation(max_exponent: int = 1) -> dict:
         )
         for row in catalog()
     ]
-    # structural families: Cartan commutativity and the coefficient shift
-    f = RationalFunction(1, H - 1)
-    cartan_ok = z_multiply(ZElement.coeff(f), ZElement.gen(ZH)) == z_multiply(
-        ZElement.gen(ZH), ZElement.coeff(f)
+    # structural families: Cartan commutativity and the coefficient shift,
+    # for a denominator split into integer roots and for one with a residual
+    fs = (RationalFunction(1, H - 1), RationalFunction(H, H * H + 1))
+    cartan_ok = all(
+        z_multiply(ZElement.coeff(f), ZElement.gen(ZH)) == z_multiply(ZElement.gen(ZH), ZElement.coeff(f))
+        for f in fs
     )
     checks.append(_check("family f(H) E(0) commutation", cartan_ok))
     shift_ok = all(
         z_oracle_multiply(ZElement.gen(g), ZElement.coeff(f))
         == ZElement.gen(g).scale(f.shift(Z_ROOTS[g]))
+        for f in fs
         for g in range(5)
     )
     checks.append(_check("family E(k) f(H) shift", shift_ok))

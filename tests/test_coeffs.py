@@ -136,16 +136,14 @@ class TestPolynomial:
     @settings(max_examples=150, deadline=None)
     def test_certified_gcd_equals_the_prs_gcd(self, a, b, c):
         # coprime pairs take the modular certificate, a planted factor the
-        # PRS; with no certificate primes every pair takes the PRS
+        # PRS; with the certificate refused every pair takes the PRS
         for x, y in ((a, b), (a * c, b * c)):
-            with mock.patch.object(coeffs, "_CERT_PRIMES", ()):
+            with mock.patch.object(coeffs, "_coprime_mod_p", lambda a, b: False):
                 prs = poly_gcd(x, y)
             assert poly_gcd(x, y) == prs
 
-    def test_certificate_skips_a_prime_dividing_a_leading_coefficient(self):
-        p = coeffs._CERT_PRIMES[0]
-        assert coeffs._coprime_mod_p((1, p), (2, 1))  # p*H + 1 and H + 2
-        assert not coeffs._coprime_mod_p((-1, 0, 1), (1, 1))  # H + 1 divides both
+    def test_no_certificate_when_the_prime_divides_a_leading_coefficient(self):
+        assert not coeffs._coprime_mod_p((1, coeffs._CERT_PRIME), (2, 1))  # p*H + 1 and H + 2
 
     def test_sum_of_large_coprime_powers_is_fast(self):
         x = "((123456789*H^2+3*H+7)/(987654321*H^2+5*H+11))^32"
