@@ -19,6 +19,10 @@ from . import rep as repmod
 from . import verify as verifymod
 
 
+# Largest --n of `phi-table` and `verify projector` (their work grows fast in n).
+MAX_N = 64
+
+
 def _mark(ok: bool) -> str:
     word = "PASS" if ok else "FAIL"
     if sys.stdout.isatty():
@@ -122,13 +126,16 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def int_at_least(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than `low` and, if `high` is
+    given, no larger than it."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
@@ -181,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("phi-table", help="print the projector coefficients")
-    p.add_argument("--n", type=int_at_least(0), default=4)
+    p.add_argument("--n", type=int_at_least(0, MAX_N), default=4)
     p.set_defaults(func=cmd_phi_table)
 
     p = sub.add_parser("rep", help="module computations")
@@ -197,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verifymod.SUITES)
-    p.add_argument("--n", type=int_at_least(0), default=10)
+    p.add_argument("--n", type=int_at_least(0, MAX_N), default=10)
     p.add_argument("--max-exp", type=int_at_least(1), default=1)
     p.add_argument("--trunc", type=int_at_least(0), default=6)
     p.add_argument("--json-out", default=None)

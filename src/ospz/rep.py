@@ -533,21 +533,21 @@ def check_rep_relations(rho: dict, eigen: list[Fraction]) -> dict:
     return {"passed": all(c["pass"] for c in checks), "checks": checks}
 
 
-def irreducibility_witness(rho: dict, n: int) -> bool:
-    """Burnside criterion: the matrix algebra generated by the images spans
-    all of End(C^n)."""
-    gens = [mat_eye(n)] + [rho[g] for g in sorted(rho)]
-    flat = lambda m: [x for row in m for x in row]
-    span = [m for m in gens]
-    while True:
-        rows = [flat(m) for m in span]
-        dim = span_dim(rows)
-        new = []
-        for a in span:
-            for b in gens:
-                new.append(mat_mul(a, b))
-        rows2 = [flat(m) for m in span + new]
-        dim2 = span_dim(rows2)
-        if dim2 == dim:
-            return dim == n * n
-        span = span + new
+def irreducibility_witness(rho: dict, eigen: list[Fraction]) -> bool:
+    """Weight-graph certificate: with distinct H-eigenvalues `eigen`,
+    f(H) = diag(f(mu_i)) separates the basis vectors, so every submodule is
+    spanned by some of them, and the module is irreducible exactly when the
+    graph with an edge j -> i wherever some rho[g][i][j] != 0 is strongly
+    connected."""
+    n = len(eigen)
+    if len(set(eigen)) != n:
+        raise ValueError(f"H-eigenvalues must be distinct, got {eigen}")
+    edges = {(j, i) for m in rho.values() for i, row in enumerate(m) for j, x in enumerate(row) if x}
+
+    def reaches_all(arrows) -> bool:
+        seen = {0}
+        while grown := {t for s, t in arrows if s in seen} - seen:
+            seen |= grown
+        return len(seen) == n
+
+    return reaches_all(edges) and reaches_all({(i, j) for j, i in edges})

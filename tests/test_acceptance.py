@@ -352,7 +352,7 @@ def test_criterion_11_weight_window_example():
         for v, mu in ((w1, Fraction(-1, 2)), (w2, Fraction(1, 2)))
     )
     full_ok = repmod.check_rep_relations(rho, eigen)["passed"]
-    irr_ok = repmod.irreducibility_witness(rho, 3)
+    irr_ok = repmod.irreducibility_witness(rho, eigen)
 
     # The displays fail exactly these families, and each 2x2 defect is
     # minus the part of the 3x3 identity routed through w3.

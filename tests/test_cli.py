@@ -47,6 +47,8 @@ class TestExitCodes:
             ["verify", "presentation", "--max-exp", "0"],
             ["phi-table", "--n", "-1"],
             ["verify", "projector", "--n", "-1"],
+            ["phi-table", "--n", "65"],
+            ["verify", "projector", "--n", "65"],
         ],
     )
     def test_bad_option_value_is_usage_error(self, capsys, argv):

@@ -7,6 +7,7 @@ import pytest
 
 from ospz.coeffs import H, RationalFunction, Sqrt2
 from ospz.uea import T1, T2, TH, TILDE_GENS, TN1, X1, X2, XN1, XN2
+from ospz.verify import verify_rep
 from ospz.zalgebra import Z1, Z2, ZH, ZN1, ZN2, ZElement
 from ospz.rep import (
     IrrepData,
@@ -18,9 +19,11 @@ from ospz.rep import (
     check_rep_relations,
     irreducibility_witness,
     span_dim,
+    weight_window,
 )
 
 SQRT2 = Sqrt2(0, 1)
+EIGEN = [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]  # weights of w1, w2, w3
 
 
 def w1():
@@ -176,8 +179,7 @@ class TestRho:
         assert rho[ZH][2][2] == Sqrt2(Fraction(-9, 2))
 
     def test_all_relation_families_hold_as_matrix_identities(self, rho):
-        eigen = [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
-        report = check_rep_relations(rho, eigen)
+        report = check_rep_relations(rho, EIGEN)
         assert report["passed"], [
             c["name"] for c in report["checks"] if not c["pass"]
         ]
@@ -201,9 +203,52 @@ class TestRho:
         assert failing == {"E(1) E(-2)", "E(1) E(-1)", "E(2) E(-2)", "E(2) E(-1)"}
 
     def test_irreducibility(self, rho):
-        assert irreducibility_witness(rho, 3)
+        assert irreducibility_witness(rho, EIGEN)
+
+    def test_certificate_sees_an_invariant_line(self, rho):
+        # without E(1) and E(2) nothing leaves w3, so span{w3} is invariant
+        zero = [[Sqrt2(0)] * 3 for _ in range(3)]
+        assert not irreducibility_witness({**rho, Z1: zero, Z2: zero}, EIGEN)
+
+    def test_certificate_needs_distinct_eigenvalues(self, rho):
+        with pytest.raises(ValueError, match="distinct"):
+            irreducibility_witness(rho, [Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)])
 
     def test_rho_of_coefficient_is_diagonal_evaluation(self, module):
         f = RationalFunction(1, H - 1)
         for v, mu in ((w1(), Fraction(-1, 2)), (w2(), Fraction(1, 2))):
             assert module.act_coeff(f, v) == v.scale(Sqrt2(f.eval(mu)))
+
+
+_REAL_PROJECTOR = TensorModule.apply_projector
+
+
+@pytest.mark.parametrize(
+    "projector",
+    [
+        lambda self, v: v,  # idempotent, but non-primitive vectors stay
+        lambda self, v: _REAL_PROJECTOR(self, v) + _REAL_PROJECTOR(self, v),
+    ],
+    ids=["identity", "doubled"],
+)
+def test_rep_report_catches_a_wrong_projector(monkeypatch, projector):
+    monkeypatch.setattr(TensorModule, "apply_projector", projector)
+    checks = {c["name"]: c["pass"] for c in verify_rep(6)["checks"]}
+    assert checks["projector is idempotent on x^k (x) v_i, k < 3"] is False
+
+
+@pytest.mark.parametrize("lam", [2, 3])
+def test_polynomial_tensor_irrep_is_an_irreducible_z_module(lam):
+    # C[x] (x) V(lambda): 2 lambda + 1 primitive vectors, one at each weight
+    # -lambda + 1/2 .. lambda + 1/2, on which every relation family holds
+    # and the weight graph is strongly connected.
+    trunc = 2 * lam + 6
+    module = TensorModule(PolyModule(trunc), IrrepData.from_highest_weight(lam))
+    low = Fraction(1, 2) - lam
+    basis = module.primitive_vectors(weight_window(low, low + trunc))
+    eigen = [module.weight(*next(iter(v.terms))) for v in basis]
+    assert eigen == weight_window(low, Fraction(1, 2) + lam)
+    rho = {g: module.rho_matrix(ZElement.gen(g), basis) for g in range(5)}
+    report = check_rep_relations(rho, eigen)
+    assert len(report["checks"]) == 14 and report["passed"]
+    assert irreducibility_witness(rho, eigen)
