@@ -7,6 +7,8 @@ The straightening product takes each step from the derived rewrite rules; the
 oracle expands the monomial into the double coset space, multiplies it by the
 generator with the projector series, and converts back.  Agreement on every
 pair is an end-to-end consistency proof of the rule catalog at that degree.
+Each disagreeing pair prints a MISMATCH line; the first five are followed by
+the rendered difference z_multiply - z_oracle_multiply.
 
 With --bench-out PATH it also writes one JSON record of the run: pairs,
 mismatches, wall seconds, peak RSS, the machine (Python version, CPU count,
@@ -48,9 +50,12 @@ def main() -> int:
         if args.progress and i % args.progress == 0:
             print(f"  {i}/{len(monos)} rows, {time.perf_counter() - t0:.1f} s")
     elapsed = time.perf_counter() - t0
-    for mu, mv in bad:
+    for n, (mu, mv) in enumerate(bad):
         left, right = ZElement.monomial(mu), ZElement.monomial(mv)
         print(f"MISMATCH {render_z(left)} * {render_z(right)}")
+        if n < 5:
+            diff = zalgebra.z_multiply(left, right) - zalgebra.z_oracle_multiply(left, right)
+            print(f"  z_multiply - z_oracle_multiply = {render_z(diff)}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"{total} pairs, {len(bad)} mismatches, {elapsed:.1f} s, peak RSS {peak_mb:.0f} MB")
     if args.bench_out:

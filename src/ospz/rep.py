@@ -1,11 +1,13 @@
 """Modules over osp(1|2) x osp(1|2) and the induced action on primitive vectors.
 
 Building blocks: the finite-dimensional irreducibles V(lambda) of a single
-osp(1|2) (exact matrices over Q(sqrt 2)), the odd-polynomial module C[x]
-truncated at a configurable degree, and their tensor product carrying the
-diagonal/anti-diagonal action.  Primitive vectors (annihilated by the
-raising subalgebra) are extracted weight by weight, and the reduction
-algebra acts on them through the projected-generator representatives.
+osp(1|2) (each generator a sparse map over Q(sqrt 2): the image of every
+basis vector), the odd-polynomial module C[x] truncated at a configurable
+degree, and their tensor product carrying the diagonal/anti-diagonal
+action.  Primitive vectors (annihilated by the raising subalgebra) are
+extracted weight by weight, and the reduction algebra acts on them through
+the projected-generator representatives.  All linear algebra on module
+vectors is one Gaussian elimination on the sparse vectors themselves.
 
 Scalars are Q(sqrt 2) throughout: the odd polynomial actions carry 1/sqrt 2
 while all final matrix entries come out rational.  No floating point.
@@ -69,77 +71,50 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c, a):
-    return [[c * x if x else x for x in row] for row in a]
-
-
-def mat_zero(n, m=None):
-    m = n if m is None else m
-    return [[_SR_ZERO] * m for _ in range(n)]
+def mat_zero(n):
+    return [[_SR_ZERO] * n for _ in range(n)]
 
 
 def mat_eye(n):
     return [[_SR_ONE if i == j else _SR_ZERO for j in range(n)] for i in range(n)]
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    m = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows[:r]], pivots
+def eliminate(pairs):
+    """Gaussian elimination over (image, source) pairs of sparse vectors,
+    taken in order.  Returns the pivots, (key, image, source) triples whose
+    image is 1 at its key and 0 at the keys of the pivots before it, and the
+    reduced source of each image that reduces to zero.
+
+    With distinct basis vectors as sources, the reduced source of input j is
+    its source minus a combination of earlier pivot sources: coefficient 1
+    at input j and 0 at every other input that reduces to zero, the kernel
+    vector reduced row echelon form gives."""
+    pivots, null = [], []
+    for image, source in pairs:
+        image, source = reduce_vector(image, source, pivots)
+        if image:
+            key, c = next(iter(image))
+            inv = c.inverse()
+            pivots.append((key, image.scale(inv), source.scale(inv)))
+        else:
+            null.append(source)
+    return pivots, null
 
 
-def kernel_basis(rows, ncols):
-    """Basis of the right kernel of the matrix given by `rows`."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [_SR_ZERO] * ncols
-        vec[fc] = _SR_ONE
-        for r, pc in zip(red, pivots):
-            vec[pc] = -r[fc]
-        basis.append(vec)
-    return basis
+def reduce_vector(image, source, pivots):
+    """`image` minus the combination of pivot images that clears it at
+    every pivot key, and `source` minus the same combination of pivot
+    sources."""
+    for key, p_image, p_source in pivots:
+        c = image.terms.get(key)
+        if c:
+            image = image - p_image.scale(c)
+            source = source - p_source.scale(c)
+    return image, source
 
 
-def span_dim(rows) -> int:
-    return len(rref(rows)[0])
-
-
-def solve_in_span(basis_rows, target):
-    """Coefficients expressing `target` in the span of `basis_rows`, or None."""
-    n = len(basis_rows)
-    if n == 0:
-        return [] if not any(target) else None
-    cols = len(target)
-    aug = [[basis_rows[i][c] for i in range(n)] + [target[c]] for c in range(cols)]
-    red, pivots = rref(aug)
-    if n in pivots:  # pivot in the rightmost column: inconsistent
-        return None
-    coeffs = [_SR_ZERO] * n
-    for r, pc in zip(red, pivots):
-        coeffs[pc] = r[-1]
-    return coeffs
+def span_dim(vectors) -> int:
+    return len(eliminate((v, ModuleVector()) for v in vectors)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +124,20 @@ def solve_in_span(basis_rows, target):
 _OSP_ROOTS = (-2, -1, 0, 1, 2)
 
 
+def _apply(images, vec: dict, scale=1, acc=None) -> dict:
+    """acc + scale * (the map applied to vec), for a map given by the
+    sparse images of the basis vectors, images[j] = {i: entry}, and a
+    sparse vector vec = {j: coefficient}."""
+    acc = {} if acc is None else acc
+    for j, c in vec.items():
+        for i, x in images[j].items():
+            acc[i] = acc.get(i, _SR_ZERO) + scale * c * x
+    return acc
+
+
 @dataclass(frozen=True)
 class IrrepData:
-    """V(lambda): matrices of the five generators.
+    """V(lambda): the five generators as sparse maps.
 
     Basis u_0 .. u_{2 lambda} with h u_j = (-lambda + j) u_j; raising
     operators (positive roots) move down the ladder, lowering operators up,
@@ -159,16 +145,15 @@ class IrrepData:
     """
 
     lam: int
-    matrices: dict  # root -> matrix over Sqrt2
+    matrices: dict  # root -> images, images[j] = {i: entry over Sqrt2} is x u_j
 
     @property
     def dimension(self) -> int:
         return 2 * self.lam + 1
 
     def h_eigenvalue(self, j: int) -> Fraction:
-        """Read off the (diagonal) h matrix, so any basis ordering works."""
-        entry = self.matrices[0][j][j]
-        return entry.a
+        """Read off the (diagonal) h map, so any basis ordering works."""
+        return self.matrices[0][j].get(j, _SR_ZERO).a
 
     @classmethod
     def from_highest_weight(cls, lam: int) -> "IrrepData":
@@ -178,23 +163,18 @@ class IrrepData:
         c = [Fraction(0)] * (n + 1)
         for j in range(n):
             c[j + 1] = Fraction(-lam + j) - c[j]
-        lower = mat_zero(n)  # x_{-alpha}: u_j -> u_{j+1}
-        raise_ = mat_zero(n)  # x_alpha: u_j -> c_j u_{j-1}
-        h = mat_zero(n)
-        for j in range(n):
-            h[j][j] = Sqrt2(Fraction(-lam + j))
-            if j + 1 < n:
-                lower[j + 1][j] = _SR_ONE
-            if j - 1 >= 0:
-                raise_[j - 1][j] = Sqrt2(c[j])
+        # x_{-alpha}: u_j -> u_{j+1};  x_alpha: u_j -> c_j u_{j-1}, c_j != 0
+        lower = [{j + 1: _SR_ONE} if j + 1 < n else {} for j in range(n)]
+        raise_ = [{j - 1: Sqrt2(c[j])} if j else {} for j in range(n)]
+        h = [{j: Sqrt2(Fraction(j - lam))} if j != lam else {} for j in range(n)]
         # even root vectors through the odd squares:
         #   x_{2a} = -x_a^2,  x_{-2a} = x_{-a}^2
         mats = {
             -1: lower,
             1: raise_,
             0: h,
-            -2: mat_mul(lower, lower),
-            2: mat_scale(Sqrt2(-1), mat_mul(raise_, raise_)),
+            -2: [_apply(lower, u) for u in lower],
+            2: [_apply(raise_, u, -1) for u in raise_],
         }
         rep = cls(lam, mats)
         rep.validate()
@@ -203,43 +183,31 @@ class IrrepData:
     @classmethod
     def standard(cls) -> "IrrepData":
         """C^{1|2}: basis v_0 (even), v_1, v_2 (odd)."""
-
-        def e(i, j, n=3):
-            m = mat_zero(n)
-            m[i][j] = _SR_ONE
-            return m
-
+        one, minus = _SR_ONE, Sqrt2(-1)
         mats = {
-            -2: e(1, 2),
-            -1: mat_add(e(0, 2), e(1, 0)),
-            0: mat_add(e(1, 1), mat_scale(Sqrt2(-1), e(2, 2))),
-            1: mat_add(e(0, 1), mat_scale(Sqrt2(-1), e(2, 0))),
-            2: e(2, 1),
+            -2: [{}, {}, {1: one}],
+            -1: [{1: one}, {}, {0: one}],
+            0: [{}, {1: one}, {2: minus}],
+            1: [{2: minus}, {0: one}, {}],
+            2: [{}, {2: one}, {}],
         }
         rep = cls(1, mats)
         rep.validate()
         return rep
 
     def validate(self):
-        """All nine supercommutator relations, as exact matrix identities.
-        The matrices are mostly zero, so each row of [a, b] minus its
-        bracket table value is summed over nonzero entries only."""
-        rows = {
-            root: [{j: x for j, x in enumerate(row) if x} for row in m]
-            for root, m in self.matrices.items()
-        }
+        """All nine supercommutator relations, checked on each basis vector:
+        a (b u) -+ b (a u) minus the bracket table's [a, b] u vanishes."""
+        m = self.matrices
         for j in _OSP_ROOTS:
             for k in _OSP_ROOTS:
                 ba_sign = 1 if (abs(j) == 1 and abs(k) == 1) else -1
-                for i in range(self.dimension):
-                    acc: dict = {}
-                    for c, x, y in ((1, j, k), (ba_sign, k, j)):
-                        for l, v in rows[x][i].items():
-                            for col, w in rows[y][l].items():
-                                acc[col] = acc.get(col, _SR_ZERO) + c * v * w
-                    for label, coeff in _base_bracket(j, k).items():
-                        for col, v in rows[label][i].items():
-                            acc[col] = acc.get(col, _SR_ZERO) - coeff * v
+                bracket = _base_bracket(j, k)
+                for u in range(self.dimension):
+                    acc = _apply(m[j], m[k][u])
+                    _apply(m[k], m[j][u], ba_sign, acc)
+                    for label, coeff in bracket.items():
+                        _apply(m[label], {u: _SR_ONE}, -coeff, acc)
                     if any(acc.values()):
                         raise AssertionError(f"bracket [{j}, {k}] fails for lambda={self.lam}")
 
@@ -286,19 +254,10 @@ def weight_window(low: Fraction, high: Fraction) -> list[Fraction]:
     return [low + k for k in range((high - low) // 1 + 1)]
 
 
-def coordinate_rows(vectors) -> tuple[list, list]:
-    """The basis tensors the vectors involve, in order of first appearance,
-    and each vector's coordinates on them."""
-    support: list[tuple[int, int]] = []
-    for v in vectors:
-        for key in v.terms:
-            if key not in support:
-                support.append(key)
-    return support, [[v.terms.get(key, _SR_ZERO) for key in support] for v in vectors]
-
-
 class ModuleVector(LinComb):
-    """Element of C[x] (x) V(lambda): coordinates on basis tensors x^k (x) v_i."""
+    """Element of C[x] (x) V(lambda): coordinates on basis tensors x^k (x) v_i,
+    keyed (k, i).  The elimination also keys it otherwise: raising images
+    tagged by generator, and coordinates on a basis by position."""
 
     __slots__ = ()
     coerce = staticmethod(lambda c: c if isinstance(c, Sqrt2) else Sqrt2(c))
@@ -360,15 +319,12 @@ class TensorModule:
         return ModuleVector(out)
 
     def _act_right(self, root: int, v: ModuleVector) -> ModuleVector:
-        mat = self.irrep.matrices[root]
+        images = self.irrep.matrices[root]
         odd = abs(root) == 1
         out: dict = {}
         for (k, i), c in v.terms.items():
             sign = -1 if (odd and k % 2) else 1
-            for i2 in range(self.irrep.dimension):
-                s = mat[i2][i]
-                if not s:
-                    continue
+            for i2, s in images[i].items():
                 key = (k, i2)
                 out[key] = out.get(key, _SR_ZERO) + c * s * Sqrt2(sign)
         return ModuleVector(out)
@@ -415,28 +371,17 @@ class TensorModule:
         return not self.act(X1, v) and not self.act(X2, v)
 
     def primitive_vectors(self, weights) -> list[ModuleVector]:
-        """Basis of the primitive subspace, weight by weight: the kernel of
-        the stacked raising actions, echeloned over Q(sqrt 2)."""
+        """Basis of the primitive subspace, weight by weight: the null
+        sources of one elimination over the basis tensors b, each paired
+        with its X(1) and X(2) images tagged by generator."""
         out: list[ModuleVector] = []
         for mu in weights:
-            basis = self.basis_of_weight(Fraction(mu))
-            if not basis:
-                continue
-            images = []
-            for k, i in basis:
-                images.append(self.act(X1, ModuleVector.basis(k, i)))
-                images.append(self.act(X2, ModuleVector.basis(k, i)))
-            targets, coords = coordinate_rows(images)
-            if not targets:  # every raising image already vanishes
-                out.extend(ModuleVector.basis(k, i) for k, i in basis)
-                continue
-            rows = [coords[j] + coords[j + 1] for j in range(0, len(coords), 2)]
-            # kernel of the transpose: combinations of basis vectors killed
-            cols = [[rows[j][c] for j in range(len(rows))] for c in range(len(rows[0]))]
-            for vec in kernel_basis(cols, len(basis)):
-                out.append(
-                    ModuleVector({basis[j]: vec[j] for j in range(len(basis))})
-                )
+            pairs = []
+            for k, i in self.basis_of_weight(Fraction(mu)):
+                b = ModuleVector.basis(k, i)
+                image = {(g, key): c for g in (X1, X2) for key, c in self.act(g, b)}
+                pairs.append((ModuleVector(image), b))
+            out.extend(eliminate(pairs)[1])
         return out
 
     def apply_projector(self, v: ModuleVector) -> ModuleVector:
@@ -469,19 +414,16 @@ class TensorModule:
 
     def rho_matrix(self, z: ZElement, basis: list[ModuleVector]):
         """Matrix of the z-action on the span of `basis` (columns act on
-        basis vectors; entries over Q(sqrt 2))."""
-        support, rows = coordinate_rows(basis)
-        n = len(basis)
-        out = mat_zero(n)
+        basis vectors; entries over Q(sqrt 2)): each image reduced against
+        the pivots of the basis, NotPrimitive if a remainder is left."""
+        pivots, _ = eliminate((b, ModuleVector({j: _SR_ONE})) for j, b in enumerate(basis))
+        out = mat_zero(len(basis))
         for j, b in enumerate(basis):
-            image = self.act_z(z, b)
-            target = [image.terms.get(key, _SR_ZERO) for key in support]
-            extra = [key for key in image.terms if key not in support]
-            coeffs = None if extra else solve_in_span(rows, target)
-            if coeffs is None:
+            rest, source = reduce_vector(self.act_z(z, b), ModuleVector(), pivots)
+            if rest:
                 raise NotPrimitive("image left the primitive span")
-            for i in range(n):
-                out[i][j] = coeffs[i]
+            for i, c in source.terms.items():
+                out[i][j] = -c
         return out
 
 

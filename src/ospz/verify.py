@@ -407,10 +407,6 @@ _EXPECTED_CORNERS = {
 }
 
 
-def _span_dim_vectors(vectors) -> int:
-    return repmod.span_dim(repmod.coordinate_rows(vectors)[1])
-
-
 def verify_rep(trunc: int = 6) -> dict:
     checks = []
     module = repmod.TensorModule.standard(trunc=trunc)
@@ -426,7 +422,7 @@ def verify_rep(trunc: int = 6) -> dict:
     checks.append(
         _check(
             "window {-1/2, 1/2}: primitive space is exactly span{w1, w2}",
-            len(prims) == 2 and _span_dim_vectors(prims + expected) == 2,
+            len(prims) == 2 and repmod.span_dim(prims + expected) == 2,
             basis=[repr(v) for v in prims],
         )
     )
@@ -442,7 +438,7 @@ def verify_rep(trunc: int = 6) -> dict:
     checks.append(
         _check(
             "full primitive space is 3-dimensional: span{w1, w2, w3}",
-            len(full) == 3 and _span_dim_vectors(full + [w1, w2, w3]) == 3,
+            len(full) == 3 and repmod.span_dim(full + [w1, w2, w3]) == 3,
             basis=[repr(v) for v in full],
             note=(
                 "one more primitive vector than the published span{w1, w2}: "

@@ -326,9 +326,7 @@ def test_criterion_11_weight_window_example():
     )
 
     prims = module.primitive_vectors([Fraction(-1, 2), Fraction(1, 2)])
-    window_ok = len(prims) == 2 and repmod.span_dim(
-        _rows(prims + [w1, w2])
-    ) == 2
+    window_ok = len(prims) == 2 and repmod.span_dim(prims + [w1, w2]) == 2
 
     basis = [w1, w2, w3]
     eigen = [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
@@ -487,11 +485,6 @@ def _nonzero(m):
         for j, x in enumerate(row)
         if x != Sqrt2(0)
     }
-
-
-def _rows(vectors):
-    support = sorted({key for v in vectors for key in v.terms})
-    return [[v.terms.get(key, Sqrt2(0)) for key in support] for v in vectors]
 
 
 def test_criterion_12_property_suites():

@@ -133,9 +133,26 @@ class TestCommands:
         assert "E(-1) <> E(1)" in out
 
     def test_rep_primitives(self, capsys):
-        code, out, _ = run(capsys, "rep", "primitives", "--lam", "1", "--trunc", "6")
-        assert code == 0
-        assert "3 primitive vector(s)" in out
+        # the full output is pinned: each vector is normalised as the kernel
+        # vector of reduced row echelon form, with coefficient 1 at its free
+        # tensor x^0 (x) v_j
+        pinned = {
+            "1": "ModuleVector((1) x^0*v0)\n"
+            "ModuleVector((1) x^0*v1 + (sqrt2) x^1*v0)\n"
+            "ModuleVector((1) x^0*v2 + (-sqrt2) x^1*v1 + (1) x^2*v0)\n"
+            "3 primitive vector(s) in weight window [-1/2, 11/2]\n",
+            "2": "ModuleVector((1) x^0*v0)\n"
+            "ModuleVector((1) x^0*v1 + (2*sqrt2) x^1*v0)\n"
+            "ModuleVector((1) x^0*v2 + (-sqrt2) x^1*v1 + (2) x^2*v0)\n"
+            "ModuleVector((1) x^0*v3 + (sqrt2) x^1*v2 + (1) x^2*v1 + (2/3*sqrt2) x^3*v0)\n"
+            "ModuleVector((1) x^0*v4 + (-2*sqrt2) x^1*v3 + (2) x^2*v2"
+            " + (-2/3*sqrt2) x^3*v1 + (2/3) x^4*v0)\n"
+            "5 primitive vector(s) in weight window [-3/2, 9/2]\n",
+        }
+        for lam, expected in pinned.items():
+            code, out, _ = run(capsys, "rep", "primitives", "--lam", lam, "--trunc", "6")
+            assert code == 0
+            assert out == expected, lam
 
     def test_rep_primitives_large_irrep_is_fast(self, capsys):
         for lam, trunc, count in (("10", "10", 11), ("10", "40", 21), ("100", "0", 1)):

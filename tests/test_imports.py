@@ -1,11 +1,14 @@
-"""Dead-import guard: every name a module of the package, the tests or the
-scripts imports is used in it.
+"""Dead-code guards: every name a module of the package, the tests or the
+scripts imports is used in it, and every function or class one of them
+defines at module level is referenced somewhere.
 
-No linter ships with the toolchain, so this check uses only `ast`.
-The package's `__init__.py` is exempt: its imports are its public names.
+No linter ships with the toolchain, so these checks use only `ast`.
+The package's `__init__.py` is exempt from the first: its imports are its
+public names.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -59,3 +62,60 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Where a definition may be referenced: the perf bench wraps package
+# functions by name, so its modules count too.
+REFERENCING = [p for d in ("src", "tests", "scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names, attributes, imported names, argument names (pytest fixtures)
+    and identifiers inside string constants (names looked up by string)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= set(re.findall(r"\w+", node.value))
+    return names
+
+
+def dead_definitions(defining: dict[str, str], referencing: list[str]) -> list[str]:
+    """`file: name` for each module-level function or class of the sources
+    `defining` (file name -> source) that no source in `referencing` names;
+    tests (`test_*`, `Test*`) and `main` are exempt."""
+    used = set().union(*map(referenced_names, referencing))
+    return [
+        f"{name}: {node.name}"
+        for name, source in defining.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith(("test_", "Test"))
+        and node.name != "main"
+        and node.name not in used
+    ]
+
+
+def test_guard_sees_a_dead_definition():
+    source = (
+        "def used():\n    pass\n\ndef dead():\n    return used()\n\n"
+        "class TestSuite:\n    pass\n\ndef main():\n    used()\n"
+    )
+    assert dead_definitions({"a.py": source}, [source]) == ["a.py: dead"]
+    assert dead_definitions({"a.py": source}, [source, "getattr(m, 'dead')"]) == []
+
+
+def test_no_dead_definitions():
+    defining = {
+        str(p.relative_to(ROOT)): p.read_text()
+        for d in ("src/ospz", "tests", "scripts")
+        for p in sorted((ROOT / d).glob("*.py"))
+    }
+    assert dead_definitions(defining, [p.read_text() for p in REFERENCING]) == []

@@ -1,6 +1,7 @@
 """Tests for the polynomial-tensor-standard module and the induced
 matrix representation of the reduction algebra."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from ospz.rep import (
     TensorModule,
     TruncationOverflow,
     check_rep_relations,
+    eliminate,
     irreducibility_witness,
     span_dim,
     weight_window,
@@ -120,12 +122,7 @@ class TestTensorModule:
     def test_primitive_window(self, module):
         prims = module.primitive_vectors([Fraction(-1, 2), Fraction(1, 2)])
         assert len(prims) == 2
-        support = [(0, 2), (0, 0), (1, 2)]
-        rows = [
-            [v.terms.get(key, Sqrt2(0)) for key in support]
-            for v in prims + [w1(), w2()]
-        ]
-        assert span_dim(rows) == 2
+        assert span_dim(prims + [w1(), w2()]) == 2
 
     def test_full_primitive_space_is_three_dimensional(self, module):
         weights = [Fraction(2 * n - 1, 2) for n in range(0, 5)]
@@ -145,6 +142,42 @@ class TestTensorModule:
     def test_act_z_requires_primitive(self, module):
         with pytest.raises(NotPrimitive):
             module.act_z(ZElement.gen(Z1), ModuleVector.basis(1, 1))
+
+    def test_rho_matrix_rejects_a_span_the_action_leaves(self, module):
+        # E(-1) w2 = -6 w3 lies outside span{w1, w2}
+        assert module.act_z(ZElement.gen(ZN1), w2()) == w3().scale(Sqrt2(-6))
+        with pytest.raises(NotPrimitive, match="left the primitive span"):
+            module.rho_matrix(ZElement.gen(ZN1), [w1(), w2()])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_elimination_on_random_sparse_vectors(seed):
+    # five keys, eight inputs, some of them combinations of earlier ones;
+    # input j has the source e_j
+    rng = random.Random(seed)
+    keys = [(0, i) for i in range(5)]
+
+    def scalar():
+        return Sqrt2(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+
+    inputs = []
+    for _ in range(8):
+        if inputs and rng.random() < 0.3:
+            v = sum((u.scale(scalar()) for u in rng.sample(inputs, min(2, len(inputs)))), ModuleVector())
+        else:
+            v = ModuleVector({key: scalar() for key in rng.sample(keys, rng.randint(0, 3))})
+        inputs.append(v)
+    pivots, null = eliminate((v, ModuleVector({j: Sqrt2(1)})) for j, v in enumerate(inputs))
+    assert len(pivots) + len(null) == len(inputs) and null
+    for source in null:
+        image = sum((inputs[j].scale(c) for j, c in source.terms.items()), ModuleVector())
+        assert not image
+    # a null source's own input is the last one it involves
+    own = [max(source.terms) for source in null]
+    assert len(set(own)) == len(own)
+    for source, j in zip(null, own):
+        assert source.terms[j] == Sqrt2(1)
+        assert not any(source.terms.get(other) for other in own if other != j)
 
 
 class TestRho:

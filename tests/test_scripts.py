@@ -1,5 +1,7 @@
-"""Tests for the scripts in `scripts/`, each run as its own process."""
+"""Tests for the scripts in `scripts/`, each run as its own process, except
+where a test patches the package and runs a script's `main` in-process."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from ospz import zalgebra
+from ospz.text import render_z
 from ospz.verify import SUITES, run_suite
+from ospz.zalgebra import ZElement, ZMonomial
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,6 +42,30 @@ def test_oracle_sweep_at_unit_exponents():
     proc = run_script("oracle_sweep.py", "--max-exp", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("1024 pairs, 0 mismatches")
+
+
+def test_oracle_sweep_prints_the_first_differences(monkeypatch, capsys):
+    # a product off by 1 on every pair with one left factor: 32 mismatches,
+    # and the first five each followed by the rendered difference
+    spec = importlib.util.spec_from_file_location("oracle_sweep", ROOT / "scripts" / "oracle_sweep.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    left = ZElement.monomial(ZMonomial.make(q=1, r=1))
+    real = zalgebra.z_multiply
+
+    def wrong_on_one_row(u, v):
+        return real(u, v) + ZElement.one() if u == left else real(u, v)
+
+    monkeypatch.setattr(zalgebra, "z_multiply", wrong_on_one_row)
+    monkeypatch.setattr(sys, "argv", ["oracle_sweep.py", "--max-exp", "1"])
+    assert script.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    mismatches = [i for i, line in enumerate(lines) if line.startswith("MISMATCH")]
+    assert len(mismatches) == 32
+    assert all(lines[i].startswith(f"MISMATCH {render_z(left)} * ") for i in mismatches)
+    diffs = [i for i, line in enumerate(lines) if line.startswith("  z_multiply - z_oracle_multiply = ")]
+    assert diffs == [i + 1 for i in mismatches[:5]]
+    assert all(lines[i].endswith(" = 1") for i in diffs)
 
 
 def test_oracle_sweep_bench_out_records_the_run(tmp_path):
