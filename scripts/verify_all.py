@@ -10,7 +10,7 @@ import json
 import os
 import time
 
-from ospz.cli import int_at_least
+from ospz.cli import MAX_N, int_at_least
 from ospz.rep import TruncationOverflow, WindowNotClosed
 from ospz.verify import SUITES, run_suite
 
@@ -19,7 +19,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-exp", type=int_at_least(1), default=1,
                     help="exponent bound for the presentation sweep")
-    ap.add_argument("--trunc", type=int_at_least(0), default=6,
+    ap.add_argument("--trunc", type=int_at_least(0, MAX_N), default=6,
                     help="polynomial truncation for the module suite")
     ap.add_argument("--json-dir", help="write per-suite JSON reports here")
     args = ap.parse_args()

@@ -3,8 +3,8 @@
 The package provides:
 
 - ``coeffs``: the coefficient field Q(H) and the quadratic extension Q(sqrt 2);
-- ``engine``: the shared sparse-sum type, bilinear product and rewriting
-  engine;
+- ``engine``: the shared PBW monomial type (an exponent tuple in both
+  algebras), sparse-sum type, bilinear product and rewriting engine;
 - ``uea``: PBW normal ordering in the localized enveloping algebra of
   osp(1|2) x osp(1|2) with its diagonal / anti-diagonal generators;
 - ``projector``: the extremal projector coefficients and the diamond product;

@@ -19,7 +19,8 @@ from . import rep as repmod
 from . import verify as verifymod
 
 
-# Largest --n of `phi-table` and `verify projector` (their work grows fast in n).
+# Largest --n of `phi-table` and `verify projector`, and largest --lam and
+# --trunc of the module computations (their work grows fast in each).
 MAX_N = 64
 
 
@@ -194,11 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rep", help="module computations")
     rep_sub = p.add_subparsers(dest="rep_command", required=True)
     q = rep_sub.add_parser("primitives", help="basis of the primitive subspace")
-    q.add_argument("--lam", "--lambda", dest="lam", type=int_at_least(0), default=1)
-    q.add_argument("--trunc", type=int_at_least(0), default=6)
+    q.add_argument("--lam", "--lambda", dest="lam", type=int_at_least(0, MAX_N), default=1)
+    q.add_argument("--trunc", type=int_at_least(0, MAX_N), default=6)
     q.set_defaults(func=cmd_rep_primitives)
     q = rep_sub.add_parser("rho", help="matrices of the reduction-algebra action")
-    q.add_argument("--trunc", type=int_at_least(0), default=6)
+    q.add_argument("--trunc", type=int_at_least(0, MAX_N), default=6)
     add_format(q)
     q.set_defaults(func=cmd_rep_rho)
 
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=verifymod.SUITES)
     p.add_argument("--n", type=int_at_least(0, MAX_N), default=10)
     p.add_argument("--max-exp", type=int_at_least(1), default=1)
-    p.add_argument("--trunc", type=int_at_least(0), default=6)
+    p.add_argument("--trunc", type=int_at_least(0, MAX_N), default=6)
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_verify)
 

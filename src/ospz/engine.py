@@ -1,5 +1,10 @@
-"""Machinery shared by the algebras: immutable sparse sums, their bilinear
-product, and the one rewriting engine that normal-orders words in U and Z.
+"""Machinery shared by the algebras: PBW monomials, immutable sparse sums,
+their bilinear product, and the one rewriting engine that normal-orders
+words in U and Z.
+
+A PBW monomial is its exponent tuple in both algebras: one exponent per
+letter of the alphabet, in the alphabet's order, so the monomial is the
+ordered word that repeats each letter that many times.
 
 The engine is a reduction system in the sense of Bergman's diamond lemma
 (Adv. Math. 1978).  It rewrites letters (ints) only: the shift rule
@@ -15,6 +20,38 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence
 
 from .coeffs import RF_ONE, RF_ZERO, as_rf
+
+
+class Monomial(tuple):
+    """Exponents of the letters of one alphabet, in its order.
+
+    Subclasses set `ROOTS` (the root of each letter) and `ODD` (whether it
+    is odd).
+    """
+
+    __slots__ = ()
+    ROOTS: tuple[int, ...]
+    ODD: tuple[bool, ...]
+
+    @classmethod
+    def from_letters(cls, letters: Sequence[int]):
+        """The monomial of an ordered word."""
+        exps = [0] * len(cls.ROOTS)
+        for g in letters:
+            exps[g] += 1
+        return tuple.__new__(cls, exps)
+
+    def letters(self) -> list[int]:
+        return [g for g, e in enumerate(self) for _ in range(e)]
+
+    def degree(self) -> int:
+        return sum(self)
+
+    def root_sum(self) -> int:
+        return sum(k * e for k, e in zip(self.ROOTS, self))
+
+    def parity(self) -> int:
+        return sum(e for e, odd in zip(self, self.ODD) if odd) & 1
 
 
 class LinComb:
@@ -72,6 +109,35 @@ class LinComb:
         return self.scale(f)
 
 
+class PBWElement(LinComb):
+    """Finite sum of PBW monomials of the class `MONOMIAL`, each with a left
+    RationalFunction coefficient."""
+
+    __slots__ = ()
+    MONOMIAL: type[Monomial]
+
+    @classmethod
+    def one(cls):
+        return cls.coeff(RF_ONE)
+
+    @classmethod
+    def gen(cls, g: int):
+        return cls({cls.MONOMIAL.from_letters([g]): RF_ONE})
+
+    @classmethod
+    def coeff(cls, f):
+        return cls({cls.MONOMIAL.from_letters([]): as_rf(f)})
+
+    @classmethod
+    def monomial(cls, mono, c=RF_ONE):
+        return cls({mono: as_rf(c)})
+
+    def __repr__(self):
+        from .text import render
+
+        return f"{type(self).__name__}({render(self)})"
+
+
 def add_scaled(out: dict, c, terms) -> None:
     """out += c * terms, for (monomial, coefficient) pairs `terms`."""
     if c.is_one():
@@ -82,8 +148,8 @@ def add_scaled(out: dict, c, terms) -> None:
             out[m] = out.get(m, RF_ZERO) + c * f
 
 
-def bilinear(u, v, root_sum: Callable, mono_product: Callable) -> dict:
-    """Sum over the terms of u and v of cu * cv(H + root_sum(mu)) times
+def bilinear(u, v, mono_product: Callable) -> dict:
+    """Sum over the terms of u and v of cu * cv(H + mu.root_sum()) times
     mono_product(mu, mv), an iterable of (monomial, coefficient) pairs.
 
     Coefficients sit left of their monomials, so the right coefficient
@@ -91,7 +157,7 @@ def bilinear(u, v, root_sum: Callable, mono_product: Callable) -> dict:
     """
     out: dict = {}
     for mu, cu in u:
-        su = root_sum(mu)
+        su = mu.root_sum()
         for mv, cv in v:
             c = cu * cv.shift(su)
             if c:
@@ -127,23 +193,22 @@ def rewrite(
     items: Sequence,
     coeff,
     chooser: Callable[[list[int], list[int]], int] | None,
-    odd: Sequence[bool],
-    roots: Sequence[int],
+    monomial: type[Monomial],
     rules: dict,
-    pack: Callable[[list[int]], object],
 ) -> dict:
     """Normal-order a raw word; returns {monomial: coefficient}.
 
-    `items` holds letters (ints indexing `odd` and `roots`) and coefficient
-    values (anything `as_rf` accepts); each coefficient is absorbed into the
-    scalar as it is read.  `rules[(a, b)]` lists the terms (sign, coefficient
-    or None, letters) that replace a violating pair a b; a term's coefficient
-    is absorbed likewise, shifted by the root sum of the letters before the
-    pair.  `pack` turns the letters of an ordered word into its monomial.
+    `items` holds letters (ints indexing the alphabet of the Monomial
+    subclass `monomial`) and coefficient values (anything `as_rf` accepts);
+    each coefficient is absorbed into the scalar as it is read.
+    `rules[(a, b)]` lists the terms (sign, coefficient or None, letters)
+    that replace a violating pair a b; a term's coefficient is absorbed
+    likewise, shifted by the root sum of the letters before the pair.
     `chooser(violations, word)` picks which violation to rewrite next; the
     default takes the leftmost without listing the others.  Any strategy
     yields the same element (confluence; property-tested).
     """
+    odd, roots = monomial.ODD, monomial.ROOTS
     c, word, r = as_rf(coeff), [], 0
     for it in items:
         if isinstance(it, int):
@@ -163,7 +228,7 @@ def rewrite(
             viols = list(_violations(w, odd))
             i = viols[chooser(viols, w)] if viols else -1
         if i < 0:
-            m = pack(w)
+            m = monomial.from_letters(w)
             out[m] = out.get(m, RF_ZERO) + c
             continue
         pre, post = w[:i], w[i + 2 :]

@@ -33,10 +33,9 @@ from .uea import (
     X1,
     XN1,
     UeaElement,
+    Word,
     mul,
     super_bracket,
-    word_degree,
-    word_root_sum,
 )
 
 _X_LOWER = UeaElement.gen(XN1)
@@ -93,7 +92,7 @@ def diamond(u: UeaElement, v: UeaElement) -> UeaElement:
     chains start from monomials, on which ad X(-1) and ad X(1) are locally
     nilpotent, so they always end.
     """
-    return UeaElement(bilinear(u, v, word_root_sum, _diamond_mono))
+    return UeaElement(bilinear(u, v, _diamond_mono))
 
 
 def _chain(word, length: int, shorter, bracket) -> tuple[UeaElement, ...]:
@@ -127,7 +126,7 @@ def _raise_chain(mv, length: int) -> tuple[UeaElement, ...]:
 def _diamond_mono(mu, mv) -> UeaElement:
     # Each chain vanishes within 4 * degree + 2 steps (the root sum of its
     # terms moves by one per step), so the series stops by the smaller bound.
-    bound = 4 * min(word_degree(mu), word_degree(mv)) + 2
+    bound = 4 * min(mu.degree(), mv.degree()) + 2
     total = UeaElement.zero()
     for n in count():
         lefts, rights = _lower_chain(mu, n + 1), _raise_chain(mv, n + 1)
@@ -145,7 +144,7 @@ def projected_generator(g: int) -> UeaElement:
     X(-1) powers on the left of the surviving tilde letters."""
     if g not in TILDE_GENS:
         raise ValueError("projected generators are defined for tilde generators only")
-    chain = _raise_chain(((g, 1),), 8)
+    chain = _raise_chain(Word.from_letters([g]), 8)
     if len(chain) > 7:
         raise RuntimeError("projected generator series failed to terminate")
     # X(1)^n g = [X(1), .]^n(g) modulo U g_+, which X(-1)^n keeps.

@@ -29,9 +29,8 @@ from .uea import (
     X2,
     XN1,
     _base_bracket,
-    word_letters,
 )
-from .zalgebra import RULE_KEYS, Z_ROOTS, Z_TOKENS, ZElement, ZMonomial, derived_rule
+from .zalgebra import RULE_KEYS, Z_ROOTS, Z_TOKENS, ZElement, derived_rule
 
 _SR_ZERO = Sqrt2(0)
 _SR_ONE = Sqrt2(1)
@@ -350,15 +349,15 @@ class TensorModule:
     def act_uea(self, u: UeaElement, v: ModuleVector) -> ModuleVector:
         """Action of a normal-ordered element: letters right to left, the
         left coefficient last."""
-        return self._act_sum(u, word_letters, self.act, v)
+        return self._act_sum(u, self.act, v)
 
-    def _act_sum(self, element, letters, act_letter, v: ModuleVector) -> ModuleVector:
-        """Action of a sum of words with left coefficients, where
+    def _act_sum(self, element, act_letter, v: ModuleVector) -> ModuleVector:
+        """Action of a sum of monomials with left coefficients, where
         act_letter(g, w) is the action of one letter."""
         total = ModuleVector()
         for mono, coeff in element:
             w = v
-            for g in reversed(letters(mono)):
+            for g in reversed(mono.letters()):
                 w = act_letter(g, w)
                 if not w:
                     break
@@ -410,7 +409,7 @@ class TensorModule:
         def act_letter(g, w):
             return self.act_uea(projected_generator(TILDE_GENS[g]), w)
 
-        return self._act_sum(z, ZMonomial.letters, act_letter, v)
+        return self._act_sum(z, act_letter, v)
 
     def rho_matrix(self, z: ZElement, basis: list[ModuleVector]):
         """Matrix of the z-action on the span of `basis` (columns act on

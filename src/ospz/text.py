@@ -404,10 +404,20 @@ def _json_payload(terms, word_fn) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def _render(e, fmt: str, factors, sep: str, latex_sep: str, latex_names: dict) -> str:
-    """Render a sum in either algebra.  `factors(m)` lists the (token,
-    exponent) pairs of monomial m; `sep` and `latex_sep` join them."""
-    order = sorted(e.terms, key=lambda m: (sum(ex for _, ex in factors(m)), m))
+def _pairs(m) -> list[tuple[int, int]]:
+    """The (letter, exponent) pairs of monomial m with a nonzero exponent."""
+    return [(g, ex) for g, ex in enumerate(m) if ex]
+
+
+def _render(e, fmt: str, tokens, sep: str, latex_sep: str, latex_names: dict, rank) -> str:
+    """Render a sum in either algebra.  `tokens` names the letters of the
+    alphabet and `sep` and `latex_sep` join the factors of a monomial.
+    Terms print by degree, then by `rank(m)` within one degree."""
+
+    def factors(m):
+        return [(tokens[g], ex) for g, ex in _pairs(m)]
+
+    order = sorted(e.terms, key=lambda m: (m.degree(), rank(m)))
     if fmt == "json":
         return _json_payload(
             [(m, e.terms[m]) for m in order],
@@ -436,18 +446,17 @@ def _render(e, fmt: str, factors, sep: str, latex_sep: str, latex_names: dict) -
     return _join_terms(items, _coeff_text, " * ")
 
 
-def render_uea(e: UeaElement, fmt: str = "text") -> str:
-    def factors(word):
-        return [(GENERATORS[g].token, ex) for g, ex in word]
+_U_TOKENS = tuple(g.token for g in GENERATORS)
 
-    return _render(e, fmt, factors, " ", " ", _U_LATEX)
+
+def render_uea(e: UeaElement, fmt: str = "text") -> str:
+    # U terms of one degree print in the order of their (letter, exponent) pairs.
+    return _render(e, fmt, _U_TOKENS, " ", " ", _U_LATEX, _pairs)
 
 
 def render_z(z: ZElement, fmt: str = "text") -> str:
-    def factors(mono):
-        return [(Z_TOKENS[g], ex) for g, ex in enumerate(mono) if ex]
-
-    return _render(z, fmt, factors, " <> ", r" \mathbin{\diamond} ", _Z_LATEX)
+    # Z terms of one degree print in the order of their exponent tuples.
+    return _render(z, fmt, Z_TOKENS, " <> ", r" \mathbin{\diamond} ", _Z_LATEX, tuple)
 
 
 def render(e, fmt: str = "text") -> str:

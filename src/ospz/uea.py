@@ -9,9 +9,10 @@ th the anti-diagonal Cartan element.  The diagonal Cartan H is absorbed
 into the coefficient ring: coefficients are rational functions f(H) kept
 on the left of each monomial, and cross generators via H -> H + k.
 
-Elements are dicts  {monomial: RationalFunction}  with monomials stored as
-ascending ((generator, exponent), ...) tuples; odd generators (|k| = 1)
-appear with exponent at most 1, squares rewrite through the half-bracket.
+Elements are dicts  {monomial: RationalFunction}  with each monomial a
+`Word`, the tuple of the nine generators' exponents in the order above;
+odd generators (|k| = 1) appear with exponent at most 1, squares rewrite
+through the half-bracket.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from typing import Callable, Sequence
 
 from .coeffs import RF_ONE, RF_ZERO, Polynomial, RationalFunction, as_rf
-from .engine import LinComb, bilinear, fold_letters, rewrite
-
-Word = tuple  # ((gen, exp), ...) ascending
+from .engine import Monomial, PBWElement, bilinear, fold_letters, rewrite
 
 
 class MixedParityError(ValueError):
@@ -65,8 +63,13 @@ XN2, XN1, TN2, TN1, TH, T1, T2, X1, X2 = range(9)
 
 TILDE_GENS = (TN2, TN1, TH, T1, T2)
 
-_ROOT = tuple(g.root for g in GENERATORS)
-_ODD = tuple(g.odd for g in GENERATORS)
+
+class Word(Monomial):
+    """A PBW monomial of U: the exponents of the nine generators."""
+
+    __slots__ = ()
+    ROOTS = tuple(g.root for g in GENERATORS)
+    ODD = tuple(g.odd for g in GENERATORS)
 
 
 def _base_bracket(j: int, k: int) -> dict[int, int]:
@@ -93,29 +96,12 @@ def _base_bracket(j: int, k: int) -> dict[int, int]:
     return table.get((j, k), {})
 
 
-class UeaElement(LinComb):
+class UeaElement(PBWElement):
     """Finite sum of PBW-ordered monomials with left RationalFunction coefficients."""
 
     __slots__ = ()
+    MONOMIAL = Word
 
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def one(cls) -> "UeaElement":
-        return _ONE
-
-    @classmethod
-    def gen(cls, g: int) -> "UeaElement":
-        return cls({((g, 1),): RF_ONE})
-
-    @classmethod
-    def coeff(cls, f) -> "UeaElement":
-        return cls({(): as_rf(f)})
-
-    @classmethod
-    def monomial(cls, word: Word, c=RF_ONE) -> "UeaElement":
-        return cls({word: as_rf(c)})
-
-    # -- structure ----------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, UeaElement):
             return mul(self, other)
@@ -123,7 +109,7 @@ class UeaElement(LinComb):
 
     def parity(self) -> int:
         """0 or 1 for homogeneous elements; raises MixedParityError otherwise."""
-        ps = {word_parity(m) for m in self.terms} or {0}
+        ps = {m.parity() for m in self.terms} or {0}
         if len(ps) > 1:
             raise MixedParityError("element mixes even and odd monomials")
         return ps.pop()
@@ -135,33 +121,6 @@ class UeaElement(LinComb):
 
     def is_pure_tilde(self) -> bool:
         return not any(_in_left(m) or _in_right(m) for m in self.terms)
-
-    def __repr__(self):
-        from .text import render_uea
-
-        return f"UeaElement({render_uea(self)})"
-
-
-_ONE = UeaElement({(): RF_ONE})
-
-
-def word_degree(m: Word) -> int:
-    return sum(e for _, e in m)
-
-
-def word_parity(m: Word) -> int:
-    return sum(e for g, e in m if _ODD[g]) & 1
-
-
-def word_root_sum(m: Word) -> int:
-    return sum(_ROOT[g] * e for g, e in m)
-
-
-def word_letters(m: Word) -> list[int]:
-    out = []
-    for g, e in m:
-        out.extend([g] * e)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -182,9 +141,9 @@ def commutator_table(a: int, b: int) -> UeaElement:
     for label, coeff in base.items():
         if label == 0:
             if result_diag:
-                terms[()] = terms.get((), RF_ZERO) + coeff * as_rf(Polynomial.var())
+                word, c = Word.from_letters([]), coeff * as_rf(Polynomial.var())
             else:
-                terms[((TH, 1),)] = terms.get(((TH, 1),), RF_ZERO) + as_rf(coeff)
+                word, c = Word.from_letters([TH]), as_rf(coeff)
         else:
             if result_diag:
                 g = next(g.index for g in GENERATORS if g.diagonal and g.root == label)
@@ -192,7 +151,8 @@ def commutator_table(a: int, b: int) -> UeaElement:
                 g = next(
                     g.index for g in GENERATORS if not g.diagonal and g.root == label
                 )
-            terms[((g, 1),)] = terms.get(((g, 1),), RF_ZERO) + as_rf(coeff)
+            word, c = Word.from_letters([g]), as_rf(coeff)
+        terms[word] = terms.get(word, RF_ZERO) + c
     return UeaElement(terms)
 
 
@@ -203,20 +163,16 @@ def commutator_table(a: int, b: int) -> UeaElement:
 def _pair_rule(a: int, b: int) -> tuple:
     """Terms replacing the letter pair a b: the swapped pair with its sign,
     then the bracket terms; an odd letter twice is half its bracket."""
-    bracket = [(1, f, word_letters(m)) for m, f in commutator_table(a, b)]
+    bracket = [(1, f, m.letters()) for m, f in commutator_table(a, b)]
     if a == b:
         half = Fraction(1, 2)
         return tuple((1, half * f, letters) for _, f, letters in bracket)
-    return ((-1 if _ODD[a] and _ODD[b] else 1, None, [b, a]), *bracket)
+    return ((-1 if Word.ODD[a] and Word.ODD[b] else 1, None, [b, a]), *bracket)
 
 
 _PAIR_RULES = {
-    (a, b): _pair_rule(a, b) for a in range(9) for b in range(a + 1) if a > b or _ODD[a]
+    (a, b): _pair_rule(a, b) for a in range(9) for b in range(a + 1) if a > b or Word.ODD[a]
 }
-
-
-def _pack(letters: list[int]) -> Word:
-    return tuple((g, len(list(run))) for g, run in groupby(letters))
 
 
 def straighten(
@@ -234,7 +190,7 @@ def straighten(
     uses.  Any strategy yields the same canonical element (confluence;
     property-tested).
     """
-    return UeaElement(rewrite(items, coeff, chooser, _ODD, _ROOT, _PAIR_RULES, _pack))
+    return UeaElement(rewrite(items, coeff, chooser, Word, _PAIR_RULES))
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +202,11 @@ def straighten(
 
 
 def _in_left(m: Word) -> bool:
-    return bool(m) and m[0][0] <= XN1
+    return bool(m[XN2] or m[XN1])
 
 
 def _in_right(m: Word) -> bool:
-    return bool(m) and m[-1][0] >= X1
+    return bool(m[X1] or m[X2])
 
 
 # quotient -> (drop g_-U monomials, drop U g_+ monomials)
@@ -273,7 +229,7 @@ def _not_left(m: Word) -> bool:
 
 @lru_cache(maxsize=None)
 def _word_times_gen(word: Word, g: int) -> UeaElement:
-    return straighten(word_letters(word) + [g])
+    return straighten(word.letters() + [g])
 
 
 @lru_cache(maxsize=None)
@@ -281,7 +237,7 @@ def _word_times_word(mu: Word, mv: Word, quotient) -> UeaElement:
     # g_-U * U lies in g_-U, so its terms can go after every letter; a term
     # ending in X(1) or X(2) mid-fold is not in U g_+ until no letter follows it.
     left, right = _SIDES[quotient]
-    terms = fold_letters(mu, word_letters(mv), _word_times_gen, _not_left if left else None)
+    terms = fold_letters(mu, mv.letters(), _word_times_gen, _not_left if left else None)
     return UeaElement(_reduce(terms, "right") if right else terms)
 
 
@@ -298,9 +254,7 @@ def mul(u: UeaElement, v: UeaElement, quotient=None) -> UeaElement:
         u = [(m, c) for m, c in u if not _in_left(m)]
     if right:
         v = [(m, c) for m, c in v if not _in_right(m)]
-    return UeaElement(
-        bilinear(u, v, word_root_sum, lambda mu, mv: _word_times_word(mu, mv, quotient))
-    )
+    return UeaElement(bilinear(u, v, lambda mu, mv: _word_times_word(mu, mv, quotient)))
 
 
 def super_bracket(u: UeaElement, v: UeaElement, quotient=None) -> UeaElement:
@@ -334,7 +288,7 @@ def theta(u: UeaElement) -> UeaElement:
     for m, c in u:
         sign = 1
         rev: list = []
-        for g in reversed(word_letters(m)):
+        for g in reversed(m.letters()):
             img, s = _THETA_IMAGE[g]
             sign *= s
             rev.append(img)
@@ -345,20 +299,12 @@ def theta(u: UeaElement) -> UeaElement:
 
 def tilde_word(exponents: Sequence[int]) -> Word:
     """Monomial t(-2)^p t(-1)^q th^r t(1)^s t(2)^t from (p, q, r, s, t)."""
-    p, q, r, s, t = exponents
-    if q > 1 or s > 1:
-        raise ValueError("odd exponents must be at most 1")
-    word = []
-    for g, e in zip(TILDE_GENS, (p, q, r, s, t)):
-        if e:
-            word.append((g, e))
-    return tuple(word)
+    from .zalgebra import ZMonomial  # zalgebra imports this module
+
+    return Word((0, 0, *ZMonomial.make(*exponents), 0, 0))
 
 
 def tilde_exponents(m: Word) -> tuple[int, int, int, int, int]:
-    exps = [0, 0, 0, 0, 0]
-    for g, e in m:
-        if g not in TILDE_GENS:
-            raise ValueError("not a pure tilde monomial")
-        exps[TILDE_GENS.index(g)] = e
-    return tuple(exps)
+    if _in_left(m) or _in_right(m):
+        raise ValueError("not a pure tilde monomial")
+    return m[TN2:X1]

@@ -344,7 +344,7 @@ def verify_pbw() -> dict:
     for mono in monos:
         z = ZElement.monomial(mono)
         expansion = z_to_tilde(z)
-        lead_word = tilde_word(tuple(mono))
+        lead_word = tilde_word(mono)
         lead = expansion.terms.get(lead_word, None)
         if lead != RF_ONE:
             bad_lead.append(render_z(z))
@@ -379,7 +379,7 @@ def verify_pbw() -> dict:
     # Reverse round trip on pure tilde monomials of bounded degree.
     bad_rev = []
     for mono in monos:
-        word = tilde_word(tuple(mono))
+        word = tilde_word(mono)
         u = UeaElement({word: RF_ONE})
         if z_to_tilde(tilde_to_z(u)) != u:
             bad_rev.append(render_uea(u))

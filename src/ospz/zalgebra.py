@@ -5,10 +5,12 @@ the Cartan element; E(k) carries root k), PBW monomials
 
     E(-2)^p E(-1)^q E(0)^r E(1)^s E(2)^t,      q, s <= 1,
 
-with left rational-function coefficients in H.  A product folds the right
-factor into the left one generator at a time, with one of two step tables:
-the twelve two-generator rewrite rules, or the diamond-product oracle
-(expand to the tilde basis, multiply there by the generator, convert back).
+each held as its exponent tuple (p, q, r, s, t), the format of a monomial
+of U too, with left rational-function coefficients in H.  A product folds
+the right factor into the left one generator at a time, with one of two
+step tables: the twelve two-generator rewrite rules, or the diamond-product
+oracle (expand to the tilde basis, multiply there by the generator, convert
+back).
 The two products are required to agree.
 
 Each rule exists in two forms: `STATED_RULES` holds the published
@@ -24,98 +26,56 @@ letter pairs only.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .coeffs import H, RF_ONE, RF_ZERO, RationalFunction, as_rf
-from .engine import LinComb, add_scaled, bilinear, fold_letters, rewrite
+from .engine import Monomial, PBWElement, add_scaled, bilinear, fold_letters, rewrite
 from .projector import diamond
 from .uea import TILDE_GENS, UeaElement, theta, tilde_exponents
 
 Z_TOKENS = ("E(-2)", "E(-1)", "E(0)", "E(1)", "E(2)")
 Z_ROOTS = (-2, -1, 0, 1, 2)
-Z_ODD = (False, True, False, True, False)
 ZN2, ZN1, ZH, Z1, Z2 = range(5)
 
 TOKEN_TO_ZGEN = {tok: i for i, tok in enumerate(Z_TOKENS)}
 
 
-class ZMonomial(NamedTuple):
-    """Exponents of E(-2), E(-1), E(0), E(1), E(2), in that order."""
+class ZMonomial(Monomial):
+    """Exponents (p, q, r, s, t) of E(-2), E(-1), E(0), E(1), E(2)."""
 
-    p: int = 0
-    q: int = 0
-    r: int = 0
-    s: int = 0
-    t: int = 0
+    __slots__ = ()
+    ROOTS = Z_ROOTS
+    ODD = (False, True, False, True, False)
+
+    def __new__(cls, p=0, q=0, r=0, s=0, t=0):
+        return tuple.__new__(cls, (p, q, r, s, t))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which takes five exponents
+        return tuple(self)
 
     @classmethod
     def make(cls, p=0, q=0, r=0, s=0, t=0) -> "ZMonomial":
-        m = cls(p, q, r, s, t)
-        if any(e < 0 for e in m):
+        if min(p, q, r, s, t) < 0:
             raise ValueError("negative exponent")
-        if m.q > 1 or m.s > 1:
+        if q > 1 or s > 1:
             raise ValueError("odd exponents must be at most 1")
-        return m
-
-    @classmethod
-    def from_letters(cls, letters: Sequence[int]) -> "ZMonomial":
-        exps = [0] * 5
-        for g in letters:
-            exps[g] += 1
-        return cls.make(*exps)
-
-    def letters(self) -> list[int]:
-        out: list[int] = []
-        for g, e in enumerate(self):
-            out.extend([g] * e)
-        return out
-
-    def degree(self) -> int:
-        return sum(self)
-
-    def root_sum(self) -> int:
-        return sum(k * e for k, e in zip(Z_ROOTS, self))
+        return cls(p, q, r, s, t)
 
     def spread(self) -> int:
         return sum(abs(k) * e for k, e in zip(Z_ROOTS, self))
 
 
-ZM_ONE = ZMonomial()
-
-
-class ZElement(LinComb):
+class ZElement(PBWElement):
     """Finite sum of PBW monomials with left RationalFunction coefficients."""
 
     __slots__ = ()
-
-    @classmethod
-    def one(cls) -> "ZElement":
-        return _Z_ONE
-
-    @classmethod
-    def gen(cls, g: int) -> "ZElement":
-        return cls({ZMonomial.from_letters([g]): RF_ONE})
-
-    @classmethod
-    def coeff(cls, f) -> "ZElement":
-        return cls({ZM_ONE: as_rf(f)})
-
-    @classmethod
-    def monomial(cls, mono: ZMonomial, c=RF_ONE) -> "ZElement":
-        return cls({mono: as_rf(c)})
+    MONOMIAL = ZMonomial
 
     def __mul__(self, other):
         if isinstance(other, ZElement):
             return z_multiply(self, other)
         return NotImplemented
-
-    def __repr__(self):
-        from .text import render_z
-
-        return f"ZElement({render_z(self)})"
-
-
-_Z_ONE = ZElement({ZM_ONE: RF_ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +194,7 @@ def z_straighten(
     any choice of which out-of-order letter pair to rewrite first yields the
     same element."""
     rules = _z_pair_rules()
-    return ZElement(
-        rewrite(items, coeff, chooser, Z_ODD, Z_ROOTS, rules, ZMonomial.from_letters)
-    )
+    return ZElement(rewrite(items, coeff, chooser, ZMonomial, rules))
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +209,7 @@ def _fold_product(u: ZElement, v: ZElement, step: Callable) -> ZElement:
     def times(mu, mv):
         return fold_letters(mu, mv.letters(), step).items()
 
-    return ZElement(bilinear(u, v, ZMonomial.root_sum, times))
+    return ZElement(bilinear(u, v, times))
 
 
 def z_multiply(u: ZElement, v: ZElement) -> ZElement:

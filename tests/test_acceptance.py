@@ -44,8 +44,6 @@ from ospz.uea import (
     straighten,
     super_bracket,
     theta,
-    word_parity,
-    word_root_sum,
 )
 from ospz.zalgebra import (
     RULE_KEYS,
@@ -522,8 +520,8 @@ def test_criterion_12_property_suites():
         weight = sum(GENERATORS[g].root for g in word)
         par = sum(1 for g in word if GENERATORS[g].odd) % 2
         for m in straighten(word).terms:
-            conserved = conserved and word_root_sum(m) == weight
-            conserved = conserved and word_parity(m) == par
+            conserved = conserved and m.root_sum() == weight
+            conserved = conserved and m.parity() == par
 
     ok = confluence and assoc and jacobi and conserved
     _line(

@@ -49,6 +49,10 @@ class TestExitCodes:
             ["verify", "projector", "--n", "-1"],
             ["phi-table", "--n", "65"],
             ["verify", "projector", "--n", "65"],
+            ["rep", "primitives", "--lam", "65"],
+            ["rep", "primitives", "--trunc", "65"],
+            ["rep", "rho", "--trunc", "65"],
+            ["verify", "rep", "--trunc", "65"],
         ],
     )
     def test_bad_option_value_is_usage_error(self, capsys, argv):
@@ -155,7 +159,7 @@ class TestCommands:
             assert out == expected, lam
 
     def test_rep_primitives_large_irrep_is_fast(self, capsys):
-        for lam, trunc, count in (("10", "10", 11), ("10", "40", 21), ("100", "0", 1)):
+        for lam, trunc, count in (("10", "10", 11), ("10", "40", 21), ("64", "0", 1)):
             t0 = time.perf_counter()
             code, out, _ = run(capsys, "rep", "primitives", "--lam", lam, "--trunc", trunc)
             elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """Dead-code guards: every name a module of the package, the tests or the
 scripts imports is used in it, and every function or class one of them
-defines at module level is referenced somewhere.
+defines at module level, and every method of such a class, is referenced
+somewhere.
 
 No linter ships with the toolchain, so these checks use only `ast`.
 The package's `__init__.py` is exempt from the first: its imports are its
@@ -87,29 +88,45 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
+_DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name) of each module-level function or class, and of
+    each method of such a class other than a dunder."""
+    for node in tree.body:
+        if isinstance(node, _DEFINITION):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _DEFINITION) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def dead_definitions(defining: dict[str, str], referencing: list[str]) -> list[str]:
-    """`file: name` for each module-level function or class of the sources
-    `defining` (file name -> source) that no source in `referencing` names;
-    tests (`test_*`, `Test*`) and `main` are exempt."""
+    """`file: name` for each definition of the sources `defining` (file name
+    -> source) that no source in `referencing` names; tests (`test_*`,
+    `Test*`, with their methods) and `main` are exempt."""
     used = set().union(*map(referenced_names, referencing))
     return [
-        f"{name}: {node.name}"
+        f"{name}: {qualified}"
         for name, source in defining.items()
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith(("test_", "Test"))
-        and node.name != "main"
-        and node.name not in used
+        for qualified, short in _definitions(ast.parse(source))
+        if not qualified.startswith(("test_", "Test"))
+        and short != "main"
+        and short not in used
     ]
 
 
 def test_guard_sees_a_dead_definition():
     source = (
         "def used():\n    pass\n\ndef dead():\n    return used()\n\n"
-        "class TestSuite:\n    pass\n\ndef main():\n    used()\n"
+        "class TestSuite:\n    def helper(self):\n        pass\n\ndef main():\n    used()\n\n"
+        "class Box:\n    def __init__(self):\n        self.open()\n\n"
+        "    def open(self):\n        pass\n\n    def shut(self):\n        pass\n\nBox()\n"
     )
-    assert dead_definitions({"a.py": source}, [source]) == ["a.py: dead"]
-    assert dead_definitions({"a.py": source}, [source, "getattr(m, 'dead')"]) == []
+    assert dead_definitions({"a.py": source}, [source]) == ["a.py: dead", "a.py: Box.shut"]
+    assert dead_definitions({"a.py": source}, [source, "getattr(m, 'dead')", "b.shut()"]) == []
 
 
 def test_no_dead_definitions():

@@ -25,7 +25,6 @@ from ospz.uea import (
     straighten,
     super_bracket,
     tilde_word,
-    word_root_sum,
 )
 from ospz import verify
 from ospz.projector import (
@@ -137,7 +136,7 @@ def _exact_diamond_mono(mu, mv):
 def exact_diamond(u, v):
     """Reference: the diamond formula in U itself -- exact bracket chains,
     full products, and only then the reduction modulo II."""
-    return UeaElement(bilinear(u, v, word_root_sum, _exact_diamond_mono))
+    return UeaElement(bilinear(u, v, _exact_diamond_mono))
 
 
 # The 19 tilde monomials of degree at most 2.
@@ -185,7 +184,7 @@ def test_quotient_mul_drops_exactly_the_ideal(us, vs):
     u, v = (sum((straighten(items, c) for c, items in terms), UeaElement.zero()) for terms in (us, vs))
     full = mul(u, v)
     for q, letters in _IDEAL_LETTERS.items():
-        kept = {m: c for m, c in full.terms.items() if not any(g in letters for g, _ in m)}
+        kept = {m: c for m, c in full.terms.items() if not any(m[g] for g in letters)}
         assert mul(u, v, q) == UeaElement(kept), q
 
 

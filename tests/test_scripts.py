@@ -38,6 +38,14 @@ def test_verify_all_writes_the_run_suite_reports(tmp_path):
         assert (tmp_path / f"{suite}.json").read_text() == expected, suite
 
 
+@pytest.mark.parametrize("suite", SUITES)
+def test_report_matches_its_golden_file(suite):
+    # tests/golden/ holds `verify_all.py --json-dir` output; a change to any
+    # report byte must rewrite that file on purpose
+    expected = (ROOT / "tests" / "golden" / f"{suite}.json").read_text()
+    assert json.dumps(run_suite(suite), indent=2, sort_keys=True) + "\n" == expected
+
+
 def test_oracle_sweep_at_unit_exponents():
     proc = run_script("oracle_sweep.py", "--max-exp", "1")
     assert proc.returncode == 0, proc.stderr
@@ -96,6 +104,7 @@ def test_oracle_sweep_writes_no_file_without_bench_out(tmp_path):
         ["verify_all.py", "--max-exp", "0"],
         ["verify_all.py", "--trunc", "-1"],
         ["verify_all.py", "--trunc", "3"],
+        ["verify_all.py", "--trunc", "65"],
     ],
 )
 def test_bad_option_value_is_usage_error(argv):

@@ -17,7 +17,7 @@ from ospz.text import (
     render_z,
 )
 from ospz.uea import TILDE_GENS, UeaElement, straighten
-from ospz.zalgebra import ZElement, ZMonomial, all_monomials, z_multiply
+from ospz.zalgebra import Z2, ZN2, ZElement, ZMonomial, all_monomials, derived_rule, z_multiply
 
 
 class TestParsing:
@@ -91,6 +91,76 @@ class TestRendering:
         a = render_z(ZElement(dict(terms)))
         b = render_z(ZElement(dict(reversed(list(terms.items())))))
         assert a == b
+
+
+def _json(terms) -> str:
+    """The JSON rendering of (numerator, denominator, word) terms, a word
+    written as in "X(-2) th^2 t(2)"."""
+
+    def word(w):
+        return [[tok, int(e or 1)] for tok, _, e in (f.partition("^") for f in w.split())]
+
+    data = {"terms": [{"coeff": {"num": n, "den": d}, "word": word(w)} for n, d, w in terms]}
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+class TestTermOrder:
+    """Terms print by degree, then U terms in the order of their
+    (generator, exponent) pairs and Z terms in that of their exponent
+    tuples, in every format."""
+
+    def test_u_element(self):
+        e = parse_element("X(1) t(-1) th X(-2) t(2) + 3 t(2) t(-2) X(-1)", "u")
+        assert render(e) == (
+            "-(3*H) * X(-1) + 2 * X(-2) t(2) - 3 * t(-2) t(1) + 3 * X(-1) t(-2) t(2)"
+            " + 2 * t(-2) th t(2) - X(-2) t(-1) t(1) t(2) + X(-2) th^2 t(2)"
+            " + X(-1) t(-1) th t(2) - 2 * t(-2) t(-1) t(2) X(1) - X(-2) t(-1) th t(2) X(1)"
+        )
+        assert render(e, "latex") == (
+            r"-\left(3 H\right) \, X_{-\alpha} + 2 \, X_{-2\alpha} \tilde{x}_{2\alpha}"
+            r" - 3 \, \tilde{x}_{-2\alpha} \tilde{x}_{\alpha}"
+            r" + 3 \, X_{-\alpha} \tilde{x}_{-2\alpha} \tilde{x}_{2\alpha}"
+            r" + 2 \, \tilde{x}_{-2\alpha} \tilde{h} \tilde{x}_{2\alpha}"
+            r" - X_{-2\alpha} \tilde{x}_{-\alpha} \tilde{x}_{\alpha} \tilde{x}_{2\alpha}"
+            r" + X_{-2\alpha} \tilde{h}^{2} \tilde{x}_{2\alpha}"
+            r" + X_{-\alpha} \tilde{x}_{-\alpha} \tilde{h} \tilde{x}_{2\alpha}"
+            r" - 2 \, \tilde{x}_{-2\alpha} \tilde{x}_{-\alpha} \tilde{x}_{2\alpha} X_{\alpha}"
+            r" - X_{-2\alpha} \tilde{x}_{-\alpha} \tilde{h} \tilde{x}_{2\alpha} X_{\alpha}"
+        )
+        assert render(e, "json") == _json(
+            [
+                ("-3*H", "1", "X(-1)"),
+                ("2", "1", "X(-2) t(2)"),
+                ("-3", "1", "t(-2) t(1)"),
+                ("3", "1", "X(-1) t(-2) t(2)"),
+                ("2", "1", "t(-2) th t(2)"),
+                ("-1", "1", "X(-2) t(-1) t(1) t(2)"),
+                ("1", "1", "X(-2) th^2 t(2)"),
+                ("1", "1", "X(-1) t(-1) th t(2)"),
+                ("-2", "1", "t(-2) t(-1) t(2) X(1)"),
+                ("-1", "1", "X(-2) t(-1) th t(2) X(1)"),
+            ]
+        )
+
+    def test_z_element(self):
+        z = derived_rule(Z2, ZN2)
+        assert render(z) == (
+            "-((H^2)/(H + 1)) + (1/(H + 1)) * E(0)^2 - ((H^2 - H - 1)/(H^3 - H)) * E(-1) <> E(1)"
+            " + ((H^2 - H)/(H^2 - H - 2)) * E(-2) <> E(2)"
+        )
+        assert render(z, "latex") == (
+            r"-\frac{H^2}{H + 1} + \frac{1}{H + 1} \, \bar{h}^{2}"
+            r" - \frac{H^2 - H - 1}{H^3 - H} \, \bar{x}_{-\alpha} \mathbin{\diamond} \bar{x}_{\alpha}"
+            r" + \frac{H^2 - H}{H^2 - H - 2} \, \bar{x}_{-2\alpha} \mathbin{\diamond} \bar{x}_{2\alpha}"
+        )
+        assert render(z, "json") == _json(
+            [
+                ("-H^2", "H + 1", ""),
+                ("1", "H + 1", "E(0)^2"),
+                ("-H^2 + H + 1", "H^3 - H", "E(-1) E(1)"),
+                ("H^2 - H", "H^2 - H - 2", "E(-2) E(2)"),
+            ]
+        )
 
 
 class TestRoundTrip:

@@ -27,8 +27,6 @@ from ospz.uea import (
     straighten,
     super_bracket,
     theta,
-    word_parity,
-    word_root_sum,
 )
 
 ALL_GENS = (XN2, XN1, TN2, TN1, TH, T1, T2, X1, X2)
@@ -179,7 +177,7 @@ class TestStraightening:
             word = random_word(rng, rng.randint(2, 5))
             total = sum(GENERATORS[g].root for g in word)
             for m in straighten(word).terms:
-                assert word_root_sum(m) == total, word
+                assert m.root_sum() == total, word
 
     def test_parity_conservation(self):
         rng = random.Random(13)
@@ -187,7 +185,7 @@ class TestStraightening:
             word = random_word(rng, rng.randint(2, 5))
             total = sum(1 for g in word if GENERATORS[g].odd) % 2
             for m in straighten(word).terms:
-                assert word_parity(m) == total, word
+                assert m.parity() == total, word
 
     def test_shift_rule(self):
         f = RationalFunction(1, H - 1)
@@ -200,9 +198,9 @@ class TestStraightening:
         for g in (XN1, TN1, T1, X1):
             result = straighten([g, g])
             for m in result.terms:
-                for letter, exp in m:
+                for letter, exp in enumerate(m):
                     if GENERATORS[letter].odd:
-                        assert exp == 1
+                        assert exp <= 1
 
 
 class TestTheta:

@@ -1,7 +1,9 @@
 """Tests for the reduction algebra: the rewriting system, the diamond
 oracle, the relation catalog, and the triangular change of basis."""
 
+import copy
 import itertools
+import pickle
 import random
 
 from ospz.coeffs import H, RF_ONE, RationalFunction
@@ -252,3 +254,9 @@ class TestTheta:
         assert z_theta(zgen(ZH)) == zgen(ZH)
         assert z_theta(zgen(Z2)) == -zgen(ZN2)
         assert z_theta(zgen(ZN2)) == -zgen(Z2)
+
+
+def test_monomials_survive_copy_and_pickle():
+    for m in (ZMonomial(1, 0, 2, 1, 0), tilde_word((1, 0, 2, 1, 0))):
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and type(twin) is type(m)
