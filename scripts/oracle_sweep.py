@@ -10,10 +10,19 @@ pair is an end-to-end consistency proof of the rule catalog at that degree.
 Each disagreeing pair prints a MISMATCH line; the first five are followed by
 the rendered difference z_multiply - z_oracle_multiply.
 
+With --steps it compares the two step tables instead of the products: each
+(monomial, generator) step that the rule fold of those pairs reaches, once
+(zalgebra.step_sweep).  Agreement on every step implies agreement on every
+pair.  Each disagreeing step prints a MISMATCH line; the first five are
+followed by the rendered difference of the rule step and the oracle step.
+
+--progress N prints, every N left factors, the rows done, the elapsed time and
+an estimate of the seconds left.
+
 With --bench-out PATH it also writes one JSON record of the run: pairs,
-mismatches, wall seconds, peak RSS, the machine (Python version, CPU count,
-load average), the git commit, and the cache_info() of every cache in the
-uea, projector and zalgebra modules.
+mismatches (and with --steps, steps), wall seconds, peak RSS, the machine
+(Python version, CPU count, load average), the git commit, and the
+cache_info() of every cache in the uea, projector and zalgebra modules.
 """
 
 import argparse
@@ -27,7 +36,7 @@ import time
 from ospz import projector, uea, zalgebra
 from ospz.cli import int_at_least
 from ospz.text import render_z
-from ospz.zalgebra import ZElement, all_monomials, oracle_sweep
+from ospz.zalgebra import Z_TOKENS, ZElement, all_monomials, oracle_sweep
 
 
 def main() -> int:
@@ -38,30 +47,53 @@ def main() -> int:
                     help="print a progress line every N left factors")
     ap.add_argument("--bench-out", metavar="PATH", default=None,
                     help="write a JSON record of the run to PATH")
+    ap.add_argument("--steps", action="store_true",
+                    help="compare the two step tables instead of the products")
     args = ap.parse_args()
 
     monos = all_monomials(args.max_exp)
     total = len(monos) ** 2
     print(f"{len(monos)} basis monomials, {total} ordered pairs")
+    steps = 0
+
+    def step_rows():
+        # zalgebra.step_sweep row by row, counting the steps compared
+        nonlocal steps
+        for mu, reached in zalgebra.reached_steps(args.max_exp):
+            steps += len(reached)
+            yield mu, [(m, g) for m, g in reached if zalgebra._z_mono_times_gen(m, g) != zalgebra._oracle_fold(m, g)]
+
     t0 = time.perf_counter()
+    sweep = step_rows() if args.steps else oracle_sweep(args.max_exp)
     bad = []
-    for i, (mu, row) in enumerate(oracle_sweep(args.max_exp), 1):
-        bad += [(mu, mv) for mv in row]
+    for i, (mu, row) in enumerate(sweep, 1):
+        bad += [(mu, x) for x in row]
         if args.progress and i % args.progress == 0:
-            print(f"  {i}/{len(monos)} rows, {time.perf_counter() - t0:.1f} s")
+            elapsed = time.perf_counter() - t0
+            eta = elapsed * (len(monos) - i) / i
+            print(f"  {i}/{len(monos)} rows, {elapsed:.1f} s, ETA {eta:.1f} s")
     elapsed = time.perf_counter() - t0
-    for n, (mu, mv) in enumerate(bad):
-        left, right = ZElement.monomial(mu), ZElement.monomial(mv)
+    for n, (mu, x) in enumerate(bad):
+        if args.steps:
+            mono, g = x
+            print(f"MISMATCH {render_z(ZElement.monomial(mono))} * {Z_TOKENS[g]}")
+            if n < 5:
+                diff = zalgebra._z_mono_times_gen(mono, g) - zalgebra._oracle_fold(mono, g)
+                print(f"  _z_mono_times_gen - _oracle_fold = {render_z(diff)}")
+            continue
+        left, right = ZElement.monomial(mu), ZElement.monomial(x)
         print(f"MISMATCH {render_z(left)} * {render_z(right)}")
         if n < 5:
             diff = zalgebra.z_multiply(left, right) - zalgebra.z_oracle_multiply(left, right)
             print(f"  z_multiply - z_oracle_multiply = {render_z(diff)}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"{total} pairs, {len(bad)} mismatches, {elapsed:.1f} s, peak RSS {peak_mb:.0f} MB")
+    covering = f"{steps} steps covering " if args.steps else ""
+    print(f"{covering}{total} pairs, {len(bad)} mismatches, {elapsed:.1f} s, peak RSS {peak_mb:.0f} MB")
     if args.bench_out:
         record = {
             "max_exp": args.max_exp,
             "pairs": total,
+            **({"steps": steps} if args.steps else {}),
             "mismatches": len(bad),
             "wall_s": round(elapsed, 3),
             "peak_rss_mb": round(peak_mb, 1),

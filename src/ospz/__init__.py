@@ -9,7 +9,8 @@ The package provides:
   osp(1|2) x osp(1|2) with its diagonal / anti-diagonal generators;
 - ``projector``: the extremal projector coefficients and the diamond product;
 - ``zalgebra``: the reduction algebra — ordered monomials, the rewriting
-  system, the oracle multiplication, and the stated and derived rules;
+  system, the oracle multiplication, the stated and derived rules, and the
+  oracle sweeps (pairwise, and step by step);
 - ``rep``: the polynomial-tensor-standard module and the induced matrix
   representation;
 - ``text``: parsing and rendering (text / LaTeX / JSON);
@@ -44,6 +45,7 @@ from .zalgebra import (
     catalog,
     derived_rule,
     oracle_sweep,
+    step_sweep,
     tilde_to_z,
     z_multiply,
     z_oracle_multiply,

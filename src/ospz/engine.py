@@ -17,6 +17,7 @@ by the alphabet's pair-rule table.
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Iterator, Sequence
 
 from .coeffs import RF_ONE, RF_ZERO, as_rf
@@ -181,7 +182,7 @@ def fold_letters(
     return acc
 
 
-def _violations(w: list[int], odd: Sequence[bool]) -> Iterator[int]:
+def _violations(w: Sequence[int], odd: Sequence[bool]) -> Iterator[int]:
     """Positions i of the out-of-order pairs w[i] w[i+1], left to right."""
     for i in range(len(w) - 1):
         a, b = w[i], w[i + 1]
@@ -192,7 +193,7 @@ def _violations(w: list[int], odd: Sequence[bool]) -> Iterator[int]:
 def rewrite(
     items: Sequence,
     coeff,
-    chooser: Callable[[list[int], list[int]], int] | None,
+    chooser: Callable[[list[int], tuple[int, ...]], int] | None,
     monomial: type[Monomial],
     rules: dict,
 ) -> dict:
@@ -201,12 +202,19 @@ def rewrite(
     `items` holds letters (ints indexing the alphabet of the Monomial
     subclass `monomial`) and coefficient values (anything `as_rf` accepts);
     each coefficient is absorbed into the scalar as it is read.
-    `rules[(a, b)]` lists the terms (sign, coefficient or None, letters)
+    `rules[(a, b)]` lists the terms (sign, coefficient or None, letter tuple)
     that replace a violating pair a b; a term's coefficient is absorbed
     likewise, shifted by the root sum of the letters before the pair.
     `chooser(violations, word)` picks which violation to rewrite next; the
     default takes the leftmost without listing the others.  Any strategy
     yields the same element (confluence; property-tested).
+
+    Pending words are merged, {word: coefficient}, and the deglex-largest
+    (length, then letters) is rewritten first.  Every rule replaces a pair
+    by deglex-smaller words, so a word rewritten once never comes back, and
+    a word reached along many rewrite paths is rewritten once, not once
+    per path.  Were some rule to break that order, a word would only be
+    rewritten again; the sum would stay the same.
     """
     odd, roots = monomial.ODD, monomial.ROOTS
     c, word, r = as_rf(coeff), [], 0
@@ -218,10 +226,24 @@ def rewrite(
             r += roots[it]
         else:
             c = c * as_rf(it).shift(r)
-    agenda = [(c, word)] if c else []
+    pending: dict = {}
+    heap: list = []
+
+    def push(t, w):
+        if w in pending:
+            pending[w] = pending[w] + t
+        else:
+            pending[w] = t
+            heapq.heappush(heap, (-len(w), tuple(-g for g in w), w))
+
+    if c:
+        push(c, tuple(word))
     out: dict = {}
-    while agenda:
-        c, w = agenda.pop()
+    while heap:
+        w = heapq.heappop(heap)[2]
+        c = pending.pop(w)
+        if not c:
+            continue
         if chooser is None:
             i = next(_violations(w, odd), -1)
         else:
@@ -235,5 +257,5 @@ def rewrite(
         r = sum(roots[g] for g in pre)
         for sign, f, letters in rules[(w[i], w[i + 1])]:
             t = c if f is None else c * f.shift(r)
-            agenda.append((t if sign > 0 else -t, pre + letters + post))
+            push(t if sign > 0 else -t, pre + letters + post)
     return out

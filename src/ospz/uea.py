@@ -163,11 +163,11 @@ def commutator_table(a: int, b: int) -> UeaElement:
 def _pair_rule(a: int, b: int) -> tuple:
     """Terms replacing the letter pair a b: the swapped pair with its sign,
     then the bracket terms; an odd letter twice is half its bracket."""
-    bracket = [(1, f, m.letters()) for m, f in commutator_table(a, b)]
+    bracket = [(1, f, tuple(m.letters())) for m, f in commutator_table(a, b)]
     if a == b:
         half = Fraction(1, 2)
         return tuple((1, half * f, letters) for _, f, letters in bracket)
-    return ((-1 if Word.ODD[a] and Word.ODD[b] else 1, None, [b, a]), *bracket)
+    return ((-1 if Word.ODD[a] and Word.ODD[b] else 1, None, (b, a)), *bracket)
 
 
 _PAIR_RULES = {
@@ -178,7 +178,7 @@ _PAIR_RULES = {
 def straighten(
     items: Sequence,
     coeff=RF_ONE,
-    chooser: Callable[[list[int], list], int] | None = None,
+    chooser: Callable[[list[int], tuple[int, ...]], int] | None = None,
 ) -> UeaElement:
     """Normal-order a raw word.
 

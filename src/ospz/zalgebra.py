@@ -11,7 +11,11 @@ the right factor into the left one generator at a time, with one of two
 step tables: the twelve two-generator rewrite rules, or the diamond-product
 oracle (expand to the tilde basis, multiply there by the generator, convert
 back).
-The two products are required to agree.
+The two products are required to agree.  Since they share the fold, they
+agree on a set of pairs whenever the two step tables agree on every
+(monomial, generator) step the fold of those pairs reaches; `step_sweep`
+checks that, each step once, and `oracle_sweep` compares the products pair
+by pair.
 
 Each rule exists in two forms: `STATED_RULES` holds the published
 closed-form coefficients, `derived_rule` regenerates the coefficients from
@@ -179,7 +183,7 @@ def catalog() -> list[dict]:
 def _z_pair_rules() -> dict:
     """The derived rules as a pair-rule table for the engine."""
     return {
-        key: tuple((1, f, m.letters()) for m, f in derived_rule(*key))
+        key: tuple((1, f, tuple(m.letters())) for m, f in derived_rule(*key))
         for key in RULE_KEYS
     }
 
@@ -187,7 +191,7 @@ def _z_pair_rules() -> dict:
 def z_straighten(
     items: Sequence,
     coeff=RF_ONE,
-    chooser: Callable[[list[int], list], int] | None = None,
+    chooser: Callable[[list[int], tuple[int, ...]], int] | None = None,
 ) -> ZElement:
     """Normal-order a raw word of generator letters (ints 0..4) and
     coefficient values.  Same engine as the enveloping-algebra straightener;
@@ -299,6 +303,20 @@ def z_oracle_multiply(u: ZElement, v: ZElement) -> ZElement:
 
 @lru_cache(maxsize=None)
 def _oracle_fold(mono: ZMonomial, g: int) -> ZElement:
+    """The oracle's step: mono times E(g) through the tilde basis.
+
+    z_oracle_multiply folds with this table and z_multiply with
+    _z_mono_times_gen, so where the two tables agree on every step a fold
+    reaches, the two products agree (step_sweep).
+
+    When mono E(g) is already ordered (g after the last letter of mono, or
+    equal to it and even), its expansion _z_mono_tilde(mono E(g)) is by
+    definition this very diamond, so it is read from that cache rather than
+    built a second time.  tilde_to_z runs on every step either way, so its
+    triangularity checks cover every monomial a sweep reaches."""
+    last = max((i for i, e in enumerate(mono) if e), default=-1)
+    if g > last or (g == last and not ZMonomial.ODD[g]):
+        return tilde_to_z(_z_mono_tilde(ZMonomial.from_letters(mono.letters() + [g])))
     return tilde_to_z(diamond(_z_mono_tilde(mono), _tilde_gen(g)))
 
 
@@ -341,3 +359,53 @@ def oracle_sweep(max_exponent: int) -> Iterator[tuple[ZMonomial, list[ZMonomial]
             if z_multiply(u, v) != z_oracle_multiply(u, v):
                 bad.append(mv)
         yield mu, bad
+
+
+def reached_steps(max_exponent: int) -> Iterator[tuple[ZMonomial, list[tuple[ZMonomial, int]]]]:
+    """The steps (m, g) that the rule fold of the oracle sweep's pairs
+    reaches, each once.  Yields, for each left factor mu of
+    all_monomials(max_exponent) in that order, mu and the steps first
+    reached from it.
+
+    The supports of the folds are walked over the trie of right-factor
+    prefixes, one _z_mono_times_gen call per (monomial, letter), with no
+    coefficient arithmetic.  Ignoring cancellation can only enlarge a
+    support, so it can only add steps."""
+    monos = all_monomials(max_exponent)
+    trie: dict = {}
+    for mv in monos:
+        node = trie
+        for g in mv.letters():
+            node = node.setdefault(g, {})
+    seen: set = set()
+    for mu in monos:
+        new = []
+        stack = [(trie, {mu})]
+        while stack:
+            node, support = stack.pop()
+            for g, child in node.items():
+                nxt = set()
+                for m in support:
+                    if (m, g) not in seen:
+                        seen.add((m, g))
+                        new.append((m, g))
+                    nxt.update(_z_mono_times_gen(m, g).terms)
+                if child:
+                    stack.append((child, nxt))
+        yield mu, new
+
+
+def step_sweep(max_exponent: int) -> Iterator[tuple[ZMonomial, int]]:
+    """Compare the two step tables, _z_mono_times_gen and _oracle_fold, on
+    every step of reached_steps(max_exponent); yields each (m, g) where they
+    differ.
+
+    Both products are _fold_product with a step table, so where the tables
+    agree on every step the rule fold reaches, the two folds agree letter
+    by letter and z_multiply equals z_oracle_multiply on every pair of
+    oracle_sweep(max_exponent).  No yield is therefore a stronger statement
+    than an empty pairwise sweep, and each (m, g) is compared once."""
+    for _, steps in reached_steps(max_exponent):
+        for m, g in steps:
+            if _z_mono_times_gen(m, g) != _oracle_fold(m, g):
+                yield m, g

@@ -4,6 +4,7 @@ where a test patches the package and runs a script's `main` in-process."""
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,41 @@ def test_oracle_sweep_prints_the_first_differences(monkeypatch, capsys):
     diffs = [i for i, line in enumerate(lines) if line.startswith("  z_multiply - z_oracle_multiply = ")]
     assert diffs == [i + 1 for i in mismatches[:5]]
     assert all(lines[i].endswith(" = 1") for i in diffs)
+
+
+def test_oracle_sweep_progress_lines_carry_an_eta():
+    proc = run_script("oracle_sweep.py", "--max-exp", "1", "--progress", "8")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("  ")]
+    assert [line.split(",")[0].strip() for line in lines] == ["8/32 rows", "16/32 rows", "24/32 rows", "32/32 rows"]
+    assert all(re.search(r", ETA \d+\.\d s$", line) for line in lines)
+
+
+def test_step_sweep_covers_the_pairs_and_records_its_steps(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script("oracle_sweep.py", "--max-exp", "1", "--steps", "--bench-out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("594 steps covering 1024 pairs, 0 mismatches")
+    record = json.loads(out.read_text())
+    assert (record["steps"], record["pairs"], record["mismatches"]) == (594, 1024, 0)
+
+
+def test_step_sweep_prints_the_differing_step(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("oracle_sweep", ROOT / "scripts" / "oracle_sweep.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    m, g = ZMonomial.make(q=1, r=1), zalgebra.Z1
+    real = zalgebra._z_mono_times_gen
+
+    def wrong_on_one_step(mono, gen):
+        return real(mono, gen) + ZElement.one() if (mono, gen) == (m, g) else real(mono, gen)
+
+    monkeypatch.setattr(zalgebra, "_z_mono_times_gen", wrong_on_one_step)
+    monkeypatch.setattr(sys, "argv", ["oracle_sweep.py", "--max-exp", "1", "--steps"])
+    assert script.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == [f"MISMATCH {render_z(ZElement.monomial(m))} * E(1)", "  _z_mono_times_gen - _oracle_fold = 1"]
+    assert lines[-1].startswith("594 steps covering 1024 pairs, 1 mismatches")
 
 
 def test_oracle_sweep_bench_out_records_the_run(tmp_path):

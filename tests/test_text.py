@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,16 @@ class TestParsing:
     def test_simple_product(self):
         e = parse_element("t(1) t(1)", "u")
         assert e == straighten([TILDE_GENS[3], TILDE_GENS[3]])
+
+    def test_word_reached_along_many_rewrite_paths_parses_fast(self):
+        # the straightener rewrites each distinct pending word once; kept
+        # as a stack of paths, this input took minutes
+        t0 = time.perf_counter()
+        e = parse_element("E(2)^5 E(-2)^5", "z")
+        elapsed = time.perf_counter() - t0
+        left, right = ZElement.monomial(ZMonomial.make(t=5)), ZElement.monomial(ZMonomial.make(p=5))
+        assert e == z_multiply(left, right)
+        assert elapsed < 10.0
 
     def test_coefficient_term(self):
         e = parse_element("(1 - 2/(H-1)) t(1) t(2)", "u")

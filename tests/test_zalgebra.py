@@ -22,6 +22,7 @@ from ospz.zalgebra import (
     catalog,
     derived_rule,
     oracle_sweep,
+    step_sweep,
     tilde_to_z,
     z_multiply,
     z_oracle_multiply,
@@ -95,8 +96,7 @@ class TestMultiplication:
         assert not bad
 
     def test_oracle_sweep_reports_a_wrong_product(self, monkeypatch):
-        # the sweep must see a product that disagrees with the oracle, and
-        # the presentation report must count it
+        # the pairwise sweep must see a product that disagrees with the oracle
         import ospz.zalgebra as zalgebra
 
         mu, mv = ZMonomial.make(q=1, r=1), ZMonomial.make(s=1, t=1)
@@ -111,10 +111,64 @@ class TestMultiplication:
         monkeypatch.setattr(zalgebra, "z_multiply", wrong_on_one_pair)
         found = [(a, b) for a, row in oracle_sweep(1) for b in row]
         assert found == [(mu, mv)]
+
+    def test_step_sweep_compares_the_steps_of_the_pairwise_sweep(self):
+        # from cold caches, the step sweep computes exactly the oracle steps
+        # that the pairwise sweep does
+        import ospz.zalgebra as zalgebra
+
+        caches = (zalgebra._z_mono_times_gen, zalgebra._oracle_fold, zalgebra._z_mono_tilde)
+
+        def cold_oracle_steps(sweep_is_clean):
+            for cache in caches:
+                cache.cache_clear()
+            assert sweep_is_clean()
+            return zalgebra._oracle_fold.cache_info().currsize
+
+        try:
+            pairwise = cold_oracle_steps(lambda: not any(row for _, row in oracle_sweep(1)))
+            steps = cold_oracle_steps(lambda: not any(step_sweep(1)))
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert steps == pairwise == 594
+
+    def test_step_sweep_reports_a_wrong_step(self, monkeypatch):
+        # one wrong rule step: the step sweep names exactly it, and the
+        # presentation report counts one mismatch and fails
+        import ospz.zalgebra as zalgebra
+
+        m, g = ZMonomial.make(q=1, r=1), Z1
+        right = zalgebra._z_mono_times_gen
+
+        def wrong_on_one_step(mono, gen):
+            step = right(mono, gen)
+            return step + ZElement.one() if (mono, gen) == (m, g) else step
+
+        monkeypatch.setattr(zalgebra, "_z_mono_times_gen", wrong_on_one_step)
+        assert list(step_sweep(1)) == [(m, g)]
         report = run_suite("presentation")
         sweep = next(c for c in report["checks"] if c["name"].startswith("oracle sweep"))
         assert sweep["mismatches"] == 1
         assert not sweep["pass"] and not report["passed"]
+
+    def test_ordered_oracle_steps_equal_their_diamond(self):
+        # an ordered step reads its expansion from _z_mono_tilde; it must
+        # equal the diamond built directly
+        import ospz.zalgebra as zalgebra
+        from ospz.projector import diamond
+        from ospz.uea import TILDE_GENS
+
+        ordered = 0
+        for _, steps in zalgebra.reached_steps(1):
+            for m, g in steps:
+                last = m.letters()[-1:]
+                if last and (g < last[0] or (g == last[0] and ZMonomial.ODD[g])):
+                    continue
+                ordered += 1
+                direct = tilde_to_z(diamond(zalgebra._z_mono_tilde(m), UeaElement.gen(TILDE_GENS[g])))
+                assert zalgebra._oracle_fold(m, g) == direct, (m, g)
+        assert ordered == 298
 
     def test_oracle_reads_no_rewrite_rule(self, monkeypatch):
         # perturbing one derived coefficient changes z_multiply but must not
@@ -138,6 +192,7 @@ class TestMultiplication:
             assert z_oracle_multiply(u, v) == expected
             assert z_multiply(u, v) != expected
             assert any(row for _, row in oracle_sweep(1))
+            assert any(step_sweep(1))
         finally:
             for cache in caches:
                 cache.cache_clear()
