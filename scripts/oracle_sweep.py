@@ -1,28 +1,25 @@
 #!/usr/bin/env python3
-"""Compare the straightening product against the projector-oracle product on
+"""Check the straightening product against the projector-oracle product on
 every ordered pair of basis monomials up to an exponent bound.
 
 Both products fold the right factor into the left one generator at a time.
 The straightening product takes each step from the derived rewrite rules; the
 oracle expands the monomial into the double coset space, multiplies it by the
-generator with the projector series, and converts back.  Agreement on every
-pair is an end-to-end consistency proof of the rule catalog at that degree.
-Each disagreeing pair prints a MISMATCH line; the first five are followed by
-the rendered difference z_multiply - z_oracle_multiply.
-
-With --steps it compares the two step tables instead of the products: each
-(monomial, generator) step that the rule fold of those pairs reaches, once
-(zalgebra.step_sweep).  Agreement on every step implies agreement on every
-pair.  Each disagreeing step prints a MISMATCH line; the first five are
-followed by the rendered difference of the rule step and the oracle step.
+generator with the projector series, and converts back.  So the sweep compares
+the two step tables (zalgebra.step_sweep): each (monomial, generator) step
+that the rule fold of those pairs reaches, once.  Agreement on every step
+implies agreement on every pair, an end-to-end consistency proof of the rule
+catalog at that degree.  Each disagreeing step prints a MISMATCH line; the
+first five are followed by the rendered difference of the rule step and the
+oracle step.
 
 --progress N prints, every N left factors, the rows done, the elapsed time and
 an estimate of the seconds left.
 
-With --bench-out PATH it also writes one JSON record of the run: pairs,
-mismatches (and with --steps, steps), wall seconds, peak RSS, the machine
-(Python version, CPU count, load average), the git commit, and the
-cache_info() of every cache in the uea, projector and zalgebra modules.
+With --bench-out PATH it also writes one JSON record of the run: steps, pairs,
+mismatches, wall seconds, peak RSS, the machine (Python version, CPU count,
+load average), the git commit, and the cache_info() of every cache in the uea,
+projector and zalgebra modules.
 """
 
 import argparse
@@ -34,66 +31,46 @@ import subprocess
 import time
 
 from ospz import projector, uea, zalgebra
-from ospz.cli import int_at_least
+from ospz.cli import MAX_EXP, int_at_least
 from ospz.text import render_z
-from ospz.zalgebra import Z_TOKENS, ZElement, all_monomials, oracle_sweep
+from ospz.zalgebra import Z_TOKENS, ZElement, all_monomials
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-exp", type=int_at_least(1), default=1,
+    ap.add_argument("--max-exp", type=int_at_least(1, MAX_EXP), default=1,
                     help="bound on the even-generator exponents (odd ones cap at 1)")
     ap.add_argument("--progress", type=int_at_least(0), default=0,
                     help="print a progress line every N left factors")
     ap.add_argument("--bench-out", metavar="PATH", default=None,
                     help="write a JSON record of the run to PATH")
-    ap.add_argument("--steps", action="store_true",
-                    help="compare the two step tables instead of the products")
     args = ap.parse_args()
 
     monos = all_monomials(args.max_exp)
     total = len(monos) ** 2
     print(f"{len(monos)} basis monomials, {total} ordered pairs")
-    steps = 0
-
-    def step_rows():
-        # zalgebra.step_sweep row by row, counting the steps compared
-        nonlocal steps
-        for mu, reached in zalgebra.reached_steps(args.max_exp):
-            steps += len(reached)
-            yield mu, [(m, g) for m, g in reached if zalgebra._z_mono_times_gen(m, g) != zalgebra._oracle_fold(m, g)]
-
     t0 = time.perf_counter()
-    sweep = step_rows() if args.steps else oracle_sweep(args.max_exp)
-    bad = []
-    for i, (mu, row) in enumerate(sweep, 1):
-        bad += [(mu, x) for x in row]
+    steps, bad = 0, []
+    for i, (_, reached, row) in enumerate(zalgebra.step_sweep(args.max_exp), 1):
+        steps += len(reached)
+        bad += row
         if args.progress and i % args.progress == 0:
             elapsed = time.perf_counter() - t0
             eta = elapsed * (len(monos) - i) / i
             print(f"  {i}/{len(monos)} rows, {elapsed:.1f} s, ETA {eta:.1f} s")
     elapsed = time.perf_counter() - t0
-    for n, (mu, x) in enumerate(bad):
-        if args.steps:
-            mono, g = x
-            print(f"MISMATCH {render_z(ZElement.monomial(mono))} * {Z_TOKENS[g]}")
-            if n < 5:
-                diff = zalgebra._z_mono_times_gen(mono, g) - zalgebra._oracle_fold(mono, g)
-                print(f"  _z_mono_times_gen - _oracle_fold = {render_z(diff)}")
-            continue
-        left, right = ZElement.monomial(mu), ZElement.monomial(x)
-        print(f"MISMATCH {render_z(left)} * {render_z(right)}")
+    for n, (mono, g) in enumerate(bad):
+        print(f"MISMATCH {render_z(ZElement.monomial(mono))} * {Z_TOKENS[g]}")
         if n < 5:
-            diff = zalgebra.z_multiply(left, right) - zalgebra.z_oracle_multiply(left, right)
-            print(f"  z_multiply - z_oracle_multiply = {render_z(diff)}")
+            diff = zalgebra._z_mono_times_gen(mono, g) - zalgebra._oracle_fold(mono, g)
+            print(f"  _z_mono_times_gen - _oracle_fold = {render_z(diff)}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    covering = f"{steps} steps covering " if args.steps else ""
-    print(f"{covering}{total} pairs, {len(bad)} mismatches, {elapsed:.1f} s, peak RSS {peak_mb:.0f} MB")
+    print(f"{steps} steps covering {total} pairs, {len(bad)} mismatches, {elapsed:.1f} s, peak RSS {peak_mb:.0f} MB")
     if args.bench_out:
         record = {
             "max_exp": args.max_exp,
             "pairs": total,
-            **({"steps": steps} if args.steps else {}),
+            "steps": steps,
             "mismatches": len(bad),
             "wall_s": round(elapsed, 3),
             "peak_rss_mb": round(peak_mb, 1),

@@ -10,14 +10,14 @@ import json
 import os
 import time
 
-from ospz.cli import MAX_N, int_at_least
+from ospz.cli import MAX_EXP, MAX_N, int_at_least
 from ospz.rep import TruncationOverflow, WindowNotClosed
 from ospz.verify import SUITES, run_suite
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-exp", type=int_at_least(1), default=1,
+    ap.add_argument("--max-exp", type=int_at_least(1, MAX_EXP), default=1,
                     help="exponent bound for the presentation sweep")
     ap.add_argument("--trunc", type=int_at_least(0, MAX_N), default=6,
                     help="polynomial truncation for the module suite")

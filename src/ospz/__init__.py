@@ -10,7 +10,7 @@ The package provides:
 - ``projector``: the extremal projector coefficients and the diamond product;
 - ``zalgebra``: the reduction algebra — ordered monomials, the rewriting
   system, the oracle multiplication, the stated and derived rules, and the
-  oracle sweeps (pairwise, and step by step);
+  oracle sweep, which compares the two step tables;
 - ``rep``: the polynomial-tensor-standard module and the induced matrix
   representation;
 - ``text``: parsing and rendering (text / LaTeX / JSON);
@@ -44,7 +44,6 @@ from .zalgebra import (
     ZMonomial,
     catalog,
     derived_rule,
-    oracle_sweep,
     step_sweep,
     tilde_to_z,
     z_multiply,

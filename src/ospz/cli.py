@@ -23,6 +23,10 @@ from . import verify as verifymod
 # --trunc of the module computations (their work grows fast in each).
 MAX_N = 64
 
+# Largest --max-exp of `verify presentation` and the sweep scripts: the
+# sweep's steps roughly double per exponent step (23 710 at 5).
+MAX_EXP = 5
+
 
 def _mark(ok: bool) -> str:
     word = "PASS" if ok else "FAIL"
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verifymod.SUITES)
     p.add_argument("--n", type=int_at_least(0, MAX_N), default=10)
-    p.add_argument("--max-exp", type=int_at_least(1), default=1)
+    p.add_argument("--max-exp", type=int_at_least(1, MAX_EXP), default=1)
     p.add_argument("--trunc", type=int_at_least(0, MAX_N), default=6)
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -318,7 +318,7 @@ def verify_presentation(max_exponent: int = 1) -> dict:
     checks.append(_check("family E(k) f(H) shift", shift_ok))
 
     monos = len(all_monomials(max_exponent))
-    mismatches = sum(1 for _ in step_sweep(max_exponent))
+    mismatches = sum(len(bad) for _, _, bad in step_sweep(max_exponent))
     checks.append(
         _check(
             f"oracle sweep ({monos}^2 monomial pairs)",

@@ -14,8 +14,7 @@ back).
 The two products are required to agree.  Since they share the fold, they
 agree on a set of pairs whenever the two step tables agree on every
 (monomial, generator) step the fold of those pairs reaches; `step_sweep`
-checks that, each step once, and `oracle_sweep` compares the products pair
-by pair.
+checks that, each step once.
 
 Each rule exists in two forms: `STATED_RULES` holds the published
 closed-form coefficients, `derived_rule` regenerates the coefficients from
@@ -346,26 +345,19 @@ def monomials_up_to_degree(max_degree: int) -> list[ZMonomial]:
     return [m for m in all_monomials(max_degree) if m.degree() <= max_degree]
 
 
-def oracle_sweep(max_exponent: int) -> Iterator[tuple[ZMonomial, list[ZMonomial]]]:
-    """Compare z_multiply with z_oracle_multiply on every ordered pair of
-    monomials from all_monomials(max_exponent).  Yields, for each left
-    factor mu in that order, mu and the right factors mv where they differ."""
-    monos = all_monomials(max_exponent)
-    for mu in monos:
-        u = ZElement.monomial(mu)
-        bad = []
-        for mv in monos:
-            v = ZElement.monomial(mv)
-            if z_multiply(u, v) != z_oracle_multiply(u, v):
-                bad.append(mv)
-        yield mu, bad
+def step_sweep(
+    max_exponent: int,
+) -> Iterator[tuple[ZMonomial, list[tuple[ZMonomial, int]], list[tuple[ZMonomial, int]]]]:
+    """Compare the two step tables, _z_mono_times_gen and _oracle_fold, on
+    every (monomial, generator) step that the rule fold of the ordered pairs
+    of all_monomials(max_exponent) reaches, each step once.  Yields, for
+    each left factor mu in that order, (mu, steps, bad): the steps first
+    reached from mu, and those of them where the two tables differ.
 
-
-def reached_steps(max_exponent: int) -> Iterator[tuple[ZMonomial, list[tuple[ZMonomial, int]]]]:
-    """The steps (m, g) that the rule fold of the oracle sweep's pairs
-    reaches, each once.  Yields, for each left factor mu of
-    all_monomials(max_exponent) in that order, mu and the steps first
-    reached from it.
+    Both products are _fold_product with a step table, so where the tables
+    agree on every reached step, the two folds agree letter by letter and
+    z_multiply equals z_oracle_multiply on every pair: no bad step is a
+    stronger statement than comparing the products pair by pair.
 
     The supports of the folds are walked over the trie of right-factor
     prefixes, one _z_mono_times_gen call per (monomial, letter), with no
@@ -379,7 +371,7 @@ def reached_steps(max_exponent: int) -> Iterator[tuple[ZMonomial, list[tuple[ZMo
             node = node.setdefault(g, {})
     seen: set = set()
     for mu in monos:
-        new = []
+        steps = []
         stack = [(trie, {mu})]
         while stack:
             node, support = stack.pop()
@@ -388,24 +380,9 @@ def reached_steps(max_exponent: int) -> Iterator[tuple[ZMonomial, list[tuple[ZMo
                 for m in support:
                     if (m, g) not in seen:
                         seen.add((m, g))
-                        new.append((m, g))
+                        steps.append((m, g))
                     nxt.update(_z_mono_times_gen(m, g).terms)
                 if child:
                     stack.append((child, nxt))
-        yield mu, new
-
-
-def step_sweep(max_exponent: int) -> Iterator[tuple[ZMonomial, int]]:
-    """Compare the two step tables, _z_mono_times_gen and _oracle_fold, on
-    every step of reached_steps(max_exponent); yields each (m, g) where they
-    differ.
-
-    Both products are _fold_product with a step table, so where the tables
-    agree on every step the rule fold reaches, the two folds agree letter
-    by letter and z_multiply equals z_oracle_multiply on every pair of
-    oracle_sweep(max_exponent).  No yield is therefore a stronger statement
-    than an empty pairwise sweep, and each (m, g) is compared once."""
-    for _, steps in reached_steps(max_exponent):
-        for m, g in steps:
-            if _z_mono_times_gen(m, g) != _oracle_fold(m, g):
-                yield m, g
+        bad = [(m, g) for m, g in steps if _z_mono_times_gen(m, g) != _oracle_fold(m, g)]
+        yield mu, steps, bad

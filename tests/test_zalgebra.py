@@ -21,7 +21,6 @@ from ospz.zalgebra import (
     all_monomials,
     catalog,
     derived_rule,
-    oracle_sweep,
     step_sweep,
     tilde_to_z,
     z_multiply,
@@ -90,48 +89,33 @@ class TestRelationCatalog:
 class TestMultiplication:
     def test_oracle_equivalence_on_unit_exponents(self):
         monos = all_monomials(1)
-        assert len(monos) >= 24  # 32 ordered monomials with all exps <= 1
-        bad = [(mu, mv) for mu, row in oracle_sweep(1) for mv in row]
-        assert len(monos) ** 2 >= 576
-        assert not bad
-
-    def test_oracle_sweep_reports_a_wrong_product(self, monkeypatch):
-        # the pairwise sweep must see a product that disagrees with the oracle
-        import ospz.zalgebra as zalgebra
-
-        mu, mv = ZMonomial.make(q=1, r=1), ZMonomial.make(s=1, t=1)
-        right = zalgebra.z_multiply
-
-        def wrong_on_one_pair(u, v):
-            product = right(u, v)
-            if u == ZElement.monomial(mu) and v == ZElement.monomial(mv):
-                return product + ZElement.one()
-            return product
-
-        monkeypatch.setattr(zalgebra, "z_multiply", wrong_on_one_pair)
-        found = [(a, b) for a, row in oracle_sweep(1) for b in row]
-        assert found == [(mu, mv)]
+        assert len(monos) == 32  # ordered monomials with all exponents <= 1
+        rows = list(step_sweep(1))
+        assert [mu for mu, _, _ in rows] == monos
+        assert not any(bad for _, _, bad in rows)
 
     def test_step_sweep_compares_the_steps_of_the_pairwise_sweep(self):
         # from cold caches, the step sweep computes exactly the oracle steps
-        # that the pairwise sweep does
+        # that comparing the two products on all 1 024 pairs does
         import ospz.zalgebra as zalgebra
 
         caches = (zalgebra._z_mono_times_gen, zalgebra._oracle_fold, zalgebra._z_mono_tilde)
+        monos = [ZElement.monomial(m) for m in all_monomials(1)]
 
-        def cold_oracle_steps(sweep_is_clean):
+        def cold(sweep):
+            # run a sweep from cold caches; return it and the oracle steps it computed
             for cache in caches:
                 cache.cache_clear()
-            assert sweep_is_clean()
-            return zalgebra._oracle_fold.cache_info().currsize
+            return sweep(), zalgebra._oracle_fold.cache_info().currsize
 
         try:
-            pairwise = cold_oracle_steps(lambda: not any(row for _, row in oracle_sweep(1)))
-            steps = cold_oracle_steps(lambda: not any(step_sweep(1)))
+            agree, pairwise = cold(lambda: all(z_multiply(u, v) == z_oracle_multiply(u, v) for u in monos for v in monos))
+            rows, steps = cold(lambda: list(step_sweep(1)))
         finally:
             for cache in caches:
                 cache.cache_clear()
-        assert steps == pairwise == 594
+        assert agree and not any(bad for _, _, bad in rows)
+        assert steps == pairwise == sum(len(reached) for _, reached, _ in rows) == 594
 
     def test_step_sweep_reports_a_wrong_step(self, monkeypatch):
         # one wrong rule step: the step sweep names exactly it, and the
@@ -146,7 +130,7 @@ class TestMultiplication:
             return step + ZElement.one() if (mono, gen) == (m, g) else step
 
         monkeypatch.setattr(zalgebra, "_z_mono_times_gen", wrong_on_one_step)
-        assert list(step_sweep(1)) == [(m, g)]
+        assert [step for _, _, bad in step_sweep(1) for step in bad] == [(m, g)]
         report = run_suite("presentation")
         sweep = next(c for c in report["checks"] if c["name"].startswith("oracle sweep"))
         assert sweep["mismatches"] == 1
@@ -160,7 +144,7 @@ class TestMultiplication:
         from ospz.uea import TILDE_GENS
 
         ordered = 0
-        for _, steps in zalgebra.reached_steps(1):
+        for _, steps, _ in step_sweep(1):
             for m, g in steps:
                 last = m.letters()[-1:]
                 if last and (g < last[0] or (g == last[0] and ZMonomial.ODD[g])):
@@ -191,8 +175,7 @@ class TestMultiplication:
                 cache.cache_clear()
             assert z_oracle_multiply(u, v) == expected
             assert z_multiply(u, v) != expected
-            assert any(row for _, row in oracle_sweep(1))
-            assert any(step_sweep(1))
+            assert any(bad for _, _, bad in step_sweep(1))
         finally:
             for cache in caches:
                 cache.cache_clear()
