@@ -42,7 +42,7 @@ def main() -> int:
                     help="bound on the even-generator exponents (odd ones cap at 1)")
     ap.add_argument("--progress", type=int_at_least(0), default=0,
                     help="print a progress line every N left factors")
-    ap.add_argument("--bench-out", metavar="PATH", default=None,
+    ap.add_argument("--bench-out", metavar="PATH", type=argparse.FileType("w"), default=None,
                     help="write a JSON record of the run to PATH")
     args = ap.parse_args()
 
@@ -80,7 +80,7 @@ def main() -> int:
             "git_head": git_head(),
             "caches": cache_infos(),
         }
-        with open(args.bench_out, "w") as fh:
+        with args.bench_out as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 1 if bad else 0

@@ -25,7 +25,10 @@ def main() -> int:
     args = ap.parse_args()
 
     if args.json_dir:
-        os.makedirs(args.json_dir, exist_ok=True)
+        try:
+            os.makedirs(args.json_dir, exist_ok=True)
+        except OSError as exc:
+            ap.error(f"--json-dir: {exc}")
 
     all_ok = True
     for suite in SUITES:

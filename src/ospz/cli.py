@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .projector import diamond, phi
@@ -117,18 +118,19 @@ def cmd_rep_rho(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verifymod.run_suite(
-        args.suite, n=args.n, max_exp=args.max_exp, trunc=args.trunc
-    )
-    for check in report["checks"]:
-        print(f"[{_mark(check['pass'])}] {check['name']}")
-    total = len(report["checks"])
-    good = sum(1 for c in report["checks"] if c["pass"])
-    print(f"{report['suite']}: {good}/{total} checks passed")
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    # --json-out was opened while parsing; close it however the suite ends
+    with args.json_out or nullcontext() as out:
+        report = verifymod.run_suite(
+            args.suite, n=args.n, max_exp=args.max_exp, trunc=args.trunc
+        )
+        for check in report["checks"]:
+            print(f"[{_mark(check['pass'])}] {check['name']}")
+        total = len(report["checks"])
+        good = sum(1 for c in report["checks"] if c["pass"])
+        print(f"{report['suite']}: {good}/{total} checks passed")
+        if out:
+            json.dump(report, out, indent=2, sort_keys=True)
+            out.write("\n")
     return 0 if report["passed"] else 1
 
 
@@ -213,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int_at_least(0, MAX_N), default=10)
     p.add_argument("--max-exp", type=int_at_least(1, MAX_EXP), default=1)
     p.add_argument("--trunc", type=int_at_least(0, MAX_N), default=6)
-    p.add_argument("--json-out", default=None)
+    # opened before the suite runs, so an unwritable path is a usage error
+    p.add_argument("--json-out", type=argparse.FileType("w"), default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser

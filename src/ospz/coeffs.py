@@ -65,6 +65,9 @@ class Polynomial:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return Polynomial, (self.coeffs,)
+
     # -- constructors -------------------------------------------------
     @classmethod
     def const(cls, c: RationalLike) -> "Polynomial":
@@ -447,6 +450,9 @@ class RationalFunction:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RationalFunction is immutable")
 
+    def __reduce__(self):  # the constructor restores the shared _POLY_ONE
+        return RationalFunction, (self.num, self.den)
+
     @property
     def den(self) -> Polynomial:
         """The monic denominator, expanded."""
@@ -622,6 +628,9 @@ class Sqrt2(object):
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Sqrt2 is immutable")
+
+    def __reduce__(self):
+        return Sqrt2, (self.a, self.b)
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)

@@ -75,6 +75,9 @@ class LinComb:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.terms,)
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 

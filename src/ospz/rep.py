@@ -7,7 +7,10 @@ degree, and their tensor product carrying the diagonal/anti-diagonal
 action.  Primitive vectors (annihilated by the raising subalgebra) are
 extracted weight by weight, and the reduction algebra acts on them through
 the projected-generator representatives.  All linear algebra on module
-vectors is one Gaussian elimination on the sparse vectors themselves.
+vectors is one Gaussian elimination on the sparse vectors themselves.  The
+action matrices are dense lists of rows, but the relation check turns them
+into sparse column images and acts on coordinate vectors with the same
+sum-of-monomials loop as the module action; no matrix is multiplied.
 
 Scalars are Q(sqrt 2) throughout: the odd polynomial actions carry 1/sqrt 2
 while all final matrix entries come out rational.  No floating point.
@@ -50,32 +53,6 @@ class NotPrimitive(ValueError):
 
 # ---------------------------------------------------------------------------
 # Small exact linear algebra over Q(sqrt 2)
-
-
-def mat_mul(a, b):
-    """a b, skipping zero entries: the matrices here are mostly zero."""
-    out = []
-    for row in a:
-        acc = [_SR_ZERO] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] = acc[j] + x * y
-        out.append(acc)
-    return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_zero(n):
-    return [[_SR_ZERO] * n for _ in range(n)]
-
-
-def mat_eye(n):
-    return [[_SR_ONE if i == j else _SR_ZERO for j in range(n)] for i in range(n)]
 
 
 def eliminate(pairs):
@@ -270,6 +247,22 @@ class ModuleVector(LinComb):
         return "ModuleVector(" + " + ".join(bits or ["0"]) + ")"
 
 
+def act_sum(element, act_letter, act_coeff, v: ModuleVector) -> ModuleVector:
+    """Action of a sum of monomials with left coefficients: the letters of
+    each monomial right to left through act_letter(g, w), then its
+    coefficient through act_coeff(f, w)."""
+    total = ModuleVector()
+    for mono, coeff in element:
+        w = v
+        for g in reversed(mono.letters()):
+            w = act_letter(g, w)
+            if not w:
+                break
+        if w:
+            total = total + act_coeff(coeff, w)
+    return total
+
+
 @dataclass(frozen=True)
 class TensorModule:
     """C[x] (x) V(lambda) with the two commuting osp(1|2) actions.
@@ -339,31 +332,14 @@ class TensorModule:
         return left - right
 
     def act_coeff(self, f: RationalFunction, v: ModuleVector) -> ModuleVector:
-        """f(H) acting by evaluation on H-eigencomponents."""
-        out: dict = {}
-        for b, c in v.terms.items():
-            value = f.eval(self.weight(*b))  # off-pole: weights are in 1/2 + Z
-            out[b] = out.get(b, _SR_ZERO) + c * Sqrt2(value)
-        return ModuleVector(out)
+        """f(H) acting by evaluation on H-eigencomponents (off-pole: the
+        weights are in 1/2 + Z)."""
+        return ModuleVector({b: c * Sqrt2(f.eval(self.weight(*b))) for b, c in v.terms.items()})
 
     def act_uea(self, u: UeaElement, v: ModuleVector) -> ModuleVector:
         """Action of a normal-ordered element: letters right to left, the
         left coefficient last."""
-        return self._act_sum(u, self.act, v)
-
-    def _act_sum(self, element, act_letter, v: ModuleVector) -> ModuleVector:
-        """Action of a sum of monomials with left coefficients, where
-        act_letter(g, w) is the action of one letter."""
-        total = ModuleVector()
-        for mono, coeff in element:
-            w = v
-            for g in reversed(mono.letters()):
-                w = act_letter(g, w)
-                if not w:
-                    break
-            if w:
-                total = total + self.act_coeff(coeff, w)
-        return total
+        return act_sum(u, self.act, self.act_coeff, v)
 
     # -- primitive vectors and the reduction-algebra action ------------
     def is_primitive(self, v: ModuleVector) -> bool:
@@ -409,14 +385,14 @@ class TensorModule:
         def act_letter(g, w):
             return self.act_uea(projected_generator(TILDE_GENS[g]), w)
 
-        return self._act_sum(z, act_letter, v)
+        return act_sum(z, act_letter, self.act_coeff, v)
 
     def rho_matrix(self, z: ZElement, basis: list[ModuleVector]):
         """Matrix of the z-action on the span of `basis` (columns act on
         basis vectors; entries over Q(sqrt 2)): each image reduced against
         the pivots of the basis, NotPrimitive if a remainder is left."""
         pivots, _ = eliminate((b, ModuleVector({j: _SR_ONE})) for j, b in enumerate(basis))
-        out = mat_zero(len(basis))
+        out = [[_SR_ZERO] * len(basis) for _ in basis]
         for j, b in enumerate(basis):
             rest, source = reduce_vector(self.act_z(z, b), ModuleVector(), pivots)
             if rest:
@@ -430,46 +406,35 @@ class TensorModule:
 # Relation checking on matrices
 
 
-def _rf_on_diag(f: RationalFunction, eigen: list[Fraction]):
-    return [
-        [Sqrt2(f.eval(mu)) if i == j else _SR_ZERO for j, _ in enumerate(eigen)]
-        for i, mu in enumerate(eigen)
-    ]
-
-
 def check_rep_relations(rho: dict, eigen: list[Fraction]) -> dict:
     """Substitute generator matrices into every rewrite-rule family.
 
     `rho` maps z-generator index (0..4) to a matrix over Q(sqrt 2) in an
-    H-eigenbasis with eigenvalues `eigen`; f(H) becomes diag(f(mu_i)).
+    H-eigenbasis with eigenvalues `eigen`; f(H) becomes diag(f(mu_i)).  Each
+    identity is checked on every coordinate vector, with each matrix turned
+    into the sparse images of its columns once.
     """
     n = len(eigen)
+    columns = {g: [{i: m[i][j] for i in range(n) if m[i][j]} for j in range(n)] for g, m in rho.items()}
 
-    def z_matrix(zel: ZElement):
-        total = mat_zero(n)
-        for mono, coeff in zel:
-            m = mat_eye(n)
-            for g in mono.letters():
-                m = mat_mul(m, rho[g])
-            total = mat_add(total, mat_mul(_rf_on_diag(coeff, eigen), m))
-        return total
+    def letter(g, w):
+        return ModuleVector(_apply(columns[g], w.terms))
 
+    def coeff(f, w):
+        return ModuleVector({i: c * Sqrt2(f.eval(eigen[i])) for i, c in w.terms.items()})
+
+    units = [ModuleVector({j: _SR_ONE}) for j in range(n)]
     checks = []
     for a, b in RULE_KEYS:
-        lhs = mat_mul(rho[a], rho[b])
-        rhs = z_matrix(derived_rule(a, b))
-        checks.append(
-            {"name": f"{Z_TOKENS[a]} {Z_TOKENS[b]}", "pass": lhs == rhs}
-        )
+        rule = derived_rule(a, b)
+        ok = all(letter(a, letter(b, e)) == act_sum(rule, letter, coeff, e) for e in units)
+        checks.append({"name": f"{Z_TOKENS[a]} {Z_TOKENS[b]}", "pass": ok})
     f = RationalFunction(1, H - 1)
-    fm = _rf_on_diag(f, eigen)
-    cartan = mat_mul(fm, rho[2]) == mat_mul(rho[2], fm)
+    cartan = all(coeff(f, letter(2, e)) == letter(2, coeff(f, e)) for e in units)
     checks.append({"name": "f(H) E(0) commutation", "pass": cartan})
-    shift_ok = True
-    for g in range(5):
-        fs = _rf_on_diag(f.shift(Z_ROOTS[g]), eigen)
-        if mat_mul(rho[g], fm) != mat_mul(fs, rho[g]):
-            shift_ok = False
+    shift_ok = all(
+        letter(g, coeff(f, e)) == coeff(f.shift(Z_ROOTS[g]), letter(g, e)) for g in range(5) for e in units
+    )
     checks.append({"name": "E(k) f(H) shift", "pass": shift_ok})
     return {"passed": all(c["pass"] for c in checks), "checks": checks}
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, formats, reports."""
 
 import json
+import os
 import shlex
 import time
 from pathlib import Path
@@ -55,6 +56,8 @@ class TestExitCodes:
             ["rep", "primitives", "--trunc", "65"],
             ["rep", "rho", "--trunc", "65"],
             ["verify", "rep", "--trunc", "65"],
+            # no file can exist below os.devnull
+            ["verify", "pbw", "--json-out", os.path.join(os.devnull, "missing", "r.json")],
         ],
     )
     def test_bad_option_value_is_usage_error(self, capsys, argv):

@@ -235,6 +235,36 @@ class TestRho:
         failing = {c["name"] for c in report["checks"] if not c["pass"]}
         assert failing == {"E(1) E(-2)", "E(1) E(-1)", "E(2) E(-2)", "E(2) E(-1)"}
 
+    @pytest.mark.parametrize(
+        "g, i, j, entry, failing",
+        [
+            # E(0) is no longer diagonal: both structural checks fail, and
+            # eight families
+            (
+                ZH, 0, 1, lambda x: 1,
+                {"E(-1) E(-1)", "E(0) E(-1)", "E(0) E(-2)", "E(1) E(-1)", "E(1) E(-2)",
+                 "E(1) E(0)", "E(2) E(-1)", "E(2) E(-2)", "f(H) E(0) commutation", "E(k) f(H) shift"},
+            ),
+            # E(1) sending w3 to w1 lowers the weight by 2, not 1
+            (
+                Z1, 0, 2, lambda x: 1,
+                {"E(1) E(-1)", "E(1) E(-2)", "E(1) E(0)", "E(2) E(-1)", "E(2) E(-2)", "E(k) f(H) shift"},
+            ),
+            # a wrong scalar keeps the weights: the structural checks pass
+            (
+                Z1, 0, 1, lambda x: x * 2,
+                {"E(1) E(-2)", "E(1) E(-1)", "E(1) E(1)", "E(2) E(-2)", "E(2) E(-1)"},
+            ),
+        ],
+        ids=["H off-diagonal", "E(1) off-weight", "E(1) doubled"],
+    )
+    def test_a_perturbed_matrix_fails_exactly_these_checks(self, rho, g, i, j, entry, failing):
+        perturbed = {k: [row[:] for row in m] for k, m in rho.items()}
+        perturbed[g][i][j] = entry(perturbed[g][i][j])
+        report = check_rep_relations(perturbed, EIGEN)
+        assert not report["passed"]
+        assert {c["name"] for c in report["checks"] if not c["pass"]} == failing
+
     def test_irreducibility(self, rho):
         assert irreducibility_witness(rho, EIGEN)
 

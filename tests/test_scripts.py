@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -125,4 +126,18 @@ def test_bad_option_value_is_usage_error(argv):
     # exit 2 with a usage message, not a traceback
     proc = run_script(*argv)
     assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_unwritable_output_path_fails_before_any_work(tmp_path):
+    # the sweep at MAX_EXP takes minutes; the path fails at once
+    t0 = time.perf_counter()
+    proc = run_script("oracle_sweep.py", "--max-exp", str(MAX_EXP), "--bench-out", str(tmp_path / "missing" / "b.json"))
+    assert time.perf_counter() - t0 < 5.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    afile = tmp_path / "file"
+    afile.write_text("")
+    proc = run_script("verify_all.py", "--json-dir", str(afile / "x"))
+    assert proc.returncode == 2 and proc.stdout == ""
     assert "usage:" in proc.stderr and "Traceback" not in proc.stderr

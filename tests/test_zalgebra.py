@@ -5,8 +5,13 @@ import copy
 import itertools
 import pickle
 import random
+from fractions import Fraction
 
-from ospz.coeffs import H, RF_ONE, RationalFunction
+import pytest
+
+from ospz.coeffs import H, RF_ONE, Polynomial, RationalFunction, Sqrt2
+from ospz.rep import ModuleVector
+from ospz.text import parse_element
 from ospz.uea import UeaElement, tilde_word
 from ospz.zalgebra import (
     RULE_KEYS,
@@ -298,3 +303,31 @@ def test_monomials_survive_copy_and_pickle():
     for m in (ZMonomial(1, 0, 2, 1, 0), tilde_word((1, 0, 2, 1, 0))):
         for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert twin == m and type(twin) is type(m)
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+@pytest.mark.parametrize(
+    "value",
+    [
+        Polynomial({0: 1, 2: Fraction(3, 2)}),
+        RF_ONE,
+        RationalFunction(H + 1, (H - 1) * (H * H + 1)),
+        Sqrt2(Fraction(1, 2), -3),
+        parse_element("(H/(H-1)) t(1) X(-1) + 2", "u"),
+        parse_element("(1/(H^2+1)) E(2) E(-1) - E(0)", "z"),
+        ModuleVector.basis(0, 1).scale(Sqrt2(0, 1)),
+    ],
+    ids=["Polynomial", "RF_ONE", "RationalFunction", "Sqrt2", "UeaElement", "ZElement", "ModuleVector"],
+)
+def test_values_survive_copy_and_pickle(value, round_trip):
+    twin = round_trip(value)
+    assert twin == value and str(twin) == str(value) and type(twin) is type(value)
+    if value is RF_ONE:
+        assert twin.is_one()
