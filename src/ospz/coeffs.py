@@ -35,6 +35,8 @@ class PoleEvaluationError(ArithmeticError):
 
 def _rational(x) -> Fraction:
     """x as a Fraction; anything but int or Fraction (a float above all) is a TypeError."""
+    if type(x) is Fraction:  # immutable, so an exact Fraction is returned as it is
+        return x
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError(f"{type(x).__name__} is not an exact rational (int or Fraction)")
@@ -195,7 +197,7 @@ class Polynomial:
 
     def shift(self, k: int) -> "Polynomial":
         """Substitute H -> H + k (integer Taylor shift by synthetic Horner)."""
-        if k == 0 or not self:
+        if k == 0 or self.degree <= 0:
             return self
         den, m = self._form
         a = list(m)
@@ -563,8 +565,8 @@ class RationalFunction:
 
     def shift(self, k: int) -> "RationalFunction":
         """Substitute H -> H + k.  A field automorphism for every integer k;
-        the root j of a factor H - j moves to j - k."""
-        if k == 0:
+        the root j of a factor H - j moves to j - k.  A constant is its own shift."""
+        if k == 0 or (self.num.degree <= 0 and not self.roots and self.rest is _POLY_ONE):
             return self
         rest = self.rest if self.rest is _POLY_ONE else self.rest.shift(k)
         return _make(self.num.shift(k), tuple((j - k, m) for j, m in self.roots), rest)

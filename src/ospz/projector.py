@@ -16,8 +16,10 @@ formed.  Symmetrically the right chain is carried modulo U g_+, where
 for every w, so a term changed by an element of its ideal changes the
 product only modulo II, and the middle product is straightened straight into
 U/II.  For the same reason the chains need only terminate modulo their
-ideals, and the series stops as soon as one of them vanishes there; each
-chain is computed only as far as the other one reaches.
+ideals, and the series stops as soon as one of them vanishes there.  The
+raising chain is taken first and the lowering chain only as far as it
+reaches: the oracle's right factors are single generators, whose chains
+have at most five terms, and lowering brackets are the costly ones.
 """
 
 from __future__ import annotations
@@ -126,15 +128,20 @@ def _raise_chain(mv, length: int) -> tuple[UeaElement, ...]:
 def _diamond_mono(mu, mv) -> UeaElement:
     # Each chain vanishes within 4 * degree + 2 steps (the root sum of its
     # terms moves by one per step), so the series stops by the smaller bound.
+    # The raising chain goes first (see the module docstring), so a lowering
+    # bracket is taken only for a term the series sums.
     bound = 4 * min(mu.degree(), mv.degree()) + 2
     total = UeaElement.zero()
     for n in count():
-        lefts, rights = _lower_chain(mu, n + 1), _raise_chain(mv, n + 1)
-        if len(lefts) <= n or len(rights) <= n:
+        rights = _raise_chain(mv, n + 1)
+        lefts = _lower_chain(mu, n + 1) if len(rights) > n else ()
+        if len(lefts) <= n:
             return total
         if n > bound:
             raise RuntimeError("diamond series failed to terminate")
-        left = mul(lefts[n], UeaElement.coeff(phi(n).shift(n))) if n else lefts[0]
+        # phi_n(H + n) right of a monomial m moves left as phi_n(H + n + root_sum(m)).
+        p = phi(n)
+        left = UeaElement({m: c * p.shift(n + m.root_sum()) for m, c in lefts[n]})
         total = total + mul(left, rights[n], "both")
 
 

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospz.coeffs import (
+    RF_ONE,
+    RF_ZERO,
     H,
     PoleEvaluationError,
     Polynomial,
@@ -230,6 +232,15 @@ class TestRationalFunction:
             for b in values:
                 if a == b:
                     assert hash(a) == hash(b)
+
+    def test_a_constant_is_its_own_shift(self):
+        for c in (RF_ONE, RF_ZERO, as_rf(Fraction(-3, 4)), Polynomial.const(7)):
+            for k in (-2, 1, 5):
+                assert c.shift(k) is c
+        assert RationalFunction(1, H - 1).shift(1) == RationalFunction(1, H)
+        assert H.shift(2) == H + 2
+        q = Fraction(-3, 4)
+        assert coeffs._rational(q) is q
 
     def test_two_splits_of_one_denominator_are_equal(self):
         built = RationalFunction(1, H - 5000)  # the root lies beyond the search

@@ -17,6 +17,7 @@ from ospz.uea import (
     TN1,
     TN2,
     UeaElement,
+    Word,
     X1,
     X2,
     XN1,
@@ -28,6 +29,9 @@ from ospz.uea import (
 )
 from ospz import verify
 from ospz.projector import (
+    _diamond_mono,
+    _lower_chain,
+    _raise_chain,
     diamond,
     kappa,
     phi,
@@ -105,6 +109,16 @@ class TestDiamond:
                 b,
                 c,
             )
+
+    @pytest.mark.parametrize("g", TILDE_GENS)
+    def test_lowering_chain_stops_where_the_raising_chain_does(self, g):
+        mu = tilde_word((1, 0, 1, 0, 1))  # t(-2) th t(2)
+        for cache in (_lower_chain, _raise_chain, _diamond_mono):
+            cache.cache_clear()
+        diamond(UeaElement.monomial(mu), gen(g))
+        expected = {TN2: 5, TN1: 4, TH: 3, T1: 2, T2: 1}[g]
+        assert len(_raise_chain(Word.from_letters([g]), 9)) == expected
+        assert _lower_chain.cache_info().currsize == expected
 
     def test_bilinear_with_coefficient_shift(self):
         f = RationalFunction(1, H - 1)
