@@ -16,10 +16,11 @@ formed.  Symmetrically the right chain is carried modulo U g_+, where
 for every w, so a term changed by an element of its ideal changes the
 product only modulo II, and the middle product is straightened straight into
 U/II.  For the same reason the chains need only terminate modulo their
-ideals, and the series stops as soon as one of them vanishes there.  The
-raising chain is taken first and the lowering chain only as far as it
-reaches: the oracle's right factors are single generators, whose chains
-have at most five terms, and lowering brackets are the costly ones.
+ideals, and the series stops at the first term where one of them vanishes
+there.  Both chains are cached term by term, the raising one read first and
+the lowering one only where the raising term is nonzero: the oracle's right
+factors are single generators, whose chains have at most five terms, and
+lowering brackets are the costly ones.
 """
 
 from __future__ import annotations
@@ -97,52 +98,46 @@ def diamond(u: UeaElement, v: UeaElement) -> UeaElement:
     return UeaElement(bilinear(u, v, _diamond_mono))
 
 
-def _chain(word, length: int, shorter, bracket) -> tuple[UeaElement, ...]:
-    """The first `length` terms of (u, bracket(u), bracket(bracket(u)), ...)
-    for the monomial u = `word`, fewer if the bracket vanishes first;
-    `shorter(word, n)` is the cached prefix of length n."""
-    if length == 1:
-        return (UeaElement.monomial(word),)
-    chain = shorter(word, length - 1)
-    if len(chain) < length - 1:
-        return chain
-    nxt = bracket(chain[-1])
-    return chain + (nxt,) if nxt else chain
+@lru_cache(maxsize=None)
+def _lower_chain(mu, n: int) -> UeaElement:
+    """The n-th term of (u, [u, X(-1)], [[u, X(-1)], X(-1)], ...) modulo g_-U
+    for the monomial u = `mu`.  It is zero from the first bracket that
+    vanishes there on, within 4 * degree + 2 brackets (the root sum of the
+    terms moves by one per bracket); a later nonzero term raises."""
+    if n == 0:
+        return UeaElement.monomial(mu)
+    term = super_bracket(_lower_chain(mu, n - 1), _X_LOWER, "left")
+    if term and n > 4 * mu.degree() + 2:
+        raise RuntimeError("lowering chain failed to terminate")
+    return term
 
 
 @lru_cache(maxsize=None)
-def _lower_chain(mu, length: int) -> tuple[UeaElement, ...]:
-    """(u, [u, X(-1)], [[u, X(-1)], X(-1)], ...) modulo g_-U, up to `length`
-    terms or until the bracket vanishes there."""
-    return _chain(mu, length, _lower_chain, lambda u: super_bracket(u, _X_LOWER, "left"))
-
-
-@lru_cache(maxsize=None)
-def _raise_chain(mv, length: int) -> tuple[UeaElement, ...]:
-    """(v, [X(1), v], [X(1), [X(1), v]], ...) modulo U g_+, up to `length`
-    terms or until the bracket vanishes there."""
-    return _chain(mv, length, _raise_chain, lambda v: super_bracket(_X_RAISE, v, "right"))
+def _raise_chain(mv, n: int) -> UeaElement:
+    """The n-th term of (v, [X(1), v], [X(1), [X(1), v]], ...) modulo U g_+
+    for the monomial v = `mv`, ending as `_lower_chain` does."""
+    if n == 0:
+        return UeaElement.monomial(mv)
+    term = super_bracket(_X_RAISE, _raise_chain(mv, n - 1), "right")
+    if term and n > 4 * mv.degree() + 2:
+        raise RuntimeError("raising chain failed to terminate")
+    return term
 
 
 @lru_cache(maxsize=None)
 def _diamond_mono(mu, mv) -> UeaElement:
-    # Each chain vanishes within 4 * degree + 2 steps (the root sum of its
-    # terms moves by one per step), so the series stops by the smaller bound.
     # The raising chain goes first (see the module docstring), so a lowering
     # bracket is taken only for a term the series sums.
-    bound = 4 * min(mu.degree(), mv.degree()) + 2
     total = UeaElement.zero()
     for n in count():
-        rights = _raise_chain(mv, n + 1)
-        lefts = _lower_chain(mu, n + 1) if len(rights) > n else ()
-        if len(lefts) <= n:
+        right = _raise_chain(mv, n)
+        left = right and _lower_chain(mu, n)
+        if not left:
             return total
-        if n > bound:
-            raise RuntimeError("diamond series failed to terminate")
         # phi_n(H + n) right of a monomial m moves left as phi_n(H + n + root_sum(m)).
         p = phi(n)
-        left = UeaElement({m: c * p.shift(n + m.root_sum()) for m, c in lefts[n]})
-        total = total + mul(left, rights[n], "both")
+        left = UeaElement({m: c * p.shift(n + m.root_sum()) for m, c in left})
+        total = total + mul(left, right, "both")
 
 
 @lru_cache(maxsize=None)
@@ -151,13 +146,13 @@ def projected_generator(g: int) -> UeaElement:
     X(-1) powers on the left of the surviving tilde letters."""
     if g not in TILDE_GENS:
         raise ValueError("projected generators are defined for tilde generators only")
-    chain = _raise_chain(Word.from_letters([g]), 8)
-    if len(chain) > 7:
-        raise RuntimeError("projected generator series failed to terminate")
+    word = Word.from_letters([g])
     # X(1)^n g = [X(1), .]^n(g) modulo U g_+, which X(-1)^n keeps.
     total = UeaElement.zero()
     lower_pow = UeaElement.one()
-    for n, acc in enumerate(chain):
-        total = total + mul(UeaElement.coeff(phi(n)), mul(lower_pow, acc, "right"))
+    for n in count():
+        term = _raise_chain(word, n)
+        if not term:
+            return total
+        total = total + mul(lower_pow, term, "right").scale(phi(n))
         lower_pow = mul(lower_pow, _X_LOWER)
-    return total

@@ -296,15 +296,3 @@ def theta(u: UeaElement) -> UeaElement:
         total = total + straighten(rev, sign)
     return total
 
-
-def tilde_word(exponents: Sequence[int]) -> Word:
-    """Monomial t(-2)^p t(-1)^q th^r t(1)^s t(2)^t from (p, q, r, s, t)."""
-    from .zalgebra import ZMonomial  # zalgebra imports this module
-
-    return Word((0, 0, *ZMonomial.make(*exponents), 0, 0))
-
-
-def tilde_exponents(m: Word) -> tuple[int, int, int, int, int]:
-    if _in_left(m) or _in_right(m):
-        raise ValueError("not a pure tilde monomial")
-    return m[TN2:X1]

@@ -29,7 +29,6 @@ from .uea import (
     XN1,
     mul,
     super_bracket,
-    tilde_word,
 )
 from .projector import diamond, kappa, phi, verify_projector_recursion
 from .zalgebra import (
@@ -50,8 +49,9 @@ from .zalgebra import (
     step_sweep,
     z_multiply,
     z_oracle_multiply,
-    z_to_tilde,
     tilde_to_z,
+    tilde_word,
+    z_to_tilde,
 )
 from . import rep as repmod
 from .text import render_uea, render_z
@@ -205,15 +205,17 @@ def verify_relations() -> dict:
     checks.append(_check("coefficients commute: f(H) g(H) = g(H) f(H)", fa == fb))
 
     # Family (b): moving a generator past a coefficient shifts its argument.
+    # Both products take this from engine.bilinear's coefficient shift, and so
+    # does the presentation suite's "family E(k) f(H) shift", where
+    # z_oracle_multiply folds no letter; the independent evidence for the rule
+    # is the rep suite's matrix identity "E(k) f(H) shift".
     for gidx, root in ((ZN2, -2), (ZN1, -1), (Z1, 1), (Z2, 2)):
         lhs = z_multiply(ZElement.gen(gidx), ZElement.coeff(f))
         rhs = z_multiply(ZElement.coeff(f.shift(root)), ZElement.gen(gidx))
-        # Oracle cross-check through the tilde realization.
-        oracle_ok = z_to_tilde(lhs) == z_to_tilde(rhs)
         checks.append(
             _check(
                 f"shift rule: {Z_TOKENS[gidx]} f(H) = f(H{'+' if root > 0 else ''}{root}) {Z_TOKENS[gidx]}",
-                bool(lhs == rhs and oracle_ok),
+                lhs == rhs,
             )
         )
 
@@ -241,22 +243,12 @@ def verify_relations() -> dict:
 
     # Constant terms singled out by the presentation: the scalar parts of
     # E(2)E(-2) and E(1)E(-1).
-    const_22 = derived_rule(Z2, ZN2).terms.get(ZMonomial(), None)
-    checks.append(
-        _check(
-            "constant term of E(2)*E(-2) is -H^2/(H+1)",
-            const_22 == RationalFunction(-(H * H), H + 1),
-            value=str(const_22),
-        )
-    )
-    const_11 = derived_rule(Z1, ZN1).terms.get(ZMonomial(), None)
-    checks.append(
-        _check(
-            "constant term of E(1)*E(-1) is H",
-            const_11 == RationalFunction(H),
-            value=str(const_11),
-        )
-    )
+    for a, b, name, want in (
+        (Z2, ZN2, "E(2)*E(-2) is -H^2/(H+1)", RationalFunction(-(H * H), H + 1)),
+        (Z1, ZN1, "E(1)*E(-1) is H", RationalFunction(H)),
+    ):
+        const = derived_rule(a, b).terms.get(ZMonomial(), None)
+        checks.append(_check(f"constant term of {name}", const == want, value=str(const)))
     return _report(
         "relations",
         checks,

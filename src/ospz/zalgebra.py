@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 from .coeffs import H, RF_ONE, RF_ZERO, RationalFunction, as_rf
 from .engine import Monomial, PBWElement, add_scaled, bilinear, fold_letters, rewrite
 from .projector import diamond
-from .uea import TILDE_GENS, UeaElement, theta, tilde_exponents
+from .uea import TILDE_GENS, TN2, X1, UeaElement, Word, theta
 
 Z_TOKENS = ("E(-2)", "E(-1)", "E(0)", "E(1)", "E(2)")
 Z_ROOTS = (-2, -1, 0, 1, 2)
@@ -243,6 +243,17 @@ def z_to_tilde(z: ZElement) -> UeaElement:
     for m, c in z:
         add_scaled(out, c, _z_mono_tilde(m))
     return UeaElement(out)
+
+
+def tilde_word(exponents: Sequence[int]) -> Word:
+    """Monomial t(-2)^p t(-1)^q th^r t(1)^s t(2)^t from (p, q, r, s, t)."""
+    return Word((0, 0, *ZMonomial.make(*exponents), 0, 0))
+
+
+def tilde_exponents(m: Word) -> tuple[int, int, int, int, int]:
+    if sum(m[TN2:X1]) != m.degree():
+        raise ValueError("not a pure tilde monomial")
+    return m[TN2:X1]
 
 
 @lru_cache(maxsize=None)

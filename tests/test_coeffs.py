@@ -269,6 +269,13 @@ class TestRationalFunction:
         assert zalgebra.z_oracle_multiply(left, right)
         assert calls == []
 
+    def test_integer_powers(self):
+        f = RationalFunction(H + 1, H - 2)
+        assert f**0 == 1
+        assert f**-2 == 1 / (f * f)
+        for x in SAMPLES:
+            assert (f**-2).eval(x) == ((x - 2) / (x + 1)) ** 2
+
     def test_pole_evaluation_raises(self):
         f = RationalFunction(1, H - 1)
         with pytest.raises(PoleEvaluationError):
@@ -314,6 +321,12 @@ class TestSqrt2:
         if not u:
             return
         assert u * u.inverse() == Sqrt2(1)
+
+    def test_subtraction_and_division(self):
+        assert Sqrt2(3, 2) - Sqrt2(1, 1) == Sqrt2(2, 1)
+        assert 1 - Sqrt2(0, 1) == Sqrt2(1, -1)
+        assert Sqrt2(2, 1) / Sqrt2(0, 1) == Sqrt2(1, 1)  # (1 + sqrt2) sqrt2 = 2 + sqrt2
+        assert 1 / Sqrt2(1, 1) == Sqrt2(-1, 1)  # (1 + sqrt2)(sqrt2 - 1) = 1
 
     def test_mixed_scalar_ops(self):
         assert 2 * Sqrt2(1, 1) == Sqrt2(2, 2)

@@ -136,3 +136,38 @@ def test_no_dead_definitions():
         for p in sorted((ROOT / d).glob("*.py"))
     }
     assert dead_definitions(defining, [p.read_text() for p in REFERENCING]) == []
+
+
+def relative_imports_in_functions(source: str, module: str) -> list[str]:
+    """`module.qualified.name: from .x import y` for each relative import
+    made inside a function of `source`."""
+    found = []
+
+    def visit(node, qualified: str, in_function: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFINITION):
+                inner = in_function or not isinstance(child, ast.ClassDef)
+                visit(child, f"{qualified}.{child.name}", inner)
+                continue
+            if in_function and isinstance(child, ast.ImportFrom) and child.level:
+                names = ", ".join(a.name for a in child.names)
+                found.append(f"{qualified}: from {'.' * child.level}{child.module or ''} import {names}")
+            visit(child, qualified, in_function)
+
+    visit(ast.parse(source), module, False)
+    return found
+
+
+def test_guard_sees_an_import_inside_a_function():
+    source = "from .a import b\n\nclass C:\n    def f(self):\n        from .d import e\n        return e\n"
+    assert relative_imports_in_functions(source, "m") == ["m.C.f: from .d import e"]
+
+
+def test_modules_import_each_other_at_module_level():
+    found = [
+        line
+        for p in sorted((ROOT / "src/ospz").glob("*.py"))
+        for line in relative_imports_in_functions(p.read_text(), p.stem)
+    ]
+    # text imports engine, so PBWElement.__repr__ imports render when called.
+    assert found == ["engine.PBWElement.__repr__: from .text import render"]

@@ -25,7 +25,6 @@ from ospz.uea import (
     mul,
     straighten,
     super_bracket,
-    tilde_word,
 )
 from ospz import verify
 from ospz.projector import (
@@ -38,6 +37,7 @@ from ospz.projector import (
     projected_generator,
     verify_projector_recursion,
 )
+from ospz.zalgebra import tilde_word
 
 
 def gen(g):
@@ -117,7 +117,8 @@ class TestDiamond:
             cache.cache_clear()
         diamond(UeaElement.monomial(mu), gen(g))
         expected = {TN2: 5, TN1: 4, TH: 3, T1: 2, T2: 1}[g]
-        assert len(_raise_chain(Word.from_letters([g]), 9)) == expected
+        word = Word.from_letters([g])
+        assert sum(1 for n in range(9) if _raise_chain(word, n)) == expected
         assert _lower_chain.cache_info().currsize == expected
 
     def test_bilinear_with_coefficient_shift(self):

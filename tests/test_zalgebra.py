@@ -11,8 +11,8 @@ import pytest
 
 from ospz.coeffs import H, RF_ONE, Polynomial, RationalFunction, Sqrt2
 from ospz.rep import ModuleVector
-from ospz.text import parse_element
-from ospz.uea import UeaElement, tilde_word
+from ospz.text import parse_element, render_uea, render_z
+from ospz.uea import UeaElement
 from ospz.zalgebra import (
     RULE_KEYS,
     STATED_RULES,
@@ -28,12 +28,14 @@ from ospz.zalgebra import (
     derived_rule,
     step_sweep,
     tilde_to_z,
+    tilde_word,
     z_multiply,
     z_oracle_multiply,
     z_straighten,
     z_theta,
     z_to_tilde,
 )
+from ospz import verify
 from ospz.verify import run_suite
 
 
@@ -268,6 +270,45 @@ class TestTriangularity:
             assert z_to_tilde(tilde_to_z(u)) == u, mono
 
 
+def _failures(report, name):
+    """The failures of the check named `name` in `report`, which must fail,
+    and so must the report."""
+    (check,) = [c for c in report["checks"] if c["name"].startswith(name)]
+    assert not check["pass"] and not report["passed"]
+    return check["failures"]
+
+
+class TestPbwChecksCanFail:
+    """Each check of the pbw suite fails, naming the monomial, when the
+    change of basis is wrong on one monomial."""
+
+    target = ZMonomial(1, 0, 1, 0, 0)  # E(-2) E(0)
+
+    def add_to_expansion(self, monkeypatch, extra):
+        real, z_target = verify.z_to_tilde, ZElement.monomial(self.target)
+        monkeypatch.setattr(verify, "z_to_tilde", lambda z: real(z) + extra if z == z_target else real(z))
+
+    def test_leading_coefficient_two(self, monkeypatch):
+        self.add_to_expansion(monkeypatch, UeaElement.monomial(tilde_word(self.target)))
+        failures = _failures(run_suite("pbw"), "leading tilde coefficient is 1")
+        assert render_z(ZElement.monomial(self.target)) in failures
+
+    def test_higher_correction_term(self, monkeypatch):
+        higher = UeaElement.monomial(tilde_word((2, 0, 1, 0, 0)))
+        self.add_to_expansion(monkeypatch, higher)
+        failures = _failures(run_suite("pbw"), "correction terms are strictly lower")
+        assert (render_z(ZElement.monomial(self.target)), render_uea(higher)) in failures
+
+    def test_dropped_term(self, monkeypatch):
+        real = verify.tilde_to_z
+        monkeypatch.setattr(verify, "tilde_to_z", lambda u: ZElement({m: c for m, c in real(u) if m != self.target}))
+        report = run_suite("pbw")
+        round_trip = _failures(report, "tilde_to_z(z_to_tilde(m)) = m")
+        assert render_z(ZElement.monomial(self.target)) in round_trip
+        reverse = _failures(report, "z_to_tilde(tilde_to_z(w)) = w")
+        assert render_uea(UeaElement.monomial(tilde_word(self.target))) in reverse
+
+
 class TestTheta:
     def test_involution(self):
         for g in range(5):
@@ -297,6 +338,15 @@ class TestTheta:
         assert z_theta(zgen(ZH)) == zgen(ZH)
         assert z_theta(zgen(Z2)) == -zgen(ZN2)
         assert z_theta(zgen(ZN2)) == -zgen(Z2)
+
+
+def test_element_operators():
+    z1, z2 = zgen(Z2) + ZElement.coeff(H), zgen(ZN1) - zgen(ZH)
+    assert z1 * z2 == z_multiply(z1, z2)
+    assert 2 * z1 == z1.scale(2)
+    with pytest.raises(TypeError):
+        z1 * 2
+    assert z1 + z2 == z2 + z1 and hash(z1 + z2) == hash(z2 + z1)
 
 
 def test_monomials_survive_copy_and_pickle():
