@@ -222,12 +222,14 @@ class Polynomial:
         for d in range(len(a) - 1, -1, -1):
             if not a[d]:
                 continue
-            mag = Fraction(abs(a[d]), den)
+            n = abs(a[d])
+            g = gcd(n, den)
+            mag = str(n // g) if g == den else f"{n // g}/{den // g}"
             if d == 0:
-                body = str(mag)
+                body = mag
             else:
                 var = "H" if d == 1 else f"H^{d}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == "1" else f"{mag}*{var}"
             if not parts:
                 parts.append(body if a[d] > 0 else f"-{body}")
             else:
@@ -458,6 +460,8 @@ class RationalFunction:
     @property
     def den(self) -> Polynomial:
         """The monic denominator, expanded."""
+        if not self.roots:
+            return self.rest
         d = _times_roots(_POLY_ONE, self.roots)
         return d if self.rest is _POLY_ONE else d * self.rest
 

@@ -229,6 +229,10 @@ def rewrite(
             r += roots[it]
         else:
             c = c * as_rf(it).shift(r)
+    if not c:
+        return {}
+    if next(_violations(word, odd), -1) < 0:  # already ordered
+        return {monomial.from_letters(word): c}
     pending: dict = {}
     heap: list = []
 
@@ -239,8 +243,7 @@ def rewrite(
             pending[w] = t
             heapq.heappush(heap, (-len(w), tuple(-g for g in w), w))
 
-    if c:
-        push(c, tuple(word))
+    push(c, tuple(word))
     out: dict = {}
     while heap:
         w = heapq.heappop(heap)[2]

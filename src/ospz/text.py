@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeffs import RationalFunction, RF_ONE, H, Polynomial, as_rf
 from .uea import GENERATORS, TOKEN_TO_GEN, UeaElement, straighten
@@ -46,17 +46,19 @@ class UnknownToken(ExprSyntaxError):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# One token and the whitespace before it.  Lines are matched one at a time,
+# with trailing whitespace stripped, so a match always ends in a token.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<num>\d+)"
+    r"\s*(?:"
+    r"(?P<num>\d+)"
     r"|(?P<name>[A-Za-z]+)"
     r"|(?P<diamond><>)"
     r"|(?P<sym>[()^+\-*/])"
+    r"|(?P<bad>\S))"
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # num | name | diamond | sym | end
     text: str
     line: int
@@ -65,26 +67,16 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise UnknownToken(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind == "num" and len(chunk) > MAX_COEFF_DIGITS:
-            raise ExprSyntaxError(f"integer of more than {MAX_COEFF_DIGITS} digits", line, col)
-        if kind != "ws":
-            out.append(Token(kind, chunk, line, col))
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    out.append(Token("end", "", line, col))
+    for line, chunk in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(chunk.rstrip()):
+            i = m.lastindex
+            kind, tok, column = m.lastgroup, m[i], m.start(i) + 1
+            if kind == "bad":
+                raise UnknownToken(f"unexpected character {tok!r}", line, column)
+            if kind == "num" and len(tok) > MAX_COEFF_DIGITS:
+                raise ExprSyntaxError(f"integer of more than {MAX_COEFF_DIGITS} digits", line, column)
+            out.append(Token(kind, tok, line, column))
+    out.append(Token("end", "", line, len(chunk) + 1))
     return out
 
 
@@ -97,19 +89,18 @@ class _Parser:
             raise ValueError("algebra must be 'u' or 'z'")
         self.toks = tokens
         self.i = 0
+        self.tok = tokens[0]  # the next token, tokens[i]
         self.algebra = algebra
         self.overflow: Token | None = None  # first letter past MAX_TERM_LETTERS
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
     def next(self) -> Token:
-        t = self.toks[self.i]
+        t = self.tok
         self.i += 1
+        self.tok = self.toks[self.i]
         return t
 
     def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
+        tok = tok or self.tok
         raise ExprSyntaxError(message, tok.line, tok.column)
 
     def bounded(self, value: RationalFunction, tok: Token, power: int = 1) -> RationalFunction:
@@ -125,7 +116,7 @@ class _Parser:
         return value
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
+        t = self.tok
         if t.text != text:
             self.fail(f"expected {text!r}", t)
         return self.next()
@@ -137,57 +128,56 @@ class _Parser:
         is an ExprSyntaxError at the letter that passes the limit, raised
         only once the whole input has parsed."""
         terms = [self.term(self.sign())]
-        while self.peek().text in ("+", "-"):
+        while self.tok.text in ("+", "-"):
             terms.append(self.term(self.sign()))
-        if self.peek().kind != "end":
+        if self.tok.kind != "end":
             self.fail("trailing input")
         if self.overflow:
             self.fail(f"term has more than {MAX_TERM_LETTERS} generator letters", self.overflow)
         return terms
 
     def sign(self) -> int:
-        if self.peek().text in ("+", "-"):
+        if self.tok.text in ("+", "-"):
             return -1 if self.next().text == "-" else 1
         return 1
 
     def term(self, sign: int) -> tuple[int, list]:
         coeff = None
-        if self.peek().text == "(":
+        if self.tok.text == "(":
             self.next()
             coeff = self.ratfunc()
             self.expect(")")
-            if self.peek().text == "*":
+            if self.tok.text == "*":
                 self.next()
-        elif self.peek().kind == "num":
+        elif self.tok.kind == "num":
             num = int(self.next().text)
             den = 1
-            if self.peek().text == "/":
+            if self.tok.text == "/":
                 self.next()
-                t = self.peek()
-                if t.kind != "num":
+                dt = self.tok
+                if dt.kind != "num":
                     self.fail("expected integer denominator")
-                dt = self.peek()
                 den = int(self.next().text)
                 if den == 0:
                     self.fail("division by zero in coefficient", dt)
             coeff = as_rf(Fraction(num, den))
-            if self.peek().text == "*":
+            if self.tok.text == "*":
                 self.next()
-        if coeff is None and self.peek().kind != "name":
+        if coeff is None and self.tok.kind != "name":
             self.fail("expected a term")
         items: list = [RF_ONE if coeff is None else coeff]
         letters = 0
-        while self.peek().kind == "name":
-            tok = self.peek()
+        while self.tok.kind == "name":
+            tok = self.tok
             g, exp = self.factor()
             letters += exp
             if letters > MAX_TERM_LETTERS:
                 self.overflow = self.overflow or tok
             else:
                 items.extend([g] * exp)
-            if self.algebra == "z" and self.peek().kind == "diamond":
+            if self.algebra == "z" and self.tok.kind == "diamond":
                 self.next()
-            elif self.peek().kind == "diamond":
+            elif self.tok.kind == "diamond":
                 self.fail("'<>' is only valid in z-algebra expressions")
         return sign, items
 
@@ -200,10 +190,10 @@ class _Parser:
         elif name in ("X", "t", "E"):
             self.expect("(")
             neg = False
-            if self.peek().text == "-":
+            if self.tok.text == "-":
                 self.next()
                 neg = True
-            nt = self.peek()
+            nt = self.tok
             if nt.kind != "num":
                 self.fail("expected integer generator label")
             k = int(self.next().text)
@@ -216,9 +206,9 @@ class _Parser:
         if self.algebra == "z" and token not in TOKEN_TO_ZGEN:
             self.fail(f"unknown generator {token!r} (z-algebra uses E(-2)..E(2))", t)
         exp = 1
-        if self.peek().text == "^":
+        if self.tok.text == "^":
             self.next()
-            et = self.peek()
+            et = self.tok
             if et.kind != "num":
                 self.fail("expected integer exponent")
             exp = int(self.next().text)
@@ -228,7 +218,7 @@ class _Parser:
     # -- rational functions in H --------------------------------------
     def ratfunc(self) -> RationalFunction:
         value = self.rterm()
-        while self.peek().text in ("+", "-"):
+        while self.tok.text in ("+", "-"):
             op = self.next()
             rhs = self.rterm()
             value = self.bounded(value + rhs if op.text == "+" else value - rhs, op)
@@ -236,7 +226,7 @@ class _Parser:
 
     def rterm(self) -> RationalFunction:
         value = self.runary()
-        while self.peek().text in ("*", "/"):
+        while self.tok.text in ("*", "/"):
             op = self.next()
             rhs = self.runary()
             if op.text == "*":
@@ -250,13 +240,13 @@ class _Parser:
 
     def runary(self) -> RationalFunction:
         sign = 1
-        while self.peek().text in ("+", "-"):
+        while self.tok.text in ("+", "-"):
             if self.next().text == "-":
                 sign = -sign
         value = self.ratom()
-        if self.peek().text == "^":
+        if self.tok.text == "^":
             self.next()
-            et = self.peek()
+            et = self.tok
             if et.kind != "num":
                 self.fail("expected integer exponent")
             exp = int(self.next().text)
@@ -266,7 +256,7 @@ class _Parser:
         return value if sign == 1 else -value
 
     def ratom(self) -> RationalFunction:
-        t = self.peek()
+        t = self.tok
         if t.kind == "num":
             return as_rf(int(self.next().text))
         if t.text == "H":
@@ -285,7 +275,7 @@ class _Parser:
 def parse_ratfunc(text: str) -> RationalFunction:
     p = _Parser(tokenize(text), "u")
     value = p.ratfunc()
-    if p.peek().kind != "end":
+    if p.tok.kind != "end":
         p.fail("trailing input")
     return value
 
@@ -319,18 +309,22 @@ def parse_element(text: str, algebra: str = "u"):
 # ---------------------------------------------------------------------------
 # Rendering
 
+def _bare(p: Polynomial) -> bool:
+    """Whether p prints as a nonnegative integer."""
+    den, a = p._form
+    return den == 1 and len(a) <= 1 and not (a and a[0] < 0)
+
+
 def _coeff_text(c: RationalFunction) -> str:
     """The coefficient as a text factor, parenthesized unless atomic."""
     num, den = c.num, c.den
-    if den == 1:
-        s = str(num)
-        atomic = num.degree <= 0 and num.lead >= 0 and num.lead.denominator == 1
-        return s if atomic else f"({s})"
     ns = str(num)
-    if num.degree > 0 or num.lead < 0 or num.lead.denominator != 1:
+    if den._form == (1, (1,)):
+        return ns if _bare(num) else f"({ns})"
+    if not _bare(num):
         ns = f"({ns})"
-    ds = str(den)
-    if len(den.coeffs) > 1:  # e.g. "H - 1"; bare "H" or "H^2" stays unwrapped
+    ds, da = str(den), den._form[1]
+    if len(da) - da.count(0) > 1:  # e.g. "H - 1"; bare "H" or "H^2" stays unwrapped
         ds = f"({ds})"
     return f"({ns}/{ds})"
 
@@ -341,7 +335,7 @@ def _join_terms(items: list[tuple[RationalFunction, str]], coeff_str, sep: str) 
     `sep` stands between a coefficient other than 1 and its monomial."""
     parts: list[str] = []
     for i, (c, mono) in enumerate(items):
-        negative = c.num.lead < 0
+        negative = c.num._form[1][-1] < 0
         if negative:
             c = -c
         if mono and c.is_one():
@@ -384,25 +378,29 @@ def _poly_latex(p: Polynomial) -> str:
 
 
 def _coeff_latex(c: RationalFunction) -> str:
-    if c.den == 1:
-        s = _poly_latex(c.num)
-        if c.num.degree > 0 or c.num.lead < 0:
-            return rf"\left({s}\right)"
-        return s
-    return rf"\frac{{{_poly_latex(c.num)}}}{{{_poly_latex(c.den)}}}"
+    num, den = c.num, c.den
+    s = _poly_latex(num)
+    if den._form == (1, (1,)):
+        a = num._form[1]
+        return rf"\left({s}\right)" if len(a) > 1 or a[-1] < 0 else s
+    return rf"\frac{{{s}}}{{{_poly_latex(den)}}}"
 
 
 def _json_payload(terms, word_fn) -> str:
-    data = {
-        "terms": [
-            {
-                "coeff": {"num": str(c.num), "den": str(c.den)},
-                "word": word_fn(m),
-            }
-            for m, c in terms
-        ]
-    }
-    return json.dumps(data, indent=2, sort_keys=True)
+    """json.dumps({"terms": [{"coeff": {"num", "den"}, "word"}]}, indent=2,
+    sort_keys=True) for the (monomial, coefficient) pairs `terms`, written
+    directly: that layout is fixed, and only the strings need escaping."""
+    q = json.dumps
+    blocks = []
+    for m, c in terms:
+        word = ",\n".join(f"        [\n          {q(tok)},\n          {ex}\n        ]" for tok, ex in word_fn(m))
+        word = f"[\n{word}\n      ]" if word else "[]"
+        blocks.append(
+            f'    {{\n      "coeff": {{\n        "den": {q(str(c.den))},\n        "num": {q(str(c.num))}\n'
+            f'      }},\n      "word": {word}\n    }}'
+        )
+    body = ",\n".join(blocks)
+    return f'{{\n  "terms": [\n{body}\n  ]\n}}' if blocks else '{\n  "terms": []\n}'
 
 
 def _pairs(m) -> list[tuple[int, int]]:

@@ -147,6 +147,27 @@ class TestPolynomial:
     def test_no_certificate_when_the_prime_divides_a_leading_coefficient(self):
         assert not coeffs._coprime_mod_p((1, coeffs._CERT_PRIME), (2, 1))  # p*H + 1 and H + 2
 
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_str_matches_a_fraction_reference(self, den, a):
+        # the integer form (1/den) * sum a[d] H^d, printed term by term with
+        # Fraction magnitudes
+        p = Polynomial({d: Fraction(n, den) for d, n in enumerate(a)})
+        parts = []
+        for d, c in sorted(p.coeffs.items(), reverse=True):
+            mag = abs(c)
+            var = "H" if d == 1 else f"H^{d}"
+            body = str(mag) if d == 0 else var if mag == 1 else f"{mag}*{var}"
+            if parts:
+                body = f"{'+' if c > 0 else '-'} {body}"
+            elif c < 0:
+                body = f"-{body}"
+            parts.append(body)
+        assert str(p) == (" ".join(parts) or "0")
+
     def test_sum_of_large_coprime_powers_is_fast(self):
         x = "((123456789*H^2+3*H+7)/(987654321*H^2+5*H+11))^32"
         t0 = time.perf_counter()

@@ -3,6 +3,8 @@
 import json
 import random
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +13,29 @@ from hypothesis import strategies as st
 from ospz.coeffs import H, RationalFunction, as_rf
 from ospz.text import (
     ExprSyntaxError,
+    _coeff_text,
     parse_element,
     parse_ratfunc,
     render,
     render_uea,
     render_z,
 )
-from ospz.uea import TILDE_GENS, UeaElement, straighten
-from ospz.zalgebra import Z2, ZN2, ZElement, ZMonomial, all_monomials, derived_rule, z_multiply
+from ospz.uea import GENERATORS, TILDE_GENS, UeaElement, straighten, theta
+from ospz.zalgebra import (
+    RULE_KEYS,
+    Z2,
+    ZN2,
+    Z_TOKENS,
+    ZElement,
+    ZMonomial,
+    all_monomials,
+    derived_rule,
+    z_multiply,
+    z_straighten,
+    z_theta,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParsing:
@@ -69,6 +86,32 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse_element("t(1) <> t(2)", "u")
 
+    @pytest.mark.parametrize(
+        "text, algebra, message",
+        [
+            ("t(1)\n\tt(2) %", "u", "line 2, column 7: unexpected character '%'"),
+            ("X(1)\t+\n  \tX(-1) t(2)^\n", "u", "line 3, column 1: expected integer exponent"),
+            ("E(1)\n\n\t<> E(2) <> \t$", "z", "line 3, column 14: unexpected character '$'"),
+            ("t(1) +\n\t(H\n - ) t(2)", "u", "line 3, column 4: expected a coefficient atom"),
+            ("t(1 \t", "u", "line 1, column 6: expected ')'"),
+            ("1" * 1001 + " t(1)", "u", "line 1, column 1: integer of more than 1000 digits"),
+            ("t(1)\n  " + "2" * 1001, "u", "line 2, column 3: integer of more than 1000 digits"),
+            ("t(1) t(2)#", "u", "line 1, column 10: unexpected character '#'"),
+            ("E(0)?", "z", "line 1, column 5: unexpected character '?'"),
+            ("t(1", "u", "line 1, column 4: expected ')'"),
+            ("X(3)", "u", "line 1, column 1: unknown generator 'X(3)'"),
+            ("E(3)", "z", "line 1, column 1: unknown generator 'E(3)' (z-algebra uses E(-2)..E(2))"),
+            ("t(1) <> t(2)", "u", "line 1, column 6: '<>' is only valid in z-algebra expressions"),
+            ("t(1)\n<>", "u", "line 2, column 1: '<>' is only valid in z-algebra expressions"),
+        ],
+    )
+    def test_pinned_error_messages(self, text, algebra, message):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_element(text, algebra)
+        assert str(err.value) == message
+        line, column = message.split(":")[0].removeprefix("line ").split(", column ")
+        assert (err.value.line, err.value.column) == (int(line), int(column))
+
 
 class TestRendering:
     def test_z_example_display(self):
@@ -103,6 +146,26 @@ class TestRendering:
         b = render_z(ZElement(dict(reversed(list(terms.items())))))
         assert a == b
 
+    @pytest.mark.parametrize(
+        "c, text",
+        [
+            (as_rf(3), "3"),
+            (as_rf(Fraction(1, 2)), "(1/2)"),
+            (as_rf(-3), "(-3)"),
+            (as_rf(H), "(H)"),
+            (RationalFunction(1, H), "(1/H)"),
+            (RationalFunction(1, H**2), "(1/H^2)"),
+            (RationalFunction(1, H - 1), "(1/(H - 1))"),
+            (RationalFunction(-1, H), "((-1)/H)"),
+            (RationalFunction(Fraction(1, 2), H), "((1/2)/H)"),
+            (RationalFunction(H, H**2 + 1), "((H)/(H^2 + 1))"),
+            (RationalFunction(2 * H + 1, H**2), "((2*H + 1)/H^2)"),
+        ],
+    )
+    def test_coeff_text(self, c, text):
+        # atomic factors stay bare: a nonnegative integer, a one-term denominator
+        assert _coeff_text(c) == text
+
 
 def _json(terms) -> str:
     """The JSON rendering of (numerator, denominator, word) terms, a word
@@ -113,6 +176,94 @@ def _json(terms) -> str:
 
     data = {"terms": [{"coeff": {"num": n, "den": d}, "word": word(w)} for n, d, w in terms]}
     return json.dumps(data, indent=2, sort_keys=True)
+
+
+_COEFFS = (
+    as_rf(1),
+    as_rf(-1),
+    as_rf(5),
+    as_rf(Fraction(1, 2)),
+    as_rf(Fraction(-7, 3)),
+    as_rf(H),
+    as_rf(Fraction(-1, 2) * H**2 + 3),
+    RationalFunction(H, H**2 + 1),
+    RationalFunction(1, H - 1),
+    RationalFunction(-2, H),
+    RationalFunction(H**2 - 2, H + 3),
+    RationalFunction(Fraction(2, 3) * H + 1, H * (H - 1) ** 2),
+)
+
+
+def _random_elements(seed: int, n: int) -> list:
+    """n seeded U elements and n Z elements, straightened from random
+    words with coefficients left of and between the letters."""
+    rng = random.Random(seed)
+    out = []
+    for size, cap, fn in ((9, 4, straighten), (5, 3, z_straighten)):
+        for _ in range(n):
+            items = [rng.choice(_COEFFS)]
+            for _ in range(rng.randint(0, cap)):
+                items.append(rng.randrange(size))
+                if rng.random() < 0.2:
+                    items.append(rng.choice(_COEFFS))
+            out.append(fn(items, rng.choice((1, -1))))
+    return out
+
+
+def _golden_elements() -> list:
+    """The seeded elements of tests/golden/render.txt."""
+    elements = [UeaElement.zero(), ZElement.zero(), UeaElement.coeff(RationalFunction(H, H**2 + 1))]
+    elements += _random_elements(22, 20)
+    elements += [derived_rule(a, b) for a, b in RULE_KEYS]
+    elements += [theta(e) for e in elements[3:13]] + [z_theta(e) for e in elements[23:33]]
+    return elements
+
+
+def _reference_json(e) -> str:
+    """json.dumps of the JSON rendering's data, terms in print order."""
+    if isinstance(e, UeaElement):
+        tokens = [g.token for g in GENERATORS]
+        rank = lambda m: [(g, ex) for g, ex in enumerate(m) if ex]  # noqa: E731
+    else:
+        tokens, rank = Z_TOKENS, tuple
+    terms = [
+        {
+            "coeff": {"num": str(c.num), "den": str(c.den)},
+            "word": [[tokens[g], ex] for g, ex in enumerate(m) if ex],
+        }
+        for m, c in sorted(e, key=lambda t: (t[0].degree(), rank(t[0])))
+    ]
+    return json.dumps({"terms": terms}, indent=2, sort_keys=True)
+
+
+class TestJsonWriter:
+    def test_random_elements(self):
+        elements = _random_elements(7, 40)
+        assert any(ex > 1 for e in elements for m in e.terms for ex in m)
+        for e in elements:
+            assert render(e, "json") == _reference_json(e)
+
+    def test_special_cases(self):
+        cases = [
+            UeaElement.zero(),
+            ZElement.zero(),
+            UeaElement.coeff(Fraction(-3, 4)),
+            ZElement.coeff(RationalFunction(H, H**2 + 1)),
+            UeaElement.coeff(RationalFunction(H, H**2 + 1)) * straighten([TILDE_GENS[3]] * 2),
+            derived_rule(Z2, ZN2),
+            ZElement.monomial(ZMonomial.make(p=3, r=2), RationalFunction(Fraction(-5, 2), H - 1)),
+        ]
+        for e in cases:
+            assert render(e, "json") == _reference_json(e)
+        assert render(UeaElement.zero(), "json") == '{\n  "terms": []\n}'
+
+
+def test_render_matches_golden_file():
+    blocks = []
+    for i, e in enumerate(_golden_elements()):
+        blocks.append(f"## {i} {type(e).__name__}")
+        blocks += [render(e, fmt) for fmt in ("text", "latex", "json")]
+    assert "\n".join(blocks) + "\n" == (GOLDEN / "render.txt").read_text()
 
 
 class TestTermOrder:
