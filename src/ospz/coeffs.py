@@ -113,8 +113,9 @@ class Polynomial:
             return self == Polynomial.const(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self._form)
+    def __hash__(self):  # a constant hashes like its int or Fraction value
+        den, a = self._form
+        return hash(self._form if len(a) > 1 else Fraction(a[0], den) if a else 0)
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other) -> "Polynomial":
@@ -138,7 +139,7 @@ class Polynomial:
 
     def __neg__(self) -> "Polynomial":
         den, a = self._form
-        return _poly(den, [-c for c in a])
+        return _raw(den, [-c for c in a])
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-_as_poly(other))
@@ -208,12 +209,12 @@ class Polynomial:
         return _poly(den, a)
 
     def eval(self, x: RationalLike) -> Fraction:
-        x = _rational(x)
-        den, a = self._form
-        acc = Fraction(0)
-        for c in reversed(a):
-            acc = acc * x + c
-        return acc / den
+        x = _rational(x)  # x = n/d: Horner on integers, times d^degree
+        (den, a), n, d = self._form, x.numerator, x.denominator
+        acc = 0
+        for i, c in enumerate(reversed(a)):
+            acc = acc * n + c * d**i
+        return Fraction(acc, den * d ** max(len(a) - 1, 0))
 
     # -- text ---------------------------------------------------------
     def __str__(self) -> str:
@@ -370,14 +371,18 @@ def _times_roots(p: Polynomial, roots) -> Polynomial:
 
 def _peel(a, k: int, m: int) -> tuple[list[int], int]:
     """Divide integer coefficients a by H - k, at most m times, while they
-    vanish at k (synthetic division); returns the quotient and m left."""
+    vanish at k (synthetic division, after a Horner test); returns the
+    quotient and m left."""
     while m and len(a) > 1:
-        acc, q = 0, []
+        acc = 0
         for c in reversed(a):
             acc = acc * k + c
-            q.append(acc)
-        if q.pop():
+        if acc:
             break
+        acc, q = 0, []
+        for c in reversed(a[1:]):
+            acc = acc * k + c
+            q.append(acc)
         a, m = q[::-1], m - 1
     return a, m
 
@@ -466,7 +471,7 @@ class RationalFunction:
         return d if self.rest is _POLY_ONE else d * self.rest
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.num._form[1])
 
     def is_one(self) -> bool:
         return self.num._form == (1, (1,)) and not self.roots and self.rest is _POLY_ONE
@@ -479,8 +484,8 @@ class RationalFunction:
             return self.num == other.num and self.roots == other.roots
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    def __hash__(self):  # a polynomial, a constant above all, hashes like its numerator
+        return hash(self.num) if self.den is _POLY_ONE else hash((self.num, self.den))
 
     def __add__(self, other):
         other = _as_rf(other)
@@ -528,14 +533,15 @@ class RationalFunction:
             return NotImplemented
         n1, r1 = self.num, self.roots
         n2, r2 = other.num, other.roots
-        if not n1 or not n2:
+        if not n1._form[1] or not n2._form[1]:
             return RF_ZERO
+        # a nonzero constant keeps any fraction canonical: it scales the numerator
+        if not r1 and len(n1._form[1]) == 1 and self.rest is _POLY_ONE:
+            return other if n1._form == (1, (1,)) else _make(n1 * n2, r2, other.rest)
+        if not r2 and len(n2._form[1]) == 1 and other.rest is _POLY_ONE:
+            return self if n2._form == (1, (1,)) else _make(n1 * n2, r1, self.rest)
         if self.rest is not _POLY_ONE or other.rest is not _POLY_ONE:
             return RationalFunction(n1 * n2, self.den * other.den)
-        if not r1 and n1._form == (1, (1,)):
-            return other
-        if not r2 and n2._form == (1, (1,)):
-            return self
         # each factor is coprime, so only n1 against d2 and n2 against d1
         # can cancel, and only at the listed roots
         n1, r2 = _cancel(n1, r2)
@@ -623,14 +629,20 @@ def as_rf(x) -> RationalFunction:
     return r
 
 
-class Sqrt2(object):
-    """Element a + b*sqrt(2) of the real quadratic field Q(sqrt 2)."""
+class Sqrt2:
+    """Element a + b*sqrt(2) of the real quadratic field Q(sqrt 2), held as
+    ``_form = (p, q, d)`` for (p + q*sqrt(2)) / d with d > 0, gcd(p, q, d) == 1:
+    canonical like ``Polynomial._form``; ``a`` and ``b`` are Fraction views."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_form",)
+    a = property(lambda self: Fraction(self._form[0], self._form[2]))
+    b = property(lambda self: Fraction(self._form[1], self._form[2]))
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        object.__setattr__(self, "a", _rational(a))
-        object.__setattr__(self, "b", _rational(b))
+        a, b = _rational(a), _rational(b)
+        d = lcm(a.denominator, b.denominator)  # of reduced a and b: canonical
+        p, q = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        object.__setattr__(self, "_form", (p, q, d))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Sqrt2 is immutable")
@@ -639,27 +651,31 @@ class Sqrt2(object):
         return Sqrt2, (self.a, self.b)
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return self._form[0] != 0 or self._form[1] != 0
 
     def __eq__(self, other):
         other = _as_sqrt2(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self._form == other._form
 
-    def __hash__(self):
-        return hash((self.a, self.b))
+    def __hash__(self):  # a rational element hashes like its int or Fraction value
+        p, q, d = self._form
+        return hash(self._form if q else Fraction(p, d))
 
     def __add__(self, other):
         other = _as_sqrt2(other)
         if other is NotImplemented:
             return NotImplemented
-        return Sqrt2(self.a + other.a, self.b + other.b)
+        p1, q1, d1 = self._form
+        p2, q2, d2 = other._form
+        return _sqrt2(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Sqrt2(-self.a, -self.b)
+        p, q, d = self._form
+        return _sqrt2(-p, -q, d)
 
     def __sub__(self, other):
         o = _as_sqrt2(other)
@@ -674,15 +690,19 @@ class Sqrt2(object):
         other = _as_sqrt2(other)
         if other is NotImplemented:
             return NotImplemented
-        return Sqrt2(self.a * other.a + 2 * self.b * other.b, self.a * other.b + self.b * other.a)
+        p1, q1, d1 = self._form
+        p2, q2, d2 = other._form
+        return _sqrt2(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Sqrt2":
-        n = self.a * self.a - 2 * self.b * self.b
+        # d / (p + q sqrt2) = d (p - q sqrt2) / (p^2 - 2 q^2), sqrt 2 being irrational
+        p, q, d = self._form
+        n = p * p - 2 * q * q
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 2)")
-        return Sqrt2(self.a / n, -self.b / n)
+        return _sqrt2(d * p, -d * q, n)
 
     def __truediv__(self, other):
         other = _as_sqrt2(other)
@@ -706,11 +726,19 @@ class Sqrt2(object):
         return f"Sqrt2({self.a}, {self.b})"
 
 
+def _sqrt2(p: int, q: int, d: int) -> Sqrt2:
+    """The element (p + q*sqrt(2)) / d, d nonzero, in canonical form."""
+    g = gcd(p, q, d) if d > 0 else -gcd(p, q, d)
+    x = object.__new__(Sqrt2)
+    object.__setattr__(x, "_form", (p // g, q // g, d // g) if g != 1 else (p, q, d))
+    return x
+
+
 def _as_sqrt2(x):
     if isinstance(x, Sqrt2):
         return x
     if isinstance(x, (int, Fraction)):
-        return Sqrt2(x)
+        return _sqrt2(x.numerator, 0, x.denominator)
     return NotImplemented
 
 

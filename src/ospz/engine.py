@@ -18,9 +18,10 @@ by the alphabet's pair-rule table.
 from __future__ import annotations
 
 import heapq
+from operator import mul, neg
 from typing import Callable, Iterator, Sequence
 
-from .coeffs import RF_ONE, RF_ZERO, as_rf
+from .coeffs import RF_ONE, as_rf
 
 
 class Monomial(tuple):
@@ -49,7 +50,7 @@ class Monomial(tuple):
         return sum(self)
 
     def root_sum(self) -> int:
-        return sum(k * e for k, e in zip(self.ROOTS, self))
+        return sum(map(mul, self.ROOTS, self))
 
     def parity(self) -> int:
         return sum(e for e, odd in zip(self, self.ODD) if odd) & 1
@@ -146,10 +147,11 @@ def add_scaled(out: dict, c, terms) -> None:
     """out += c * terms, for (monomial, coefficient) pairs `terms`."""
     if c.is_one():
         for m, f in terms:
-            out[m] = out.get(m, RF_ZERO) + f
+            out[m] = out[m] + f if m in out else f
     else:
         for m, f in terms:
-            out[m] = out.get(m, RF_ZERO) + c * f
+            f = c if f.is_one() else c * f
+            out[m] = out[m] + f if m in out else f
 
 
 def bilinear(u, v, mono_product: Callable) -> dict:
@@ -161,9 +163,9 @@ def bilinear(u, v, mono_product: Callable) -> dict:
     """
     out: dict = {}
     for mu, cu in u:
-        su = mu.root_sum()
+        su, one = mu.root_sum(), cu.is_one()
         for mv, cv in v:
-            c = cu * cv.shift(su)
+            c = cu if cv.is_one() else cv.shift(su) if one else cu * cv.shift(su)
             if c:
                 add_scaled(out, c, mono_product(mu, mv))
     return out
@@ -183,6 +185,13 @@ def fold_letters(
             add_scaled(nxt, f, times_letter(m, g))
         acc = {m: f for m, f in nxt.items() if f and (keep is None or keep(m))}
     return acc
+
+
+def rule_term(f, letters: tuple[int, ...]) -> tuple:
+    """The rule term (sign, coefficient or None, letters) of f times the word
+    `letters`, a coefficient 1 or -1 kept as the sign alone (no product)."""
+    sign = 1 if f.is_one() else -1 if (-f).is_one() else 0
+    return (sign, None, letters) if sign else (1, f, letters)
 
 
 def _violations(w: Sequence[int], odd: Sequence[bool]) -> Iterator[int]:
@@ -228,7 +237,8 @@ def rewrite(
             word.append(it)
             r += roots[it]
         else:
-            c = c * as_rf(it).shift(r)
+            f = as_rf(it).shift(r)
+            c = c if f.is_one() else f if c.is_one() else c * f
     if not c:
         return {}
     if next(_violations(word, odd), -1) < 0:  # already ordered
@@ -241,7 +251,7 @@ def rewrite(
             pending[w] = pending[w] + t
         else:
             pending[w] = t
-            heapq.heappush(heap, (-len(w), tuple(-g for g in w), w))
+            heapq.heappush(heap, (-len(w), tuple(map(neg, w)), w))
 
     push(c, tuple(word))
     out: dict = {}
@@ -257,11 +267,11 @@ def rewrite(
             i = viols[chooser(viols, w)] if viols else -1
         if i < 0:
             m = monomial.from_letters(w)
-            out[m] = out.get(m, RF_ZERO) + c
+            out[m] = out[m] + c if m in out else c
             continue
-        pre, post = w[:i], w[i + 2 :]
-        r = sum(roots[g] for g in pre)
+        pre, post, one = w[:i], w[i + 2 :], c.is_one()
+        r = sum(map(roots.__getitem__, pre))
         for sign, f, letters in rules[(w[i], w[i + 1])]:
-            t = c if f is None else c * f.shift(r)
+            t = c if f is None else f.shift(r) if one else c * f.shift(r)
             push(t if sign > 0 else -t, pre + letters + post)
     return out

@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import count
 
 from .coeffs import RF_ONE, Polynomial, RationalFunction, as_rf
-from .engine import bilinear
+from .engine import add_scaled, bilinear
 from .uea import (
     TILDE_GENS,
     X1,
@@ -128,16 +128,20 @@ def _raise_chain(mv, n: int) -> UeaElement:
 def _diamond_mono(mu, mv) -> UeaElement:
     # The raising chain goes first (see the module docstring), so a lowering
     # bracket is taken only for a term the series sums.
-    total = UeaElement.zero()
+    total: dict = {}
     for n in count():
         right = _raise_chain(mv, n)
         left = right and _lower_chain(mu, n)
         if not left:
-            return total
-        # phi_n(H + n) right of a monomial m moves left as phi_n(H + n + root_sum(m)).
-        p = phi(n)
-        left = UeaElement({m: c * p.shift(n + m.root_sum()) for m, c in left})
-        total = total + mul(left, right, "both")
+            return UeaElement(total)
+        if n:  # phi_0 = 1
+            p, scaled = phi(n), {}
+            for m, c in left:
+                # phi_n(H + n) right of a monomial m moves left as phi_n(H + n + root_sum(m)).
+                f = p.shift(n + m.root_sum())
+                scaled[m] = f if c.is_one() else c * f
+            left = UeaElement(scaled)
+        add_scaled(total, RF_ONE, mul(left, right, "both"))
 
 
 @lru_cache(maxsize=None)
@@ -148,11 +152,11 @@ def projected_generator(g: int) -> UeaElement:
         raise ValueError("projected generators are defined for tilde generators only")
     word = Word.from_letters([g])
     # X(1)^n g = [X(1), .]^n(g) modulo U g_+, which X(-1)^n keeps.
-    total = UeaElement.zero()
+    total: dict = {}
     lower_pow = UeaElement.one()
     for n in count():
         term = _raise_chain(word, n)
         if not term:
-            return total
-        total = total + mul(lower_pow, term, "right").scale(phi(n))
+            return UeaElement(total)
+        add_scaled(total, phi(n), mul(lower_pow, term, "right"))
         lower_pow = mul(lower_pow, _X_LOWER)

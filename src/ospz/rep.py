@@ -106,8 +106,9 @@ def _apply(images, vec: dict, scale=1, acc=None) -> dict:
     sparse vector vec = {j: coefficient}."""
     acc = {} if acc is None else acc
     for j, c in vec.items():
+        c = c if scale == 1 else scale * c
         for i, x in images[j].items():
-            acc[i] = acc.get(i, _SR_ZERO) + scale * c * x
+            acc[i] = acc[i] + c * x if i in acc else c * x
     return acc
 
 
@@ -307,7 +308,7 @@ class TensorModule:
             if k2 < 0 or not s:
                 continue
             key = (k2, i)
-            out[key] = out.get(key, _SR_ZERO) + c * s
+            out[key] = out[key] + c * s if key in out else c * s
         return ModuleVector(out)
 
     def _act_right(self, root: int, v: ModuleVector) -> ModuleVector:
@@ -315,10 +316,10 @@ class TensorModule:
         odd = abs(root) == 1
         out: dict = {}
         for (k, i), c in v.terms.items():
-            sign = -1 if (odd and k % 2) else 1
+            c = -c if odd and k % 2 else c
             for i2, s in images[i].items():
                 key = (k, i2)
-                out[key] = out.get(key, _SR_ZERO) + c * s * Sqrt2(sign)
+                out[key] = out[key] + c * s if key in out else c * s
         return ModuleVector(out)
 
     def act(self, g: int, v: ModuleVector) -> ModuleVector:

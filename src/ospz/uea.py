@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .coeffs import RF_ONE, RF_ZERO, Polynomial, RationalFunction, as_rf
-from .engine import Monomial, PBWElement, bilinear, fold_letters, rewrite
+from .engine import Monomial, PBWElement, add_scaled, bilinear, fold_letters, rewrite, rule_term
 
 
 class MixedParityError(ValueError):
@@ -163,10 +163,10 @@ def commutator_table(a: int, b: int) -> UeaElement:
 def _pair_rule(a: int, b: int) -> tuple:
     """Terms replacing the letter pair a b: the swapped pair with its sign,
     then the bracket terms; an odd letter twice is half its bracket."""
-    bracket = [(1, f, tuple(m.letters())) for m, f in commutator_table(a, b)]
+    half = Fraction(1, 2) if a == b else 1
+    bracket = tuple(rule_term(half * f, tuple(m.letters())) for m, f in commutator_table(a, b))
     if a == b:
-        half = Fraction(1, 2)
-        return tuple((1, half * f, letters) for _, f, letters in bracket)
+        return bracket
     return ((-1 if Word.ODD[a] and Word.ODD[b] else 1, None, (b, a)), *bracket)
 
 
@@ -284,7 +284,7 @@ _THETA_IMAGE = {
 def theta(u: UeaElement) -> UeaElement:
     """Involutive anti-automorphism: reverses products, fixes the Cartan,
     sends root vectors k -> -k with sign -(-1)^parity."""
-    total = UeaElement.zero()
+    total: dict = {}
     for m, c in u:
         sign = 1
         rev: list = []
@@ -293,6 +293,6 @@ def theta(u: UeaElement) -> UeaElement:
             sign *= s
             rev.append(img)
         rev.append(c)  # theta fixes f(H); it ends up on the right, to be shifted left
-        total = total + straighten(rev, sign)
-    return total
+        add_scaled(total, RF_ONE, straighten(rev, sign))
+    return UeaElement(total)
 

@@ -335,11 +335,8 @@ PBW_MAX_DEGREE = 4
 
 
 def verify_pbw() -> dict:
-    checks = []
     monos = monomials_up_to_degree(PBW_MAX_DEGREE)
-    bad_lead = []
-    bad_lower = []
-    bad_round = []
+    bad_lead, bad_lower, bad_round, bad_rev = [], [], [], []
     for mono in monos:
         z = ZElement.monomial(mono)
         expansion = z_to_tilde(z)
@@ -353,42 +350,19 @@ def verify_pbw() -> dict:
                 bad_lower.append((render_z(z), render_uea(UeaElement({word: RF_ONE}))))
         if tilde_to_z(expansion) != z:
             bad_round.append(render_z(z))
-    checks.append(
-        _check(
-            f"leading tilde coefficient is 1 on all {len(monos)} monomials",
-            not bad_lead,
-            failures=bad_lead,
-        )
-    )
-    checks.append(
-        _check(
-            "correction terms are strictly lower in the triangular order",
-            not bad_lower,
-            failures=bad_lower[:10],
-        )
-    )
-    checks.append(
-        _check(
-            "tilde_to_z(z_to_tilde(m)) = m on the whole span",
-            not bad_round,
-            failures=bad_round,
-        )
-    )
-
-    # Reverse round trip on pure tilde monomials of bounded degree.
-    bad_rev = []
-    for mono in monos:
-        word = tilde_word(mono)
-        u = UeaElement({word: RF_ONE})
+        # reverse round trip on the pure tilde monomial of the same exponents
+        u = UeaElement({lead_word: RF_ONE})
         if z_to_tilde(tilde_to_z(u)) != u:
             bad_rev.append(render_uea(u))
-    checks.append(
-        _check(
-            f"z_to_tilde(tilde_to_z(w)) = w on {len(monos)} tilde monomials",
-            not bad_rev,
-            failures=bad_rev,
+    checks = [
+        _check(name, not bad, failures=bad)
+        for name, bad in (
+            (f"leading tilde coefficient is 1 on all {len(monos)} monomials", bad_lead),
+            ("correction terms are strictly lower in the triangular order", bad_lower[:10]),
+            ("tilde_to_z(z_to_tilde(m)) = m on the whole span", bad_round),
+            (f"z_to_tilde(tilde_to_z(w)) = w on {len(monos)} tilde monomials", bad_rev),
         )
-    )
+    ]
     return _report("pbw", checks, max_degree=PBW_MAX_DEGREE)
 
 
@@ -456,16 +430,8 @@ def verify_rep(trunc: int = 6) -> dict:
         rho_render[Z_TOKENS[g]] = [[str(x) for x in row] for row in m]
 
     # The published 2x2 displays are exactly the upper-left corner blocks.
-    corner_bad = []
-    for g, expect in _EXPECTED_CORNERS.items():
-        got = tuple(
-            tuple(rho[g][i][j] for j in range(2)) for i in range(2)
-        )
-        want = tuple(
-            tuple(Sqrt2(Fraction(x)) for x in row) for row in expect
-        )
-        if got != want:
-            corner_bad.append(Z_TOKENS[g])
+    corners = {g: [[Sqrt2(x) for x in row] for row in rows] for g, rows in _EXPECTED_CORNERS.items()}
+    corner_bad = [Z_TOKENS[g] for g, want in corners.items() if [row[:2] for row in rho[g][:2]] != want]
     checks.append(
         _check(
             "published matrix displays match the (w1, w2) corner blocks",
@@ -492,13 +458,7 @@ def verify_rep(trunc: int = 6) -> dict:
 
     # The published 2x2 matrices alone do not close under the relations;
     # report that honestly rather than reconciling it silently.
-    rho2 = {
-        g: [
-            [Sqrt2(Fraction(x)) for x in row] for row in _EXPECTED_CORNERS[g]
-        ]
-        for g in range(5)
-    }
-    rel2 = repmod.check_rep_relations(rho2, eigen[:2])
+    rel2 = repmod.check_rep_relations(corners, eigen[:2])
     checks.append(
         _check(
             "published 2x2 block is NOT closed under the relations (expected)",

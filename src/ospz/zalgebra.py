@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .coeffs import H, RF_ONE, RF_ZERO, RationalFunction, as_rf
-from .engine import Monomial, PBWElement, add_scaled, bilinear, fold_letters, rewrite
+from .engine import Monomial, PBWElement, add_scaled, bilinear, fold_letters, rewrite, rule_term
 from .projector import diamond
 from .uea import TILDE_GENS, TN2, X1, UeaElement, Word, theta
 
@@ -182,7 +182,7 @@ def catalog() -> list[dict]:
 def _z_pair_rules() -> dict:
     """The derived rules as a pair-rule table for the engine."""
     return {
-        key: tuple((1, f, tuple(m.letters())) for m, f in derived_rule(*key))
+        key: tuple(rule_term(f, tuple(m.letters())) for m, f in derived_rule(*key))
         for key in RULE_KEYS
     }
 
@@ -282,18 +282,19 @@ def tilde_to_z(u: UeaElement) -> ZElement:
             raise AssertionError("triangular back-substitution failed to progress")
         last = key
         mono = key[2]
-        c = rem.pop(word)
-        out[mono] = out.get(mono, RF_ZERO) + c
+        c = out[mono] = rem.pop(word)  # keys strictly decrease: mono is new
+        one = c.is_one()
         for w2, f2 in _z_mono_tilde(mono):
             if w2 == word:
-                if f2 != RF_ONE:
+                if not f2.is_one():
                     raise AssertionError("expansion is not unit-leading")
                 continue  # the unit leading term, already stripped
-            nc = rem.get(w2, RF_ZERO) - c * f2
+            t = f2 if one else c * f2
+            nc = rem[w2] - t if w2 in rem else -t
             if nc:
                 rem[w2] = nc
             else:
-                rem.pop(w2, None)
+                del rem[w2]
     return ZElement(out)
 
 
