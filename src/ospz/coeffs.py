@@ -3,7 +3,7 @@
 Three scalar domains:
 
 * polynomials in the Cartan symbol H over Q, each stored as one integer
-  coefficient list over one common denominator,
+  coefficient list over one common denominator (the integer form),
 * rational functions num/den in H (the left coefficient ring of the
   normal-ordering engine), kept in canonical form: coprime, monic
   denominator.  The denominator is held factored, as its integer roots with
@@ -14,7 +14,8 @@ Three scalar domains:
   negative powers invert a canonical value, which needs no gcd either.
   Only the constructor (parsed or hand-written denominators) and
   operations on a residual other than 1 run the general gcd path,
-* the quadratic extension Q(sqrt 2) used by the representation code.
+* the quadratic extension Q(sqrt 2) = Q[s]/(s^2 - 2) used by the
+  representation code, held in the same integer form as a + b*s.
 
 Everything is immutable and pure; scalars are int or Fraction, never float.
 """
@@ -22,6 +23,7 @@ Everything is immutable and pure; scalars are int or Fraction, never float.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import add
 from typing import Mapping, Union
@@ -33,39 +35,106 @@ class PoleEvaluationError(ArithmeticError):
     """Raised when a rational function is evaluated at a zero of its denominator."""
 
 
-def _rational(x) -> Fraction:
-    """x as a Fraction; anything but int or Fraction (a float above all) is a TypeError."""
-    if type(x) is Fraction:  # immutable, so an exact Fraction is returned as it is
-        return x
+def _rational(x) -> RationalLike:
+    """x itself, an exact rational with numerator and denominator; anything
+    but int or Fraction (a float above all) is a TypeError."""
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        return x
     raise TypeError(f"{type(x).__name__} is not an exact rational (int or Fraction)")
 
 
-class Polynomial:
-    """Polynomial in H with rational coefficients, in integer form.
+class _IntegerForm:
+    """An element (1/den) * sum(a[d] * t**d) over Q, in integer form.
 
-    The one stored value is ``_form = (den, a)``: the polynomial is
-    ``(1/den) * sum(a[d] * H**d)`` with ``a`` a tuple of ints whose last
-    entry is nonzero, ``den > 0`` and ``gcd(den, *a) == 1``.  That form is
-    canonical, so equality and hashing compare it directly.  The zero
-    polynomial is ``(1, ())`` and has degree -1.
+    The one stored value is ``_form = (den, a)`` with ``a`` a tuple of ints
+    whose last entry is nonzero, ``den > 0`` and ``gcd(den, *a) == 1``.  That
+    form is canonical, so equality and hashing compare it directly; zero is
+    ``(1, ())``.  A subclass says what t is (H for Polynomial, sqrt 2 for
+    Sqrt2) and brings its products.  Sums, negation, equality, hashing and
+    int or Fraction coercion are shared here; values of two different
+    subclasses never meet in one operation.
     """
 
     __slots__ = ("_form",)
 
     def __init__(self, coeffs: Mapping[int, RationalLike] | None = None):
-        coeffs = {d: _rational(c) for d, c in (coeffs or {}).items()}
-        if any(d < 0 for d in coeffs):
-            raise ValueError("negative degree")
-        den = lcm(*(c.denominator for c in coeffs.values()))
+        coeffs = coeffs or {}
+        den = lcm(*[_rational(c).denominator for c in coeffs.values()])
         a = [0] * (max(coeffs) + 1 if coeffs else 0)
         for d, c in coeffs.items():
+            if d < 0:
+                raise ValueError("negative degree")
             a[d] = c.numerator * (den // c.denominator)
         object.__setattr__(self, "_form", _canonical(den, a))
 
     def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Polynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _of(cls, x: RationalLike):
+        """The constant x, an int or Fraction."""
+        return _new(cls, (x.denominator, (x.numerator,)) if x else (1, ()))
+
+    def _coerce(self, x):
+        """x as a value of self's type, or NotImplemented."""
+        if type(x) is type(self):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return self._of(x)
+        return NotImplemented
+
+    def __bool__(self) -> bool:
+        return bool(self._form[1])
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        return other if other is NotImplemented else self._form == other._form
+
+    def __hash__(self):  # a constant hashes like its int or Fraction value
+        den, a = self._form
+        return hash(self._form if len(a) > 1 else Fraction(a[0], den) if a else 0)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        da, a = self._form
+        db, b = other._form
+        if not a:
+            return other
+        if not b:
+            return self
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        out = [x * fa + y * fb for x, y in zip_longest(a, b, fillvalue=0)]
+        return _new(type(self), _canonical(den, out))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        den, a = self._form
+        return _new(type(self), (den, tuple([-c for c in a])))
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + -other
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+
+def _new(cls, form: tuple):
+    """The value of cls with the integer form `form`, canonical as it stands."""
+    x = object.__new__(cls)
+    object.__setattr__(x, "_form", form)
+    return x
+
+
+class Polynomial(_IntegerForm):
+    """Polynomial in H with rational coefficients, in the shared integer form
+    (t = H); its degree is ``len(a) - 1``, -1 for the zero polynomial."""
+
+    __slots__ = ()
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor
         return Polynomial, (self.coeffs,)
@@ -73,8 +142,7 @@ class Polynomial:
     # -- constructors -------------------------------------------------
     @classmethod
     def const(cls, c: RationalLike) -> "Polynomial":
-        c = _rational(c)
-        return _poly(c.denominator, [c.numerator])
+        return cls._of(_rational(c))
 
     @classmethod
     def var(cls) -> "Polynomial":
@@ -87,9 +155,6 @@ class Polynomial:
         """Read-only view {degree: nonzero coefficient}, built on each call."""
         den, a = self._form
         return {d: Fraction(n, den) for d, n in enumerate(a) if n}
-
-    def __bool__(self) -> bool:
-        return bool(self._form[1])
 
     @property
     def degree(self) -> int:
@@ -106,49 +171,11 @@ class Polynomial:
         den, a = self._form
         return Fraction(a[-1], den) if a else Fraction(0)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self._form == other._form
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial.const(other)
-        return NotImplemented
-
-    def __hash__(self):  # a constant hashes like its int or Fraction value
-        den, a = self._form
-        return hash(self._form if len(a) > 1 else Fraction(a[0], den) if a else 0)
-
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        da, a = self._form
-        db, b = other._form
-        if not a:
-            return other
-        if not b:
-            return self
-        den = lcm(da, db)
-        fa, fb = den // da, den // db
-        out = [0] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] = c * fa
-        for i, c in enumerate(b):
-            out[i] += c * fb
-        return _poly(den, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        den, a = self._form
-        return _raw(den, [-c for c in a])
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _as_poly(other) - self
-
     def __mul__(self, other) -> "Polynomial":
-        other = _as_poly(other)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         da, a = self._form
         db, b = other._form
         if not a or not b:
@@ -176,7 +203,9 @@ class Polynomial:
         return out
 
     def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        other = _as_poly(other)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         da, a = self._form
@@ -242,19 +271,14 @@ class Polynomial:
 
 
 def _canonical(den: int, a: list[int]) -> tuple[int, tuple[int, ...]]:
-    """The integer form of (1/den) * sum a[d] H^d: trimmed, den > 0, content 1."""
+    """The integer form of (1/den) * sum a[d] t^d: trimmed, den > 0, content 1."""
     while a and not a[-1]:
         a.pop()
     if not a:
         return 1, ()
     if den < 0:
         den, a = -den, [-n for n in a]
-    g = den
-    for n in a:
-        if n:
-            g = gcd(g, n)
-            if g == 1:
-                break
+    g = gcd(den, *a)
     if g > 1:
         den //= g
         a = [n // g for n in a]
@@ -263,9 +287,7 @@ def _canonical(den: int, a: list[int]) -> tuple[int, tuple[int, ...]]:
 
 def _poly(den: int, a: list[int]) -> Polynomial:
     """The polynomial (1/den) * sum a[d] H^d (a is consumed)."""
-    p = object.__new__(Polynomial)
-    object.__setattr__(p, "_form", _canonical(den, a))
-    return p
+    return _new(Polynomial, _canonical(den, a))
 
 
 def _as_poly(x) -> Polynomial:
@@ -354,9 +376,7 @@ _ROOT_SEARCH = 4096
 
 def _raw(den: int, a) -> Polynomial:
     """The polynomial of an integer form that is canonical as it stands."""
-    p = object.__new__(Polynomial)
-    object.__setattr__(p, "_form", (den, tuple(a)))
-    return p
+    return _new(Polynomial, (den, tuple(a)))
 
 
 def _times_roots(p: Polynomial, roots) -> Polynomial:
@@ -629,89 +649,49 @@ def as_rf(x) -> RationalFunction:
     return r
 
 
-class Sqrt2:
+class Sqrt2(_IntegerForm):
     """Element a + b*sqrt(2) of the real quadratic field Q(sqrt 2), held as
-    ``_form = (p, q, d)`` for (p + q*sqrt(2)) / d with d > 0, gcd(p, q, d) == 1:
-    canonical like ``Polynomial._form``; ``a`` and ``b`` are Fraction views."""
+    Q[s]/(s^2 - 2): its integer form is that of the polynomial a + b*s (so
+    ``Sqrt2(a, b)._form == Polynomial({0: a, 1: b})._form``), and only
+    products differ from polynomial ones, reducing s^2 to 2.  ``a`` and ``b``
+    are Fraction views."""
 
-    __slots__ = ("_form",)
-    a = property(lambda self: Fraction(self._form[0], self._form[2]))
-    b = property(lambda self: Fraction(self._form[1], self._form[2]))
+    __slots__ = ()
+    a = property(lambda self: Fraction(_pq(self._form[1])[0], self._form[0]))
+    b = property(lambda self: Fraction(_pq(self._form[1])[1], self._form[0]))
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        a, b = _rational(a), _rational(b)
-        d = lcm(a.denominator, b.denominator)  # of reduced a and b: canonical
-        p, q = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-        object.__setattr__(self, "_form", (p, q, d))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Sqrt2 is immutable")
+        super().__init__({0: a, 1: b})
 
     def __reduce__(self):
         return Sqrt2, (self.a, self.b)
 
-    def __bool__(self):
-        return self._form[0] != 0 or self._form[1] != 0
-
-    def __eq__(self, other):
-        other = _as_sqrt2(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._form == other._form
-
-    def __hash__(self):  # a rational element hashes like its int or Fraction value
-        p, q, d = self._form
-        return hash(self._form if q else Fraction(p, d))
-
-    def __add__(self, other):
-        other = _as_sqrt2(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p1, q1, d1 = self._form
-        p2, q2, d2 = other._form
-        return _sqrt2(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p, q, d = self._form
-        return _sqrt2(-p, -q, d)
-
-    def __sub__(self, other):
-        o = _as_sqrt2(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return _as_sqrt2(other) - self
-
     def __mul__(self, other):
-        other = _as_sqrt2(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p1, q1, d1 = self._form
-        p2, q2, d2 = other._form
-        return _sqrt2(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
+        (d1, x), (d2, y) = self._form, other._form
+        (p1, q1), (p2, q2) = _pq(x), _pq(y)
+        return _new(Sqrt2, _canonical(d1 * d2, [p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2]))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Sqrt2":
         # d / (p + q sqrt2) = d (p - q sqrt2) / (p^2 - 2 q^2), sqrt 2 being irrational
-        p, q, d = self._form
+        d, x = self._form
+        p, q = _pq(x)
         n = p * p - 2 * q * q
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 2)")
-        return _sqrt2(d * p, -d * q, n)
+        return _new(Sqrt2, _canonical(n, [d * p, -d * q]))
 
     def __truediv__(self, other):
-        other = _as_sqrt2(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        other = self._coerce(other)
+        return other if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _as_sqrt2(other) * self.inverse()
+        other = self._coerce(other)
+        return other if other is NotImplemented else other * self.inverse()
 
     def __str__(self):
         if not self.b:
@@ -726,20 +706,9 @@ class Sqrt2:
         return f"Sqrt2({self.a}, {self.b})"
 
 
-def _sqrt2(p: int, q: int, d: int) -> Sqrt2:
-    """The element (p + q*sqrt(2)) / d, d nonzero, in canonical form."""
-    g = gcd(p, q, d) if d > 0 else -gcd(p, q, d)
-    x = object.__new__(Sqrt2)
-    object.__setattr__(x, "_form", (p // g, q // g, d // g) if g != 1 else (p, q, d))
-    return x
-
-
-def _as_sqrt2(x):
-    if isinstance(x, Sqrt2):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return _sqrt2(x.numerator, 0, x.denominator)
-    return NotImplemented
+def _pq(a: tuple) -> tuple:
+    """The coefficients (p, q) of p + q*s from a trimmed integer tuple."""
+    return (a + (0, 0))[:2]
 
 
 SQRT2 = Sqrt2(0, 1)

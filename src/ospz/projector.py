@@ -17,10 +17,13 @@ for every w, so a term changed by an element of its ideal changes the
 product only modulo II, and the middle product is straightened straight into
 U/II.  For the same reason the chains need only terminate modulo their
 ideals, and the series stops at the first term where one of them vanishes
-there.  Both chains are cached term by term, the raising one read first and
-the lowering one only where the raising term is nonzero: the oracle's right
-factors are single generators, whose chains have at most five terms, and
-lowering brackets are the costly ones.
+there.  Every monomial of the n-th left term has root sum root_sum(u) - n,
+since each bracket with X(-1) lowers it by one, so phi_n(H+n) passes all of
+them as the one scalar phi_n(H + root_sum(u)), which scales the n-th middle
+product as a whole.  Both chains are cached term by term, the raising one
+read first and the lowering one only where the raising term is nonzero: the
+oracle's right factors are single generators, whose chains have at most five
+terms, and lowering brackets are the costly ones.
 """
 
 from __future__ import annotations
@@ -134,14 +137,9 @@ def _diamond_mono(mu, mv) -> UeaElement:
         left = right and _lower_chain(mu, n)
         if not left:
             return UeaElement(total)
-        if n:  # phi_0 = 1
-            p, scaled = phi(n), {}
-            for m, c in left:
-                # phi_n(H + n) right of a monomial m moves left as phi_n(H + n + root_sum(m)).
-                f = p.shift(n + m.root_sum())
-                scaled[m] = f if c.is_one() else c * f
-            left = UeaElement(scaled)
-        add_scaled(total, RF_ONE, mul(left, right, "both"))
+        # phi_n(H + n) right of a monomial m of root sum mu.root_sum() - n
+        # moves left as phi_n(H + mu.root_sum()), one scalar for the term
+        add_scaled(total, phi(n).shift(mu.root_sum()), mul(left, right, "both"))
 
 
 @lru_cache(maxsize=None)

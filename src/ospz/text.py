@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coeffs import RationalFunction, RF_ONE, H, Polynomial, as_rf
+from .engine import add_scaled
 from .uea import GENERATORS, TOKEN_TO_GEN, UeaElement, straighten
 from .zalgebra import TOKEN_TO_ZGEN, ZElement, Z_TOKENS, z_straighten
 
@@ -297,13 +298,11 @@ def parse_element(text: str, algebra: str = "u"):
     """Parse and straighten an expression to a canonical element of the
     selected algebra ("u" or "z")."""
     terms = _Parser(tokenize(text), algebra).element()
-    if algebra == "u":
-        total, straighten_fn = UeaElement.zero(), straighten
-    else:
-        total, straighten_fn = ZElement.zero(), z_straighten
+    cls, straighten_fn = (UeaElement, straighten) if algebra == "u" else (ZElement, z_straighten)
+    total: dict = {}
     for sign, items in terms:
-        total = total + straighten_fn(items, sign)
-    return total
+        add_scaled(total, RF_ONE, straighten_fn(items, sign))
+    return cls(total)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,6 @@ class UeaElement(PBWElement):
         return not any(_in_left(m) or _in_right(m) for m in self.terms)
 
 
-@lru_cache(maxsize=None)
 def commutator_table(a: int, b: int) -> UeaElement:
     """[a, b] for single generators, as a canonical element.
 

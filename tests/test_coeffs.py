@@ -6,6 +6,7 @@ at rational sample points chosen away from every pole.
 """
 
 import copy
+import operator
 import pickle
 import sys
 import time
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from ospz.coeffs import (
     RF_ONE,
     RF_ZERO,
+    SQRT2,
     H,
     PoleEvaluationError,
     Polynomial,
@@ -404,8 +406,8 @@ class TestSqrt2:
         # the reference holds a + b*sqrt2 as the Fraction pair (a, b)
         (a, b), (c, d) = x, y
         u, v = Sqrt2(a, b), Sqrt2(c, d)
-        p, q, den = u._form
-        assert den > 0 and gcd(p, q, den) == 1
+        den, ints = u._form
+        assert den > 0 and gcd(den, *ints) == 1
         assert type(u.a) is type(u.b) is Fraction and (u.a, u.b) == (a, b)
         assert pair(u + v) == (a + c, b + d) and pair(u - v) == (a - c, b - d)
         assert pair(u * v) == (a * c + 2 * b * d, a * d + b * c)
@@ -423,6 +425,23 @@ class TestSqrt2:
                 with pytest.raises(ZeroDivisionError):
                     op()
 
+    @given(sqrt2_pairs, small_fractions)
+    @settings(max_examples=200, deadline=None)
+    def test_one_integer_form_for_sqrt2_and_polynomial(self, x, r):
+        # a + b*sqrt2 is held as the polynomial a + b*s, with s^2 = 2
+        (a, b), s = x, Sqrt2(0, 1)
+        u, p = Sqrt2(a, b), Polynomial({0: a, 1: b})
+        assert u._form == p._form and (-u)._form == (-p)._form
+        assert (u + r)._form == (p + r)._form and (u - r)._form == (p - r)._form
+        assert s != H and H != s and hash(s) == hash(H)
+        if b:
+            assert u != p and p != u
+        # a rational value compares and hashes equal across the scalar types
+        values = [Sqrt2(r), Polynomial.const(r), as_rf(r), RationalFunction(r), RationalFunction(3 * r, 3)]
+        for value in values:
+            assert value == r and r == value and hash(value) == hash(r)
+        assert len({r, *values}) == 1 and len({r.numerator, Sqrt2(r.numerator)}) == 1
+
     @given(sqrt2_pairs)
     @settings(max_examples=200, deadline=None)
     def test_text_and_pickling_match_a_fraction_reference(self, x):
@@ -437,6 +456,38 @@ class TestSqrt2:
         assert u.__reduce__() == (Sqrt2, (a, b))
         for twin in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
             assert twin == u and twin._form == u._form and str(twin) == str(u)
+
+
+class TestMixedOperands:
+    """Polynomial operators return NotImplemented for an operand they cannot
+    coerce, so a RationalFunction on the right takes over."""
+
+    def test_polynomial_then_rational_function(self):
+        f = RationalFunction(1, H)
+        assert H + f == f + H == RationalFunction(H * H + 1, H)
+        assert H - f == -(f - H) == RationalFunction(H * H - 1, H)
+        assert H * f == f * H == 1
+
+    @given(small_polys(), mixed_rfs())
+    @settings(max_examples=100, deadline=None)
+    def test_every_operator_matches_its_reflected_form(self, p, f):
+        assert p + f == f + p and p - f == -(f - p) and p * f == f * p
+        assert type(p + f) is type(p - f) is type(p * f) is RationalFunction
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_other_operands_still_raise(self, op):
+        for bad in (1.5, "x"):
+            with pytest.raises(TypeError):
+                op(H, bad)
+            with pytest.raises(TypeError):
+                op(bad, H)
+        # Polynomial and Sqrt2 share one integer form but never combine it
+        with pytest.raises(TypeError):
+            op(H, SQRT2)
+        with pytest.raises(TypeError):
+            op(SQRT2, H)
+        with pytest.raises(TypeError):
+            divmod(H, RationalFunction(1, H))
 
 
 @pytest.mark.parametrize("x", [0, 1, -3, 2**70, Fraction(3, 2), Fraction(-7, 5)])

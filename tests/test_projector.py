@@ -121,6 +121,18 @@ class TestDiamond:
         assert sum(1 for n in range(9) if _raise_chain(word, n)) == expected
         assert _lower_chain.cache_info().currsize == expected
 
+    def test_lowering_terms_are_homogeneous_in_the_root_sum(self):
+        # every monomial of the n-th lowering term has root sum
+        # root_sum(mu) - n, so _diamond_mono scales the term by one phi_n shift
+        rng = random.Random(7)
+        words = [Word.from_letters(rng.choices(range(9), k=rng.randint(0, 6))) for _ in range(300)]
+        for mu in words:
+            n, term = 0, _lower_chain(mu, 0)
+            while term:
+                assert {m.root_sum() for m, _ in term} == {mu.root_sum() - n}, (mu, n)
+                n += 1
+                term = _lower_chain(mu, n)
+
     def test_bilinear_with_coefficient_shift(self):
         f = RationalFunction(1, H - 1)
         u = gen(T1)

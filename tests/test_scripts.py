@@ -41,6 +41,24 @@ def test_verify_all_writes_the_run_suite_reports(tmp_path):
         assert (tmp_path / f"{suite}.json").read_text() == expected, suite
 
 
+def test_every_cache_pays_on_the_verify_suites():
+    # a fresh process runs the six suites; every lru_cache of uea, projector
+    # and zalgebra, found as oracle_sweep.cache_infos finds them, must hit
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1])\n"
+        "from oracle_sweep import cache_infos\n"
+        "from ospz.verify import SUITES, run_suite\n"
+        "for suite in SUITES: run_suite(suite)\n"
+        "print(json.dumps(cache_infos()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    infos = json.loads(proc.stdout)
+    assert infos and [name for name, info in infos.items() if not info["hits"]] == []
+
+
 @pytest.mark.parametrize("suite", SUITES)
 def test_report_matches_its_golden_file(suite):
     # tests/golden/ holds `verify_all.py --json-dir` output; a change to any

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospz.coeffs import H, RationalFunction, as_rf
+from ospz.engine import LinComb
 from ospz.text import (
     ExprSyntaxError,
     _coeff_text,
@@ -52,6 +53,26 @@ class TestParsing:
         left, right = ZElement.monomial(ZMonomial.make(t=5)), ZElement.monomial(ZMonomial.make(p=5))
         assert e == z_multiply(left, right)
         assert elapsed < 10.0
+
+    @pytest.mark.parametrize("algebra", ["u", "z"])
+    def test_a_long_sum_is_the_sum_of_its_straightened_terms(self, algebra, monkeypatch):
+        # several hundred terms, many cancelling, accumulated in one dict:
+        # parsing never adds two elements
+        rng = random.Random(f"long sum/{algebra}")
+        tokens = [g.token for g in GENERATORS] if algebra == "u" else list(Z_TOKENS)
+        sep = " " if algebra == "u" else " <> "
+        terms = []
+        for _ in range(300):
+            word = sep.join(rng.choices(tokens, k=rng.randint(0, 3)))
+            coeff = rng.choice(["", "2 ", "(1/(H - 1)) ", "(H + 3) "])
+            terms.append(rng.choice(["+ ", "- "]) + ((coeff + word).strip() or "1"))
+        cls = UeaElement if algebra == "u" else ZElement
+        expected = cls.zero()
+        for term in terms:
+            expected = expected + parse_element(term, algebra)
+        monkeypatch.setattr(LinComb, "__add__", lambda *a: pytest.fail("an element sum while parsing"))
+        e = parse_element(" ".join(terms), algebra)
+        assert e == expected and all(c for _, c in e)
 
     def test_coefficient_term(self):
         e = parse_element("(1 - 2/(H-1)) t(1) t(2)", "u")
