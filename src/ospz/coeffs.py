@@ -52,7 +52,8 @@ class _IntegerForm:
     ``(1, ())``.  A subclass says what t is (H for Polynomial, sqrt 2 for
     Sqrt2) and brings its products.  Sums, negation, equality, hashing and
     int or Fraction coercion are shared here; values of two different
-    subclasses never meet in one operation.
+    subclasses never meet in arithmetic, and compare equal only as the same
+    rational constant.
     """
 
     __slots__ = ("_form",)
@@ -87,8 +88,14 @@ class _IntegerForm:
         return bool(self._form[1])
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        return other if other is NotImplemented else self._form == other._form
+        o = self._coerce(other)
+        if o is not NotImplemented:
+            return self._form == o._form
+        # a rational constant equals the same constant of the other scalar types
+        den, a = self._form
+        if len(a) > 1 or not isinstance(other, (_IntegerForm, RationalFunction)):
+            return NotImplemented
+        return other == (Fraction(a[0], den) if a else 0)
 
     def __hash__(self):  # a constant hashes like its int or Fraction value
         den, a = self._form

@@ -76,16 +76,6 @@ def phi(n: int) -> RationalFunction:
     return _PHI[n]
 
 
-def verify_projector_recursion(n_max: int) -> list[dict]:
-    """Check (-1)^n phi_n(h+1) + phi_{n+1}(h+1) kappa_{n+1}(h) = 0 for n < n_max."""
-    rows = []
-    for n in range(n_max):
-        sign = 1 if n % 2 == 0 else -1
-        value = sign * phi(n).shift(1) + phi(n + 1).shift(1) * as_rf(kappa(n + 1))
-        rows.append({"n": n, "zero": not value, "value": str(value)})
-    return rows
-
-
 def diamond(u: UeaElement, v: UeaElement) -> UeaElement:
     """Diamond product of the cosets of u and v in U/II, returned as its
     pure-tilde representative.

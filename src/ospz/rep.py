@@ -144,8 +144,22 @@ class IrrepData:
         lower = [{j + 1: _SR_ONE} if j + 1 < n else {} for j in range(n)]
         raise_ = [{j - 1: Sqrt2(c[j])} if j else {} for j in range(n)]
         h = [{j: Sqrt2(Fraction(j - lam))} if j != lam else {} for j in range(n)]
-        # even root vectors through the odd squares:
-        #   x_{2a} = -x_a^2,  x_{-2a} = x_{-a}^2
+        return cls._from_odd(lam, lower, raise_, h)
+
+    @classmethod
+    def standard(cls) -> "IrrepData":
+        """C^{1|2}: basis v_0 (even), v_1, v_2 (odd)."""
+        one, minus = _SR_ONE, Sqrt2(-1)
+        lower = [{1: one}, {}, {0: one}]
+        raise_ = [{2: minus}, {0: one}, {}]
+        h = [{}, {1: one}, {2: minus}]
+        return cls._from_odd(1, lower, raise_, h)
+
+    @classmethod
+    def _from_odd(cls, lam: int, lower, raise_, h) -> "IrrepData":
+        """V(lambda) from the maps of x_{-alpha}, x_alpha and h, with the even
+        root vectors as the odd squares x_{2 alpha} = -x_alpha^2 and
+        x_{-2 alpha} = x_{-alpha}^2; the relations are validated."""
         mats = {
             -1: lower,
             1: raise_,
@@ -154,21 +168,6 @@ class IrrepData:
             2: [_apply(raise_, u, -1) for u in raise_],
         }
         rep = cls(lam, mats)
-        rep.validate()
-        return rep
-
-    @classmethod
-    def standard(cls) -> "IrrepData":
-        """C^{1|2}: basis v_0 (even), v_1, v_2 (odd)."""
-        one, minus = _SR_ONE, Sqrt2(-1)
-        mats = {
-            -2: [{}, {}, {1: one}],
-            -1: [{1: one}, {}, {0: one}],
-            0: [{}, {1: one}, {2: minus}],
-            1: [{2: minus}, {0: one}, {}],
-            2: [{}, {2: one}, {}],
-        }
-        rep = cls(1, mats)
         rep.validate()
         return rep
 
@@ -301,36 +300,25 @@ class TensorModule:
         return out
 
     # -- actions -------------------------------------------------------
-    def _act_left(self, root: int, v: ModuleVector) -> ModuleVector:
+    def act(self, g: int, v: ModuleVector) -> ModuleVector:
+        """Action of one generator of U (by index): a (x) 1 + 1 (x) a on the
+        diagonal copy, a (x) 1 - 1 (x) a on the anti-diagonal one, whose
+        root-0 generator th is h (x) 1 - 1 (x) h."""
+        info = GENERATORS[g]
+        images = self.irrep.matrices[info.root]
         out: dict = {}
         for (k, i), c in v.terms.items():
-            k2, s = self.poly.act(root, k)
-            if k2 < 0 or not s:
-                continue
-            key = (k2, i)
-            out[key] = out[key] + c * s if key in out else c * s
-        return ModuleVector(out)
-
-    def _act_right(self, root: int, v: ModuleVector) -> ModuleVector:
-        images = self.irrep.matrices[root]
-        odd = abs(root) == 1
-        out: dict = {}
-        for (k, i), c in v.terms.items():
-            c = -c if odd and k % 2 else c
+            k2, s = self.poly.act(info.root, k)
+            if k2 >= 0 and s:
+                key = (k2, i)
+                out[key] = out[key] + c * s if key in out else c * s
+            # 1 (x) a: the sign (-1)^{|a| k}, times -1 on the anti-diagonal copy
+            if bool(info.odd and k % 2) == info.diagonal:
+                c = -c
             for i2, s in images[i].items():
                 key = (k, i2)
                 out[key] = out[key] + c * s if key in out else c * s
         return ModuleVector(out)
-
-    def act(self, g: int, v: ModuleVector) -> ModuleVector:
-        """Action of one generator of U (by index); th, the anti-diagonal
-        generator of root 0, acts as h (x) 1 - 1 (x) h."""
-        info = GENERATORS[g]
-        left = self._act_left(info.root, v)
-        right = self._act_right(info.root, v)
-        if info.diagonal:
-            return left + right
-        return left - right
 
     def act_coeff(self, f: RationalFunction, v: ModuleVector) -> ModuleVector:
         """f(H) acting by evaluation on H-eigencomponents (off-pole: the

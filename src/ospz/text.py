@@ -229,12 +229,13 @@ class _Parser:
         value = self.runary()
         while self.tok.text in ("*", "/"):
             op = self.next()
+            divisor = self.tok
             rhs = self.runary()
             if op.text == "*":
                 value = value * rhs
             else:
                 if not rhs:
-                    self.fail("division by zero in coefficient")
+                    self.fail("division by zero in coefficient", divisor)
                 value = value / rhs
             value = self.bounded(value, op)
         return value

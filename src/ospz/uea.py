@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .coeffs import RF_ONE, RF_ZERO, Polynomial, RationalFunction, as_rf
+from .coeffs import RF_ONE, Polynomial, as_rf
 from .engine import Monomial, PBWElement, add_scaled, bilinear, fold_letters, rewrite, rule_term
 
 
@@ -62,6 +62,9 @@ TOKEN_TO_GEN = {g.token: g.index for g in GENERATORS}
 XN2, XN1, TN2, TN1, TH, T1, T2, X1, X2 = range(9)
 
 TILDE_GENS = (TN2, TN1, TH, T1, T2)
+
+# (diagonal, root) -> generator index
+_COPY = {(g.diagonal, g.root): g.index for g in GENERATORS}
 
 
 class Word(Monomial):
@@ -126,33 +129,20 @@ class UeaElement(PBWElement):
 def commutator_table(a: int, b: int) -> UeaElement:
     """[a, b] for single generators, as a canonical element.
 
-    Weight-zero diagonal brackets land in the coefficient ring as the
-    polynomial H (or -H).
+    Copy rule: two letters of one copy bracket into the diagonal copy,
+    letters of different copies into the anti-diagonal one, whose root-0
+    letter is th; diagonal weight-zero brackets land in the coefficient ring
+    as the polynomial H (or -H).
     """
     ga, gb = GENERATORS[a], GENERATORS[b]
     base = _base_bracket(ga.root, gb.root)
-    # Copy rule: diag/diag -> diag, mixed -> tilde, tilde/tilde -> diag.
-    # th behaves as the tilde image of h.
-    a_diag = ga.diagonal
-    b_diag = gb.diagonal
-    result_diag = a_diag == b_diag
-    terms: dict[Word, RationalFunction] = {}
-    for label, coeff in base.items():
-        if label == 0:
-            if result_diag:
-                word, c = Word.from_letters([]), coeff * as_rf(Polynomial.var())
-            else:
-                word, c = Word.from_letters([TH]), as_rf(coeff)
-        else:
-            if result_diag:
-                g = next(g.index for g in GENERATORS if g.diagonal and g.root == label)
-            else:
-                g = next(
-                    g.index for g in GENERATORS if not g.diagonal and g.root == label
-                )
-            word, c = Word.from_letters([g]), as_rf(coeff)
-        terms[word] = terms.get(word, RF_ZERO) + c
-    return UeaElement(terms)
+    if not base:
+        return UeaElement.zero()
+    ((label, coeff),) = base.items()
+    diagonal = ga.diagonal == gb.diagonal
+    if diagonal and label == 0:
+        return UeaElement.coeff(coeff * Polynomial.var())
+    return UeaElement({Word.from_letters([_COPY[diagonal, label]]): as_rf(coeff)})
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +257,10 @@ def super_bracket(u: UeaElement, v: UeaElement, quotient=None) -> UeaElement:
     return uv - vu if pu * pv == 0 else uv + vu
 
 
+# Theta sends root k to root -k in the same copy, with sign -1 on the even
+# root vectors; th, of root 0, is fixed.
 _THETA_IMAGE = {
-    XN2: (X2, -1),
-    XN1: (X1, 1),
-    TN2: (T2, -1),
-    TN1: (T1, 1),
-    TH: (TH, 1),
-    T1: (TN1, 1),
-    T2: (TN2, -1),
-    X1: (XN1, 1),
-    X2: (XN2, -1),
+    g.index: (_COPY[g.diagonal, -g.root], -1 if g.root and not g.odd else 1) for g in GENERATORS
 }
 
 

@@ -30,7 +30,7 @@ from .uea import (
     mul,
     super_bracket,
 )
-from .projector import diamond, kappa, phi, verify_projector_recursion
+from .projector import diamond, kappa, phi
 from .zalgebra import (
     Z1,
     Z2,
@@ -117,10 +117,10 @@ def verify_projector(n_max: int = 10) -> dict:
             )
         )
 
-    for row in verify_projector_recursion(n_max):
-        checks.append(
-            _check(f"recursion at n={row['n']}", row["zero"])
-        )
+    # (-1)^n phi_n(h+1) + phi_{n+1}(h+1) kappa_{n+1}(h) = 0
+    for n in range(n_max):
+        value = (-1) ** n * phi(n).shift(1) + phi(n + 1).shift(1) * kappa(n + 1)
+        checks.append(_check(f"recursion at n={n}", not value))
     return _report("projector", checks, n_max=n_max)
 
 

@@ -48,7 +48,7 @@ class ZMonomial(Monomial):
 
     __slots__ = ()
     ROOTS = Z_ROOTS
-    ODD = (False, True, False, True, False)
+    ODD = tuple(abs(k) == 1 for k in Z_ROOTS)
 
     def __new__(cls, p=0, q=0, r=0, s=0, t=0):
         return tuple.__new__(cls, (p, q, r, s, t))

@@ -24,7 +24,6 @@ from ospz.projector import (
     kappa,
     phi,
     projected_generator,
-    verify_projector_recursion,
 )
 from ospz.uea import (
     GENERATORS,
@@ -120,8 +119,8 @@ def test_criterion_02_kappa_oracle():
 
 
 def test_criterion_03_projector_recursion():
-    rows = verify_projector_recursion(10)
-    ok = len(rows) == 10 and all(r["zero"] for r in rows)
+    rows = [c for c in run_suite("projector", n=10)["checks"] if c["name"].startswith("recursion")]
+    ok = len(rows) == 10 and all(c["pass"] for c in rows)
     _line(3, ok, "(-1)^n phi_n(h+1) + phi_{n+1}(h+1) kappa_{n+1}(h) = 0, n <= 10")
     assert ok
 

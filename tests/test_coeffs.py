@@ -6,6 +6,7 @@ at rational sample points chosen away from every pole.
 """
 
 import copy
+import itertools
 import operator
 import pickle
 import sys
@@ -500,6 +501,19 @@ def test_equal_scalars_hash_equal(x):
     assert len({Sqrt2(x), Sqrt2(x, 1), x}) == 2
     f = RationalFunction(x * H * H - 1)
     assert f == x * H * H - 1 and hash(f) == hash(x * H * H - 1)
+
+
+@pytest.mark.parametrize("x", [0, 2, Fraction(-7, 5)])
+def test_equal_constants_are_one_set_element_in_any_order(x):
+    # equality is transitive across the scalar types: a Sqrt2 constant equals
+    # the Polynomial and RationalFunction constants of the same value
+    values = [x, Sqrt2(x), Polynomial.const(x), as_rf(x)]
+    for order in itertools.permutations(values):
+        assert len(set(order)) == 1
+    assert all(a == b and not a != b for a in values for b in values)
+    # non-constants stay unequal across types
+    for u, p in [(Sqrt2(0, 1), H), (Sqrt2(x, 1), as_rf(H + x)), (Sqrt2(x), H + x)]:
+        assert u != p and p != u and not u == p
 
 
 # Fast paths of RationalFunction arithmetic, each against the general

@@ -1,7 +1,7 @@
 """Dead-code guards: every name a module of the package, the tests or the
-scripts imports is used in it, and every function or class one of them
-defines at module level, and every method of such a class, is referenced
-somewhere.
+scripts imports is used in it, and every function, class or assigned name
+one of them defines at module level, and every method of such a class, is
+read somewhere.
 
 No linter ships with the toolchain, so these checks use only `ast`.
 The package's `__init__.py` is exempt from the first: its imports are its
@@ -76,7 +76,8 @@ def referenced_names(source: str) -> set[str]:
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
@@ -92,11 +93,17 @@ _DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, name) of each module-level function or class, and of
-    each method of such a class other than a dunder."""
+    """(qualified name, name) of each module-level function, class or name
+    bound by assignment other than a dunder, and of each method of such a
+    class other than a dunder."""
     for node in tree.body:
         if isinstance(node, _DEFINITION):
             yield node.name, node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, name.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, _DEFINITION) and not item.name.startswith("__"):
@@ -127,6 +134,15 @@ def test_guard_sees_a_dead_definition():
     )
     assert dead_definitions({"a.py": source}, [source]) == ["a.py: dead", "a.py: Box.shut"]
     assert dead_definitions({"a.py": source}, [source, "getattr(m, 'dead')", "b.shut()"]) == []
+
+
+def test_guard_sees_a_dead_assignment():
+    source = (
+        "__all__ = ['f']\nUSED = 1\nDEAD = 2\nA, (B, C) = 1, (2, 3)\nN: int = 4\nM: int\n"
+        "def f():\n    global DEAD\n    DEAD = USED + A + C\n    return N\n\nf()\n"
+    )
+    assert dead_definitions({"a.py": source}, [source]) == ["a.py: DEAD", "a.py: B", "a.py: M"]
+    assert dead_definitions({"a.py": source}, [source, "m.DEAD", "getattr(m, 'B')", "M"]) == []
 
 
 def test_no_dead_definitions():

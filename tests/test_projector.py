@@ -35,7 +35,6 @@ from ospz.projector import (
     kappa,
     phi,
     projected_generator,
-    verify_projector_recursion,
 )
 from ospz.zalgebra import tilde_word
 
@@ -74,9 +73,13 @@ class TestPhiTable:
             assert bracket == expected, n
 
     def test_recursion(self):
-        rows = verify_projector_recursion(10)
-        assert len(rows) == 10
-        assert all(r["zero"] for r in rows)
+        # (-1)^n phi_n(H+1) + phi_{n+1}(H+1) kappa_{n+1}(H) = 0
+        for n in range(10):
+            lhs = (-1) ** n * phi(n).shift(1) + phi(n + 1).shift(1) * as_rf(kappa(n + 1))
+            assert not lhs, n
+        rows = [c for c in verify.verify_projector(10)["checks"] if c["name"].startswith("recursion")]
+        assert [c["name"] for c in rows] == [f"recursion at n={n}" for n in range(10)]
+        assert all(c["pass"] for c in rows)
 
 
 class TestDiamond:

@@ -14,6 +14,7 @@ from ospz.coeffs import H, RationalFunction, as_rf
 from ospz.engine import LinComb
 from ospz.text import (
     ExprSyntaxError,
+    UnknownToken,
     _coeff_text,
     parse_element,
     parse_ratfunc,
@@ -124,6 +125,12 @@ class TestParsing:
             ("E(3)", "z", "line 1, column 1: unknown generator 'E(3)' (z-algebra uses E(-2)..E(2))"),
             ("t(1) <> t(2)", "u", "line 1, column 6: '<>' is only valid in z-algebra expressions"),
             ("t(1)\n<>", "u", "line 2, column 1: '<>' is only valid in z-algebra expressions"),
+            # a zero divisor is reported at its first token, in a term or a coefficient
+            ("1/0 t(1)", "u", "line 1, column 3: division by zero in coefficient"),
+            ("(1/0) t(1)", "u", "line 1, column 4: division by zero in coefficient"),
+            ("(1/(H-H)) t(1)", "u", "line 1, column 4: division by zero in coefficient"),
+            ("(H^x) t(1)", "u", "line 1, column 4: expected integer exponent"),
+            ("(y) t(1)", "u", "line 1, column 2: unknown symbol 'y' in coefficient"),
         ],
     )
     def test_pinned_error_messages(self, text, algebra, message):
@@ -132,6 +139,15 @@ class TestParsing:
         assert str(err.value) == message
         line, column = message.split(":")[0].removeprefix("line ").split(", column ")
         assert (err.value.line, err.value.column) == (int(line), int(column))
+
+    def test_unknown_coefficient_symbol_is_an_unknown_token(self):
+        with pytest.raises(UnknownToken):
+            parse_element("(y) t(1)", "u")
+
+    def test_trailing_input_after_a_coefficient(self):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_ratfunc("H H")
+        assert str(err.value) == "line 1, column 3: trailing input"
 
 
 class TestRendering:
