@@ -97,9 +97,6 @@ def span_dim(vectors) -> int:
 # Irreducible osp(1|2) modules
 
 
-_OSP_ROOTS = (-2, -1, 0, 1, 2)
-
-
 def _apply(images, vec: dict, scale=1, acc=None) -> dict:
     """acc + scale * (the map applied to vec), for a map given by the
     sparse images of the basis vectors, images[j] = {i: entry}, and a
@@ -175,8 +172,8 @@ class IrrepData:
         """All nine supercommutator relations, checked on each basis vector:
         a (b u) -+ b (a u) minus the bracket table's [a, b] u vanishes."""
         m = self.matrices
-        for j in _OSP_ROOTS:
-            for k in _OSP_ROOTS:
+        for j in Z_ROOTS:
+            for k in Z_ROOTS:
                 ba_sign = 1 if (abs(j) == 1 and abs(k) == 1) else -1
                 bracket = _base_bracket(j, k)
                 for u in range(self.dimension):

@@ -3,7 +3,8 @@
 Grammar (EBNF)::
 
     element := ("+"|"-")? term (("+"|"-") term)*
-    term    := coeff "*"? factor* | factor+
+    term    := coeff "*"? word? | word
+    word    := factor ("<>"? factor)*
     factor  := gen ("^" nat)?
     gen     := "X(" int ")" | "t(" int ")" | "th" | "E(" int ")"
     coeff   := "(" ratfunc ")" | rational
@@ -13,9 +14,10 @@ inside a coefficient, `ratfunc` is ordinary field arithmetic over integers
 and the symbol H with operators + - * / ^ and parentheses.
 
 Two distinct modes: "u" elements use the X/t/th alphabet, "z" elements use
-the E(k) alphabet with "<>" accepted (and printed) between factors.  Mixing
-alphabets is a syntax error; the quotient map between the algebras is an
-explicit operation, never implied by notation.
+the E(k) alphabet with "<>" accepted (and printed) between two factors.
+Mixing alphabets is a syntax error; the quotient map between the algebras is
+an explicit operation, never implied by notation.  The parser's letters and
+the renderers' names come from `GENERATORS` and `Z_TOKENS`/`Z_ROOTS`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple
 from .coeffs import RationalFunction, RF_ONE, H, Polynomial, as_rf
 from .engine import add_scaled
 from .uea import GENERATORS, TOKEN_TO_GEN, UeaElement, straighten
-from .zalgebra import TOKEN_TO_ZGEN, ZElement, Z_TOKENS, z_straighten
+from .zalgebra import ZElement, Z_ROOTS, Z_TOKENS, z_straighten
 
 
 class ExprSyntaxError(ValueError):
@@ -84,14 +86,23 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
+# Per algebra, the parser's letter table (token -> letter index) and the hint
+# its unknown-generator message ends in.
+_LETTERS = {
+    "u": (TOKEN_TO_GEN, ""),
+    "z": ({tok: i for i, tok in enumerate(Z_TOKENS)}, " (z-algebra uses E(-2)..E(2))"),
+}
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], algebra: str):
-        if algebra not in ("u", "z"):
+        if algebra not in _LETTERS:
             raise ValueError("algebra must be 'u' or 'z'")
         self.toks = tokens
         self.i = 0
         self.tok = tokens[0]  # the next token, tokens[i]
         self.algebra = algebra
+        self.letters, self.hint = _LETTERS[algebra]
         self.overflow: Token | None = None  # first letter past MAX_TERM_LETTERS
 
     def next(self) -> Token:
@@ -142,14 +153,19 @@ class _Parser:
             return -1 if self.next().text == "-" else 1
         return 1
 
+    def power(self) -> Token | None:
+        """The exponent token of a following "^" nat, if there is one."""
+        if self.tok.text != "^":
+            return None
+        self.next()
+        if self.tok.kind != "num":
+            self.fail("expected integer exponent")
+        return self.next()
+
     def term(self, sign: int) -> tuple[int, list]:
         coeff = None
         if self.tok.text == "(":
-            self.next()
-            coeff = self.ratfunc()
-            self.expect(")")
-            if self.tok.text == "*":
-                self.next()
+            coeff = self.ratom()
         elif self.tok.kind == "num":
             num = int(self.next().text)
             den = 1
@@ -162,8 +178,8 @@ class _Parser:
                 if den == 0:
                     self.fail("division by zero in coefficient", dt)
             coeff = as_rf(Fraction(num, den))
-            if self.tok.text == "*":
-                self.next()
+        if coeff is not None and self.tok.text == "*":
+            self.next()
         if coeff is None and self.tok.kind != "name":
             self.fail("expected a term")
         items: list = [RF_ONE if coeff is None else coeff]
@@ -176,45 +192,35 @@ class _Parser:
                 self.overflow = self.overflow or tok
             else:
                 items.extend([g] * exp)
-            if self.algebra == "z" and self.tok.kind == "diamond":
+            if self.tok.kind == "diamond":
+                if self.algebra != "z":
+                    self.fail("'<>' is only valid in z-algebra expressions")
                 self.next()
-            elif self.tok.kind == "diamond":
-                self.fail("'<>' is only valid in z-algebra expressions")
+                if self.tok.kind != "name":
+                    self.fail("expected a generator after '<>'")
         return sign, items
 
     def factor(self) -> tuple[int, int]:
         """One generator power: (generator index, exponent)."""
         t = self.next()
-        name = t.text
-        if name == "th":
-            token = "th"
-        elif name in ("X", "t", "E"):
+        token = t.text
+        if token in ("X", "t", "E"):
             self.expect("(")
-            neg = False
-            if self.tok.text == "-":
+            neg = self.tok.text == "-"
+            if neg:
                 self.next()
-                neg = True
-            nt = self.tok
-            if nt.kind != "num":
+            if self.tok.kind != "num":
                 self.fail("expected integer generator label")
             k = int(self.next().text)
             self.expect(")")
-            token = f"{name}({-k if neg else k})"
-        else:
-            raise UnknownToken(f"unknown generator {name!r}", t.line, t.column)
-        if self.algebra == "u" and token not in TOKEN_TO_GEN:
-            self.fail(f"unknown generator {token!r}", t)
-        if self.algebra == "z" and token not in TOKEN_TO_ZGEN:
-            self.fail(f"unknown generator {token!r} (z-algebra uses E(-2)..E(2))", t)
-        exp = 1
-        if self.tok.text == "^":
-            self.next()
-            et = self.tok
-            if et.kind != "num":
-                self.fail("expected integer exponent")
-            exp = int(self.next().text)
-        index = TOKEN_TO_GEN if self.algebra == "u" else TOKEN_TO_ZGEN
-        return index[token], exp
+            token = f"{token}({-k if neg else k})"
+        elif token != "th":
+            raise UnknownToken(f"unknown generator {token!r}", t.line, t.column)
+        g = self.letters.get(token)
+        if g is None:
+            self.fail(f"unknown generator {token!r}{self.hint}", t)
+        et = self.power()
+        return g, int(et.text) if et else 1
 
     # -- rational functions in H --------------------------------------
     def ratfunc(self) -> RationalFunction:
@@ -246,12 +252,9 @@ class _Parser:
             if self.next().text == "-":
                 sign = -sign
         value = self.ratom()
-        if self.tok.text == "^":
-            self.next()
-            et = self.tok
-            if et.kind != "num":
-                self.fail("expected integer exponent")
-            exp = int(self.next().text)
+        et = self.power()
+        if et:
+            exp = int(et.text)
             if exp > MAX_TERM_LETTERS:
                 self.fail(f"coefficient exponent above {MAX_TERM_LETTERS}", et)
             value = self.bounded(value, et, exp) ** exp
@@ -329,49 +332,6 @@ def _coeff_text(c: RationalFunction) -> str:
     return f"({ns}/{ds})"
 
 
-def _join_terms(items: list[tuple[RationalFunction, str]], coeff_str, sep: str) -> str:
-    """Join (coefficient, monomial string) terms into "a + b - c": a leading
-    sign is split off each coefficient, `coeff_str` renders what is left and
-    `sep` stands between a coefficient other than 1 and its monomial."""
-    parts: list[str] = []
-    for i, (c, mono) in enumerate(items):
-        negative = c.num._form[1][-1] < 0
-        if negative:
-            c = -c
-        if mono and c.is_one():
-            body = mono
-        elif mono:
-            body = f"{coeff_str(c)}{sep}{mono}"
-        else:
-            body = coeff_str(c)
-        if i == 0:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"{'-' if negative else '+'} {body}")
-    return " ".join(parts)
-
-
-_U_LATEX = {
-    "X(-2)": r"X_{-2\alpha}",
-    "X(-1)": r"X_{-\alpha}",
-    "t(-2)": r"\tilde{x}_{-2\alpha}",
-    "t(-1)": r"\tilde{x}_{-\alpha}",
-    "th": r"\tilde{h}",
-    "t(1)": r"\tilde{x}_{\alpha}",
-    "t(2)": r"\tilde{x}_{2\alpha}",
-    "X(1)": r"X_{\alpha}",
-    "X(2)": r"X_{2\alpha}",
-}
-
-_Z_LATEX = {
-    "E(-2)": r"\bar{x}_{-2\alpha}",
-    "E(-1)": r"\bar{x}_{-\alpha}",
-    "E(0)": r"\bar{h}",
-    "E(1)": r"\bar{x}_{\alpha}",
-    "E(2)": r"\bar{x}_{2\alpha}",
-}
-
-
 def _poly_latex(p: Polynomial) -> str:
     s = str(p).replace("*", " ")
     return re.sub(r"\^(\d\d+)", r"^{\1}", s)
@@ -386,14 +346,15 @@ def _coeff_latex(c: RationalFunction) -> str:
     return rf"\frac{{{s}}}{{{_poly_latex(den)}}}"
 
 
-def _json_payload(terms, word_fn) -> str:
+def _json_payload(terms, names) -> str:
     """json.dumps({"terms": [{"coeff": {"num", "den"}, "word"}]}, indent=2,
-    sort_keys=True) for the (monomial, coefficient) pairs `terms`, written
-    directly: that layout is fixed, and only the strings need escaping."""
+    sort_keys=True) for the (monomial, coefficient) pairs `terms`, letters
+    named by `names`, written directly: that layout is fixed, and only the
+    strings need escaping."""
     q = json.dumps
     blocks = []
     for m, c in terms:
-        word = ",\n".join(f"        [\n          {q(tok)},\n          {ex}\n        ]" for tok, ex in word_fn(m))
+        word = ",\n".join(f"        [\n          {q(names[g])},\n          {ex}\n        ]" for g, ex in _pairs(m))
         word = f"[\n{word}\n      ]" if word else "[]"
         blocks.append(
             f'    {{\n      "coeff": {{\n        "den": {q(str(c.den))},\n        "num": {q(str(c.num))}\n'
@@ -408,54 +369,70 @@ def _pairs(m) -> list[tuple[int, int]]:
     return [(g, ex) for g, ex in enumerate(m) if ex]
 
 
-def _render(e, fmt: str, tokens, sep: str, latex_sep: str, latex_names: dict, rank) -> str:
-    """Render a sum in either algebra.  `tokens` names the letters of the
-    alphabet and `sep` and `latex_sep` join the factors of a monomial.
-    Terms print by degree, then by `rank(m)` within one degree."""
+def _latex_name(x: str, h: str, root: int) -> str:
+    """The LaTeX name of a letter of root k: x with subscript kα, h if k = 0."""
+    if not root:
+        return h
+    k = {1: "", -1: "-"}.get(root, str(root))
+    return rf"{x}_{{{k}\alpha}}"
 
-    def factors(m):
-        return [(tokens[g], ex) for g, ex in _pairs(m)]
 
+# Per algebra and format, the row that drives _render: the letter names by
+# index, the format of a letter to a power above 1, the separator between
+# factors, the coefficient printer and the separator between a coefficient
+# other than 1 and its monomial.  JSON names letters as text does.
+_U_FORMATS = {
+    "text": (tuple(g.token for g in GENERATORS), "{}^{}", " ", _coeff_text, " * "),
+    "latex": (tuple(_latex_name("X" if g.diagonal else r"\tilde{x}", r"\tilde{h}", g.root) for g in GENERATORS),
+              "{}^{{{}}}", " ", _coeff_latex, r" \, "),
+}
+_Z_FORMATS = {
+    "text": (Z_TOKENS, "{}^{}", " <> ", _coeff_text, " * "),
+    "latex": (tuple(_latex_name(r"\bar{x}", r"\bar{h}", k) for k in Z_ROOTS),
+              "{}^{{{}}}", r" \mathbin{\diamond} ", _coeff_latex, r" \, "),
+}
+
+
+def _render(e, fmt: str, formats: dict, rank) -> str:
+    """Render a sum in either algebra with the rows `formats`, terms by
+    degree, then by `rank(m)`.  Text and LaTeX read "a + b - c": a leading
+    sign is split off each coefficient, and the row prints what is left."""
+    if fmt != "json" and fmt not in formats:
+        raise ValueError(f"unknown format {fmt!r}")
     order = sorted(e.terms, key=lambda m: (m.degree(), rank(m)))
     if fmt == "json":
-        return _json_payload(
-            [(m, e.terms[m]) for m in order],
-            lambda m: [[tok, ex] for tok, ex in factors(m)],
-        )
+        return _json_payload([(m, e.terms[m]) for m in order], formats["text"][0])
     if not e:
         return "0"
-    if fmt == "latex":
-        items = [
-            (
-                e.terms[m],
-                latex_sep.join(
-                    latex_names[tok] + (f"^{{{ex}}}" if ex > 1 else "")
-                    for tok, ex in factors(m)
-                ),
-            )
-            for m in order
-        ]
-        return _join_terms(items, _coeff_latex, r" \, ")
-    if fmt != "text":
-        raise ValueError(f"unknown format {fmt!r}")
-    items = [
-        (e.terms[m], sep.join(f"{tok}^{ex}" if ex > 1 else tok for tok, ex in factors(m)))
-        for m in order
-    ]
-    return _join_terms(items, _coeff_text, " * ")
-
-
-_U_TOKENS = tuple(g.token for g in GENERATORS)
+    names, power, sep, coeff_str, coeff_sep = formats[fmt]
+    parts: list[str] = []
+    for m in order:
+        c = e.terms[m]
+        mono = sep.join(power.format(names[g], ex) if ex > 1 else names[g] for g, ex in _pairs(m))
+        negative = c.num._form[1][-1] < 0
+        if negative:
+            c = -c
+        if mono and c.is_one():
+            body = mono
+        elif mono:
+            body = f"{coeff_str(c)}{coeff_sep}{mono}"
+        else:
+            body = coeff_str(c)
+        if parts:
+            parts.append(f"{'-' if negative else '+'} {body}")
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return " ".join(parts)
 
 
 def render_uea(e: UeaElement, fmt: str = "text") -> str:
     # U terms of one degree print in the order of their (letter, exponent) pairs.
-    return _render(e, fmt, _U_TOKENS, " ", " ", _U_LATEX, _pairs)
+    return _render(e, fmt, _U_FORMATS, _pairs)
 
 
 def render_z(z: ZElement, fmt: str = "text") -> str:
     # Z terms of one degree print in the order of their exponent tuples.
-    return _render(z, fmt, Z_TOKENS, " <> ", r" \mathbin{\diamond} ", _Z_LATEX, tuple)
+    return _render(z, fmt, _Z_FORMATS, tuple)
 
 
 def render(e, fmt: str = "text") -> str:

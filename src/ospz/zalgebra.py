@@ -40,8 +40,6 @@ Z_TOKENS = ("E(-2)", "E(-1)", "E(0)", "E(1)", "E(2)")
 Z_ROOTS = (-2, -1, 0, 1, 2)
 ZN2, ZN1, ZH, Z1, Z2 = range(5)
 
-TOKEN_TO_ZGEN = {tok: i for i, tok in enumerate(Z_TOKENS)}
-
 
 class ZMonomial(Monomial):
     """Exponents (p, q, r, s, t) of E(-2), E(-1), E(0), E(1), E(2)."""

@@ -131,6 +131,10 @@ class TestParsing:
             ("(1/(H-H)) t(1)", "u", "line 1, column 4: division by zero in coefficient"),
             ("(H^x) t(1)", "u", "line 1, column 4: expected integer exponent"),
             ("(y) t(1)", "u", "line 1, column 2: unknown symbol 'y' in coefficient"),
+            # '<>' stands between two factors, never at the end of a term
+            ("E(1) <>", "z", "line 1, column 8: expected a generator after '<>'"),
+            ("E(1) <> E(2) <>", "z", "line 1, column 16: expected a generator after '<>'"),
+            ("E(1) <> + E(2)", "z", "line 1, column 9: expected a generator after '<>'"),
         ],
     )
     def test_pinned_error_messages(self, text, algebra, message):
@@ -160,6 +164,11 @@ class TestRendering:
     def test_zero(self):
         assert render_z(ZElement.zero()) == "0"
         assert render_uea(UeaElement.zero()) == "0"
+
+    @pytest.mark.parametrize("zero", [UeaElement.zero(), ZElement.zero()])
+    def test_an_unknown_format_fails_on_zero_too(self, zero):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            render(zero, "xml")
 
     def test_json_round_trips_through_loads(self):
         z = ZElement.monomial(ZMonomial.make(p=1, t=1), RationalFunction(1, H - 1))
@@ -202,6 +211,43 @@ class TestRendering:
     def test_coeff_text(self, c, text):
         # atomic factors stay bare: a nonnegative integer, a one-term denominator
         assert _coeff_text(c) == text
+
+
+# Every letter of both alphabets: its algebra, text name and LaTeX name.
+_LETTERS = [
+    ("u", "X(-2)", r"X_{-2\alpha}"),
+    ("u", "X(-1)", r"X_{-\alpha}"),
+    ("u", "t(-2)", r"\tilde{x}_{-2\alpha}"),
+    ("u", "t(-1)", r"\tilde{x}_{-\alpha}"),
+    ("u", "th", r"\tilde{h}"),
+    ("u", "t(1)", r"\tilde{x}_{\alpha}"),
+    ("u", "t(2)", r"\tilde{x}_{2\alpha}"),
+    ("u", "X(1)", r"X_{\alpha}"),
+    ("u", "X(2)", r"X_{2\alpha}"),
+    ("z", "E(-2)", r"\bar{x}_{-2\alpha}"),
+    ("z", "E(-1)", r"\bar{x}_{-\alpha}"),
+    ("z", "E(0)", r"\bar{h}"),
+    ("z", "E(1)", r"\bar{x}_{\alpha}"),
+    ("z", "E(2)", r"\bar{x}_{2\alpha}"),
+]
+
+
+class TestLetters:
+    def test_the_table_names_every_letter(self):
+        assert [tok for _, tok, _ in _LETTERS] == [g.token for g in GENERATORS] + list(Z_TOKENS)
+
+    @pytest.mark.parametrize("algebra, token, latex", _LETTERS)
+    def test_each_letter_renders_and_parses_back(self, algebra, token, latex):
+        cls = UeaElement if algebra == "u" else ZElement
+        index = ([g.token for g in GENERATORS] if algebra == "u" else list(Z_TOKENS)).index(token)
+        e = cls.gen(index)
+        assert render(e) == token
+        assert render(e, "latex") == latex
+        assert render(e, "json") == _json([("1", "1", token)])
+        assert parse_element(token, algebra) == e
+        square = cls.monomial(cls.MONOMIAL.from_letters([index, index]))
+        assert render(square) == f"{token}^2"
+        assert render(square, "latex") == f"{latex}^{{2}}"
 
 
 def _json(terms) -> str:
@@ -379,7 +425,7 @@ class TestRoundTrip:
             e = straighten(word)
             assert parse_element(render_uea(e), "u") == e
 
-    @given(st.text(alphabet="Et(-)1202^ <>+*/Hh\t\n", max_size=30))
+    @given(st.text(alphabet="EXt(-)1202^ <>+*/Hh\t\n", max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_fuzz_never_crashes(self, text):
         for algebra in ("u", "z"):
