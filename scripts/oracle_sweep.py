@@ -31,7 +31,7 @@ import subprocess
 import time
 
 from ospz import projector, uea, zalgebra
-from ospz.cli import MAX_EXP, int_at_least
+from ospz.cli import MAX_EXP, int_at_least, output_file
 from ospz.text import render_z
 from ospz.zalgebra import Z_TOKENS, ZElement, all_monomials
 
@@ -42,7 +42,7 @@ def main() -> int:
                     help="bound on the even-generator exponents (odd ones cap at 1)")
     ap.add_argument("--progress", type=int_at_least(0), default=0,
                     help="print a progress line every N left factors")
-    ap.add_argument("--bench-out", metavar="PATH", type=argparse.FileType("w"), default=None,
+    ap.add_argument("--bench-out", metavar="PATH", type=output_file, default=None,
                     help="write a JSON record of the run to PATH")
     args = ap.parse_args()
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -15,7 +16,7 @@ from fractions import Fraction
 from .projector import diamond, phi
 from .text import ExprSyntaxError, parse_element, render
 from .uea import theta
-from .zalgebra import tilde_to_z, z_multiply, z_theta
+from .zalgebra import ZElement, tilde_to_z, z_multiply, z_theta
 from . import rep as repmod
 from . import verify as verifymod
 
@@ -46,40 +47,29 @@ def _parse_or_exit(text: str, algebra: str):
         raise SystemExit(2)
 
 
-def _emit(element, fmt: str) -> None:
-    print(render(element, fmt))
-
-
-def cmd_normalize(args) -> int:
-    _emit(_parse_or_exit(args.expr, args.algebra), args.format)
+def cmd_element(args) -> int:
+    elements = [_parse_or_exit(getattr(args, name), args.algebra) for name in args.operands]
+    print(render(args.op(*elements), args.format))
     return 0
 
 
-def cmd_diamond(args) -> int:
-    left = _parse_or_exit(args.left, "u")
-    right = _parse_or_exit(args.right, "u")
-    _emit(diamond(left, right), args.format)
-    return 0
-
-
-def cmd_zmul(args) -> int:
-    left = _parse_or_exit(args.left, "z")
-    right = _parse_or_exit(args.right, "z")
-    _emit(z_multiply(left, right), args.format)
-    return 0
-
-
-def cmd_theta(args) -> int:
-    element = _parse_or_exit(args.expr, args.algebra)
-    image = theta(element) if args.algebra == "u" else z_theta(element)
-    _emit(image, args.format)
-    return 0
-
-
-def cmd_project(args) -> int:
-    element = _parse_or_exit(args.expr, "u")
-    _emit(tilde_to_z(element.mod_ii()), args.format)
-    return 0
+# The commands that parse element operands, apply one operation and print
+# its result: (name, help, operand names, fixed algebra or None for an
+# --algebra option, operation).  The operations look up this module's
+# names when they run, so rebinding `diamond` here reaches the command.
+ELEMENT_COMMANDS = (
+    ("normalize", "normal-order an expression", ("expr",), None, lambda x: x),
+    ("diamond", "diamond product of two U-elements", ("left", "right"), "u", lambda x, y: diamond(x, y)),
+    ("zmul", "product in the reduction algebra", ("left", "right"), "z", lambda x, y: z_multiply(x, y)),
+    (
+        "theta", "apply the Chevalley anti-involution", ("expr",), None,
+        lambda x: z_theta(x) if isinstance(x, ZElement) else theta(x),
+    ),
+    (
+        "project", "image of an anti-diagonal U-element in the reduction algebra", ("expr",), "u",
+        lambda x: tilde_to_z(x.mod_ii()),
+    ),
+)
 
 
 def cmd_phi_table(args) -> int:
@@ -149,6 +139,14 @@ def int_at_least(low: int, high: int | None = None):
     return integer
 
 
+def output_file(text: str):
+    """argparse type: a file path, opened for writing.  `-` is refused,
+    because stdout already carries the command's own lines."""
+    if text == "-":
+        raise argparse.ArgumentTypeError("takes a file path, not '-'")
+    return argparse.FileType("w")(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ospz",
@@ -164,36 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("text", "latex", "json"), default="text"
         )
 
-    p = sub.add_parser("normalize", help="normal-order an expression")
-    p.add_argument("expr")
-    p.add_argument("--algebra", choices=("u", "z"), default="u")
-    add_format(p)
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("diamond", help="diamond product of two U-elements")
-    p.add_argument("left")
-    p.add_argument("right")
-    add_format(p)
-    p.set_defaults(func=cmd_diamond)
-
-    p = sub.add_parser("zmul", help="product in the reduction algebra")
-    p.add_argument("left")
-    p.add_argument("right")
-    add_format(p)
-    p.set_defaults(func=cmd_zmul)
-
-    p = sub.add_parser("theta", help="apply the Chevalley anti-involution")
-    p.add_argument("expr")
-    p.add_argument("--algebra", choices=("u", "z"), default="u")
-    add_format(p)
-    p.set_defaults(func=cmd_theta)
-
-    p = sub.add_parser(
-        "project", help="image of an anti-diagonal U-element in the reduction algebra"
-    )
-    p.add_argument("expr")
-    add_format(p)
-    p.set_defaults(func=cmd_project)
+    for name, help_text, operands, algebra, op in ELEMENT_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for operand in operands:
+            p.add_argument(operand)
+        if algebra:
+            p.set_defaults(algebra=algebra)
+        else:
+            p.add_argument("--algebra", choices=("u", "z"), default="u")
+        add_format(p)
+        p.set_defaults(func=cmd_element, operands=operands, op=op)
 
     p = sub.add_parser("phi-table", help="print the projector coefficients")
     p.add_argument("--n", type=int_at_least(0, MAX_N), default=4)
@@ -216,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-exp", type=int_at_least(1, MAX_EXP), default=1)
     p.add_argument("--trunc", type=int_at_least(0, MAX_N), default=6)
     # opened before the suite runs, so an unwritable path is a usage error
-    p.add_argument("--json-out", type=argparse.FileType("w"), default=None)
+    p.add_argument("--json-out", type=output_file, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -226,10 +204,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
     except (repmod.TruncationOverflow, repmod.WindowNotClosed) as exc:
         print(f"error: {exc}; use a larger --trunc", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone: what is left of stdout, and the interpreter's
+        # last flush of it, goes to the null device instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -58,8 +58,6 @@ from .text import render_uea, render_z
 
 SCHEMA_VERSION = 1
 
-SUITES = ("projector", "lemmas", "relations", "presentation", "pbw", "rep")
-
 
 def _report(suite: str, checks: list[dict], **extra) -> dict:
     out = {
@@ -502,19 +500,22 @@ def verify_rep(trunc: int = 6) -> dict:
 # dispatcher
 # ---------------------------------------------------------------------------
 
+# Each suite's function and the one run_suite option it reads, if any.
+SUITES = {
+    "projector": (verify_projector, "n"),
+    "lemmas": (verify_lemmas, None),
+    "relations": (verify_relations, None),
+    "presentation": (verify_presentation, "max_exp"),
+    "pbw": (verify_pbw, None),
+    "rep": (verify_rep, "trunc"),
+}
+
+
 def run_suite(name: str, *, n: int = 10, max_exp: int = 1, trunc: int = 6) -> dict:
     """Run one suite: `n` bounds the projector suite, `max_exp` the
     presentation sweep and `trunc` the rep suite's polynomial truncation."""
-    if name == "projector":
-        return verify_projector(n)
-    if name == "lemmas":
-        return verify_lemmas()
-    if name == "relations":
-        return verify_relations()
-    if name == "presentation":
-        return verify_presentation(max_exp)
-    if name == "pbw":
-        return verify_pbw()
-    if name == "rep":
-        return verify_rep(trunc)
-    raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+    suite, option = SUITES[name]
+    options = {"n": n, "max_exp": max_exp, "trunc": trunc}
+    return suite(options[option]) if option else suite()

@@ -185,17 +185,12 @@ def _z_pair_rules() -> dict:
     }
 
 
-def z_straighten(
-    items: Sequence,
-    coeff=RF_ONE,
-    chooser: Callable[[list[int], tuple[int, ...]], int] | None = None,
-) -> ZElement:
+def z_straighten(items: Sequence, coeff=RF_ONE) -> ZElement:
     """Normal-order a raw word of generator letters (ints 0..4) and
     coefficient values.  Same engine as the enveloping-algebra straightener;
-    any choice of which out-of-order letter pair to rewrite first yields the
-    same element."""
-    rules = _z_pair_rules()
-    return ZElement(rewrite(items, coeff, chooser, ZMonomial, rules))
+    every overlap E(a)E(b)E(c) of the pair rules resolves, so the order of
+    rewriting does not change the element."""
+    return ZElement(rewrite(items, coeff, None, ZMonomial, _z_pair_rules()))
 
 
 @lru_cache(maxsize=None)

@@ -3,12 +3,32 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from ospz.cli import MAX_EXP, main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+# Every command path whose --help text tests/golden/cli_help.txt pins.
+HELP_COMMANDS = (
+    (),
+    ("normalize",),
+    ("diamond",),
+    ("zmul",),
+    ("theta",),
+    ("project",),
+    ("phi-table",),
+    ("rep",),
+    ("rep", "primitives"),
+    ("rep", "rho"),
+    ("verify",),
+)
 
 
 def run(capsys, *argv):
@@ -18,6 +38,23 @@ def run(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def render_help(capsys) -> str:
+    """The --help text of every command in HELP_COMMANDS, each under a
+    `$ ospz ... --help` line, as argparse lays it out in 80 columns."""
+    blocks = []
+    for path in HELP_COMMANDS:
+        code, out, err = run(capsys, *path, "--help")
+        assert code == 0 and not err, path
+        blocks.append(" ".join(("$ ospz",) + path + ("--help",)) + "\n" + out)
+    return "\n".join(blocks)
+
+
+def test_help_text_matches_golden(capsys, monkeypatch):
+    # a command that loses an option, or commands that change order, show here
+    monkeypatch.setenv("COLUMNS", "80")
+    assert render_help(capsys) == (GOLDEN / "cli_help.txt").read_text()
 
 
 class TestExitCodes:
@@ -58,6 +95,8 @@ class TestExitCodes:
             ["verify", "rep", "--trunc", "65"],
             # no file can exist below os.devnull
             ["verify", "pbw", "--json-out", os.path.join(os.devnull, "missing", "r.json")],
+            # stdout carries the check lines, so a report there would not parse
+            ["verify", "projector", "--n", "1", "--json-out", "-"],
         ],
     )
     def test_bad_option_value_is_usage_error(self, capsys, argv):
@@ -65,6 +104,25 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["phi-table"], ["phi-table", "--n", "64"]])
+    def test_closed_pipe_exits_without_traceback(self, argv):
+        # the reader of stdout is gone before the command writes a byte; the
+        # short table fails at the last flush, the long one in mid-print
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ospz.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
     def test_oversized_term_fails_fast(self, capsys):
         cases = [

@@ -133,6 +133,7 @@ def test_oracle_sweep_writes_no_file_without_bench_out(tmp_path):
         ["oracle_sweep.py", "--max-exp", "0"],
         ["oracle_sweep.py", "--max-exp", str(MAX_EXP + 1)],
         ["oracle_sweep.py", "--progress", "-1"],
+        ["oracle_sweep.py", "--bench-out", "-"],
         ["verify_all.py", "--max-exp", "0"],
         ["verify_all.py", "--max-exp", str(MAX_EXP + 1)],
         ["verify_all.py", "--trunc", "-1"],
@@ -151,6 +152,12 @@ def test_unwritable_output_path_fails_before_any_work(tmp_path):
     # the sweep at MAX_EXP takes minutes; the path fails at once
     t0 = time.perf_counter()
     proc = run_script("oracle_sweep.py", "--max-exp", str(MAX_EXP), "--bench-out", str(tmp_path / "missing" / "b.json"))
+    assert time.perf_counter() - t0 < 5.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    # stdout carries the sweep's own lines, so it is no place for the record
+    t0 = time.perf_counter()
+    proc = run_script("oracle_sweep.py", "--max-exp", str(MAX_EXP), "--bench-out", "-")
     assert time.perf_counter() - t0 < 5.0
     assert proc.returncode == 2 and proc.stdout == ""
     assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
