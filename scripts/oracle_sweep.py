@@ -31,11 +31,12 @@ import subprocess
 import time
 
 from ospz import projector, uea, zalgebra
-from ospz.cli import MAX_EXP, int_at_least, output_file
+from ospz.cli import MAX_EXP, int_at_least, output_file, quiet_on_closed_pipe
 from ospz.text import render_z
 from ospz.zalgebra import Z_TOKENS, ZElement, all_monomials
 
 
+@quiet_on_closed_pipe
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-exp", type=int_at_least(1, MAX_EXP), default=1,

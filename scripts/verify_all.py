@@ -10,11 +10,12 @@ import json
 import os
 import time
 
-from ospz.cli import MAX_EXP, MAX_N, int_at_least
+from ospz.cli import MAX_EXP, MAX_N, int_at_least, quiet_on_closed_pipe
 from ospz.rep import TruncationOverflow, WindowNotClosed
 from ospz.verify import SUITES, run_suite
 
 
+@quiet_on_closed_pipe
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-exp", type=int_at_least(1, MAX_EXP), default=1,

@@ -7,11 +7,13 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from typing import Callable
 
 from .projector import diamond, phi
 from .text import ExprSyntaxError, parse_element, render
@@ -200,21 +202,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def quiet_on_closed_pipe(main: Callable[..., int]) -> Callable[..., int]:
+    """Wrap a command's `main` so that a stdout whose reader has gone ends
+    it with status 1 and no traceback."""
+
+    @functools.wraps(main)
+    def run(*args, **kwargs) -> int:
+        try:
+            code = main(*args, **kwargs)
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+            return code
+        except BrokenPipeError:
+            # The reader is gone: what is left of stdout, and the interpreter's
+            # last flush of it, goes to the null device instead.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+
+    return run
+
+
+@quiet_on_closed_pipe
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
-        return code
+        return args.func(args)
     except (repmod.TruncationOverflow, repmod.WindowNotClosed) as exc:
         print(f"error: {exc}; use a larger --trunc", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader is gone: what is left of stdout, and the interpreter's
-        # last flush of it, goes to the null device instead.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
 
 
 if __name__ == "__main__":

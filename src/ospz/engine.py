@@ -1,6 +1,6 @@
 """Machinery shared by the algebras: PBW monomials, immutable sparse sums,
-their bilinear product, and the one rewriting engine that normal-orders
-words in U and Z.
+their bilinear product, and the rewriting that normal-orders words in U
+and Z.
 
 A PBW monomial is its exponent tuple in both algebras: one exponent per
 letter of the alphabet, in the alphabet's order, so the monomial is the
@@ -13,6 +13,14 @@ multiplied into its term's scalar as f(H + r) the moment it enters the word,
 r being the root sum of the letters to its left.  A violation is two adjacent
 letters out of order, where an odd letter next to itself counts; it rewrites
 by the alphabet's pair-rule table.
+
+The rules apply in two ways.  `rule_step` is one step: an ordered monomial
+times a letter out of order with its last one, the pair rule at the end
+applied once and its terms folded into the rest of the monomial through the
+algebra's cached step table.  `rewrite` runs an agenda over whole words.  Z
+folds every word through its step table; U takes a word whose only violation
+is its last pair as a step and every other word through the agenda, which
+merges the words it reaches.
 """
 
 from __future__ import annotations
@@ -202,31 +210,13 @@ def _violations(w: Sequence[int], odd: Sequence[bool]) -> Iterator[int]:
             yield i
 
 
-def rewrite(
-    items: Sequence,
-    coeff,
-    chooser: Callable[[list[int], tuple[int, ...]], int] | None,
-    monomial: type[Monomial],
-    rules: dict,
-) -> dict:
-    """Normal-order a raw word; returns {monomial: coefficient}.
+def absorb(items: Sequence, coeff, monomial: type[Monomial]) -> tuple:
+    """(scalar, letters) of a raw word.
 
     `items` holds letters (ints indexing the alphabet of the Monomial
     subclass `monomial`) and coefficient values (anything `as_rf` accepts);
-    each coefficient is absorbed into the scalar as it is read.
-    `rules[(a, b)]` lists the terms (sign, coefficient or None, letter tuple)
-    that replace a violating pair a b; a term's coefficient is absorbed
-    likewise, shifted by the root sum of the letters before the pair.
-    `chooser(violations, word)` picks which violation to rewrite next; the
-    default takes the leftmost without listing the others.  Any strategy
-    yields the same element (confluence; property-tested).
-
-    Pending words are merged, {word: coefficient}, and the deglex-largest
-    (length, then letters) is rewritten first.  Every rule replaces a pair
-    by deglex-smaller words, so a word rewritten once never comes back, and
-    a word reached along many rewrite paths is rewritten once, not once
-    per path.  Were some rule to break that order, a word would only be
-    rewritten again; the sum would stay the same.
+    each coefficient is multiplied into the scalar `coeff` as it is read,
+    shifted by the root sum of the letters before it.
     """
     odd, roots = monomial.ODD, monomial.ROOTS
     c, word, r = as_rf(coeff), [], 0
@@ -239,6 +229,62 @@ def rewrite(
         else:
             f = as_rf(it).shift(r)
             c = c if f.is_one() else f if c.is_one() else c * f
+    return c, word
+
+
+def ordered_prefix(word: Sequence[int], odd: Sequence[bool]) -> int:
+    """Length of the longest ordered prefix of the letters `word`."""
+    return next(_violations(word, odd), len(word) - 1) + 1
+
+
+def rule_step(mono, g: int, rules: dict, times_letter: Callable) -> dict:
+    """mono * g for an ordered monomial `mono` whose last letter h is out of
+    order with the letter g: the pair rule of (h, g) applied once.
+
+    Each rule term's coefficient shifts by the root sum of mono minus h,
+    the letters left of the pair, and its letters fold into mono minus h
+    through times_letter, the step table.  Every rule term is deglex-smaller
+    than h g, so the table is only asked for words smaller than mono g.
+    """
+    h = max(i for i, e in enumerate(mono) if e)
+    exps = list(mono)
+    exps[h] -= 1
+    head = tuple.__new__(type(mono), exps)
+    r = head.root_sum()
+    out: dict = {}
+    for sign, f, letters in rules[(h, g)]:
+        t = RF_ONE if f is None else f.shift(r)
+        add_scaled(out, t if sign > 0 else -t, fold_letters(head, letters, times_letter).items())
+    return {m: f for m, f in out.items() if f}
+
+
+def rewrite(
+    c,
+    word: list[int],
+    chooser: Callable[[list[int], tuple[int, ...]], int] | None,
+    monomial: type[Monomial],
+    rules: dict,
+) -> dict:
+    """Normal-order c times the letters `word` (ints indexing the alphabet
+    of the Monomial subclass `monomial`), as `absorb` returns them; returns
+    {monomial: coefficient}.
+
+    `rules[(a, b)]` lists the terms (sign, coefficient or None, letter
+    tuple) that replace a violating pair a b; a term's coefficient is
+    absorbed into the scalar, shifted by the root sum of the letters before
+    the pair.  `chooser(violations, word)` picks
+    which violation to rewrite next; the default takes the leftmost without
+    listing the others.  Any strategy yields the same element (confluence;
+    property-tested).
+
+    Pending words are merged, {word: coefficient}, and the deglex-largest
+    (length, then letters) is rewritten first.  Every rule replaces a pair
+    by deglex-smaller words, so a word rewritten once never comes back, and
+    a word reached along many rewrite paths is rewritten once, not once
+    per path.  Were some rule to break that order, a word would only be
+    rewritten again; the sum would stay the same.
+    """
+    odd, roots = monomial.ODD, monomial.ROOTS
     if not c:
         return {}
     if next(_violations(word, odd), -1) < 0:  # already ordered

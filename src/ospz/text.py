@@ -288,8 +288,9 @@ def parse_ratfunc(text: str) -> RationalFunction:
 # Most generator letters one term may expand to; also the largest exponent
 # and degree in H of a parsed coefficient.  The limit bounds the size of the
 # input, not the cost of straightening it.  U words are cheap (X(1)^8 X(-1)^8
-# takes about 2 ms); Z words are not: E(2)^8 E(-2)^8 takes about 1.7 s and
-# E(2)^16 E(-2)^16, well within the limit, about two minutes.
+# takes about 2 ms); Z words cost more: E(2)^8 E(-2)^8 takes about 0.1 s,
+# E(2)^16 E(-2)^16 about 2 s, and E(2)^32 E(-2)^32, at the limit, still
+# about two minutes (2-core machine, Python 3.11).
 MAX_TERM_LETTERS = 64
 # Most decimal digits of an integer literal, and of any integer in the integer
 # form of a coefficient the parser builds; the text renderer's int-to-str

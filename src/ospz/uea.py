@@ -23,7 +23,9 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .coeffs import RF_ONE, Polynomial, as_rf
-from .engine import Monomial, PBWElement, add_scaled, bilinear, fold_letters, rewrite, rule_term
+from .engine import (
+    Monomial, PBWElement, absorb, add_scaled, bilinear, fold_letters, ordered_prefix, rewrite, rule_step, rule_term,
+)
 
 
 class MixedParityError(ValueError):
@@ -175,11 +177,20 @@ def straighten(
     (anything `as_rf` accepts); a coefficient right of letters of root sum r
     enters as f(H + r).  `chooser(violations, word)` picks which
     out-of-order letter pair of the letters-only word to rewrite next; the
-    default takes the leftmost, which is also what the cached fast path
-    uses.  Any strategy yields the same canonical element (confluence;
-    property-tested).
+    default takes the leftmost.  Any strategy yields the same canonical
+    element (confluence; property-tested).
+
+    Without a chooser, a word whose only out-of-order pair is its last is
+    one step: the pair rule at its end, folded into the ordered rest
+    through the cached step table.  Every other word runs the agenda of
+    `engine.rewrite`, which merges the words it reaches.
     """
-    return UeaElement(rewrite(items, coeff, chooser, Word, _PAIR_RULES))
+    c, word = absorb(items, coeff, Word)
+    if chooser is None and c and ordered_prefix(word, Word.ODD) == len(word) - 1:
+        out: dict = {}
+        add_scaled(out, c, rule_step(Word.from_letters(word[:-1]), word[-1], _PAIR_RULES, _word_table).items())
+        return UeaElement(out)
+    return UeaElement(rewrite(c, word, chooser, Word, _PAIR_RULES))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +230,11 @@ def _not_left(m: Word) -> bool:
 @lru_cache(maxsize=None)
 def _word_times_gen(word: Word, g: int) -> UeaElement:
     return straighten(word.letters() + [g])
+
+
+# The table a straightening step folds through, bound once: rebinding the
+# module attribute `_word_times_gen` changes only the steps read through it.
+_word_table = _word_times_gen
 
 
 @lru_cache(maxsize=None)

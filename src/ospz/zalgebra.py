@@ -23,7 +23,10 @@ family where the two disagree rather than silently preferring either.  The
 coefficient shift E(k) f(H) = f(H+k) E(k) and Cartan commutativity are
 structural and carry no rule: the straightener absorbs each coefficient into
 the scalar, shifted by the root sum of the letters to its left, and rewrites
-letter pairs only.
+letter pairs only.  It folds every word through the rule step table that
+z_multiply folds with, and each entry of that table is one pair rule folded
+through smaller entries, so z_straighten and z_multiply cannot tell a wrong
+step apart; only the oracle can.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .coeffs import H, RF_ONE, RF_ZERO, RationalFunction, as_rf
-from .engine import Monomial, PBWElement, add_scaled, bilinear, fold_letters, rewrite, rule_term
+from .engine import Monomial, PBWElement, absorb, add_scaled, bilinear, fold_letters, ordered_prefix, rule_step, rule_term
 from .projector import diamond
 from .uea import TILDE_GENS, TN2, X1, UeaElement, Word, theta
 
@@ -187,15 +190,36 @@ def _z_pair_rules() -> dict:
 
 def z_straighten(items: Sequence, coeff=RF_ONE) -> ZElement:
     """Normal-order a raw word of generator letters (ints 0..4) and
-    coefficient values.  Same engine as the enveloping-algebra straightener;
-    every overlap E(a)E(b)E(c) of the pair rules resolves, so the order of
-    rewriting does not change the element."""
-    return ZElement(rewrite(items, coeff, None, ZMonomial, _z_pair_rules()))
+    coefficient values.
+
+    The longest ordered prefix is a monomial; one letter after it is one
+    step (the pair rule at the end of the word, folded into the rest of
+    the monomial through the cached step table), and more letters fold
+    into it through that table one at a time.  Every overlap E(a)E(b)E(c)
+    of the pair rules resolves, so the order of rewriting does not change
+    the element."""
+    c, word = absorb(items, coeff, ZMonomial)
+    if not c:
+        return ZElement()
+    n = ordered_prefix(word, ZMonomial.ODD)
+    mono, rest = ZMonomial.from_letters(word[:n]), word[n:]
+    if len(rest) == 1:
+        terms = rule_step(mono, rest[0], _z_pair_rules(), _z_table)
+    else:
+        terms = fold_letters(mono, rest, _z_table)
+    out: dict = {}
+    add_scaled(out, c, terms.items())
+    return ZElement(out)
 
 
 @lru_cache(maxsize=None)
 def _z_mono_times_gen(mono: ZMonomial, g: int) -> ZElement:
     return z_straighten(mono.letters() + [g])
+
+
+# The table z_straighten folds through, bound once: rebinding the module
+# attribute `_z_mono_times_gen` changes only the steps read through it.
+_z_table = _z_mono_times_gen
 
 
 def _fold_product(u: ZElement, v: ZElement, step: Callable) -> ZElement:
@@ -283,11 +307,12 @@ def tilde_to_z(u: UeaElement) -> ZElement:
                     raise AssertionError("expansion is not unit-leading")
                 continue  # the unit leading term, already stripped
             t = f2 if one else c * f2
-            nc = rem[w2] - t if w2 in rem else -t
-            if nc:
-                rem[w2] = nc
-            else:
+            if w2 not in rem:
+                rem[w2] = -t
+            elif rem[w2] == t:  # canonical forms: equal exactly when they cancel
                 del rem[w2]
+            else:
+                rem[w2] = rem[w2] - t
     return ZElement(out)
 
 

@@ -41,6 +41,25 @@ def test_verify_all_writes_the_run_suite_reports(tmp_path):
         assert (tmp_path / f"{suite}.json").read_text() == expected, suite
 
 
+@pytest.mark.parametrize("argv", [["verify_all.py"], ["oracle_sweep.py", "--max-exp", "1"]])
+def test_closed_pipe_exits_without_traceback(argv):
+    # the reader of stdout is gone before the script writes a byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
+
 def test_every_cache_pays_on_the_verify_suites():
     # a fresh process runs the six suites; every lru_cache of uea, projector
     # and zalgebra, found as oracle_sweep.cache_infos finds them, must hit

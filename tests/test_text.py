@@ -22,7 +22,8 @@ from ospz.text import (
     render_uea,
     render_z,
 )
-from ospz.uea import GENERATORS, TILDE_GENS, UeaElement, straighten, theta
+from ospz import zalgebra
+from ospz.uea import GENERATORS, TILDE_GENS, X2, XN2, UeaElement, Word, straighten, theta
 from ospz.zalgebra import (
     RULE_KEYS,
     Z2,
@@ -46,14 +47,31 @@ class TestParsing:
         assert e == straighten([TILDE_GENS[3], TILDE_GENS[3]])
 
     def test_word_reached_along_many_rewrite_paths_parses_fast(self):
-        # the straightener rewrites each distinct pending word once; kept
-        # as a stack of paths, this input took minutes
+        # the straightener takes each distinct (monomial, letter) step once,
+        # from the cached step table; kept as a stack of paths, this input
+        # took minutes
         t0 = time.perf_counter()
         e = parse_element("E(2)^5 E(-2)^5", "z")
         elapsed = time.perf_counter() - t0
         left, right = ZElement.monomial(ZMonomial.make(t=5)), ZElement.monomial(ZMonomial.make(p=5))
         assert e == z_multiply(left, right)
         assert elapsed < 10.0
+
+    def test_long_z_word_parses_fast(self):
+        # from a cold step table; through a merged agenda of pending words
+        # this took about 7 s
+        zalgebra._z_mono_times_gen.cache_clear()
+        t0 = time.perf_counter()
+        e = parse_element("E(2)^12 E(-2)^12", "z")
+        assert time.perf_counter() - t0 < 3.0
+        assert e.terms[ZMonomial.make(p=12, t=12)]
+
+    @pytest.mark.parametrize("text, algebra", [("E(2)^63 E(-2)", "z"), ("X(2)^63 X(-2)", "u")])
+    def test_a_letter_past_63_equal_letters_normalizes(self, text, algebra):
+        # a step recurses once per letter it passes: 63 levels, no RecursionError
+        e = parse_element(text, algebra)
+        lead = ZMonomial.make(p=1, t=63) if algebra == "z" else Word.from_letters([XN2] + [X2] * 63)
+        assert e.terms[lead]
 
     @pytest.mark.parametrize("algebra", ["u", "z"])
     def test_a_long_sum_is_the_sum_of_its_straightened_terms(self, algebra, monkeypatch):

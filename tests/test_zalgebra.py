@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ospz.coeffs import H, RF_ONE, Polynomial, RationalFunction, Sqrt2
+from ospz.coeffs import H, RF_ONE, Polynomial, RationalFunction, Sqrt2, as_rf
 from ospz.rep import ModuleVector
 from ospz.text import parse_element, render_uea, render_z
 from ospz.uea import UeaElement
@@ -238,6 +238,20 @@ class TestMultiplication:
             expected = z_multiply(
                 z_multiply(z_straighten(pre), ZElement.coeff(f)), z_straighten(post)
             )
+            assert z_straighten(items) == expected, items
+
+    def test_straightening_equals_the_oracle_fold_of_its_letters(self):
+        # z_straighten and z_multiply fold through one rule step table, so
+        # they cannot tell a wrong step apart; the oracle's fold reads no rule
+        coeffs = [RationalFunction(H + 2, H - 1), as_rf(Fraction(-3, 2)), as_rf(H)]
+        for seed in range(200):
+            rng = random.Random(f"oracle fold/{seed}")
+            items = [rng.randrange(5) for _ in range(rng.randint(2, 6))]
+            items.insert(rng.randint(0, len(items)), rng.choice(coeffs))
+            expected = ZElement.one()
+            for it in items:
+                factor = zgen(it) if isinstance(it, int) else ZElement.coeff(it)
+                expected = z_oracle_multiply(expected, factor)
             assert z_straighten(items) == expected, items
 
 
