@@ -202,12 +202,21 @@ def rule_term(f, letters: tuple[int, ...]) -> tuple:
     return (sign, None, letters) if sign else (1, f, letters)
 
 
-def _violations(w: Sequence[int], odd: Sequence[bool]) -> Iterator[int]:
-    """Positions i of the out-of-order pairs w[i] w[i+1], left to right."""
-    for i in range(len(w) - 1):
+def _first_violation(w: Sequence[int], odd: Sequence[bool], lo: int = 0) -> int:
+    """The first position i >= lo of an out-of-order pair w[i] w[i+1], or -1."""
+    for i in range(lo, len(w) - 1):
         a, b = w[i], w[i + 1]
         if a > b or (a == b and odd[a]):
-            yield i
+            return i
+    return -1
+
+
+def _violations(w: Sequence[int], odd: Sequence[bool]) -> Iterator[int]:
+    """Positions i of the out-of-order pairs w[i] w[i+1], left to right."""
+    i = _first_violation(w, odd)
+    while i >= 0:
+        yield i
+        i = _first_violation(w, odd, i + 1)
 
 
 def absorb(items: Sequence, coeff, monomial: type[Monomial]) -> tuple:
@@ -234,7 +243,8 @@ def absorb(items: Sequence, coeff, monomial: type[Monomial]) -> tuple:
 
 def ordered_prefix(word: Sequence[int], odd: Sequence[bool]) -> int:
     """Length of the longest ordered prefix of the letters `word`."""
-    return next(_violations(word, odd), len(word) - 1) + 1
+    i = _first_violation(word, odd)
+    return len(word) if i < 0 else i + 1
 
 
 def rule_step(mono, g: int, rules: dict, times_letter: Callable) -> dict:
@@ -283,31 +293,41 @@ def rewrite(
     a word reached along many rewrite paths is rewritten once, not once
     per path.  Were some rule to break that order, a word would only be
     rewritten again; the sum would stay the same.
+
+    Each pending word also carries a lower bound on its first violation,
+    where the default strategy starts its scan (a chooser sees every
+    violation): a rewrite at the first violation i leaves the letters
+    before i ordered, so no term it pushes has a violation before i - 1,
+    and a word reached twice keeps the smaller bound.
     """
     odd, roots = monomial.ODD, monomial.ROOTS
     if not c:
         return {}
-    if next(_violations(word, odd), -1) < 0:  # already ordered
+    i = _first_violation(word, odd)
+    if i < 0:  # already ordered
         return {monomial.from_letters(word): c}
-    pending: dict = {}
+    pending: dict = {}  # word -> [coefficient, bound on its first violation]
     heap: list = []
 
-    def push(t, w):
-        if w in pending:
-            pending[w] = pending[w] + t
-        else:
-            pending[w] = t
+    def push(t, w, lo):
+        p = pending.get(w)
+        if p is None:
+            pending[w] = [t, lo]
             heapq.heappush(heap, (-len(w), tuple(map(neg, w)), w))
+        else:
+            p[0] = p[0] + t
+            if lo < p[1]:
+                p[1] = lo
 
-    push(c, tuple(word))
+    push(c, tuple(word), i)
     out: dict = {}
     while heap:
         w = heapq.heappop(heap)[2]
-        c = pending.pop(w)
+        c, lo = pending.pop(w)
         if not c:
             continue
         if chooser is None:
-            i = next(_violations(w, odd), -1)
+            i = _first_violation(w, odd, lo)
         else:
             viols = list(_violations(w, odd))
             i = viols[chooser(viols, w)] if viols else -1
@@ -315,9 +335,9 @@ def rewrite(
             m = monomial.from_letters(w)
             out[m] = out[m] + c if m in out else c
             continue
-        pre, post, one = w[:i], w[i + 2 :], c.is_one()
+        pre, post, one, lo = w[:i], w[i + 2 :], c.is_one(), max(i - 1, 0)
         r = sum(map(roots.__getitem__, pre))
         for sign, f, letters in rules[(w[i], w[i + 1])]:
             t = c if f is None else f.shift(r) if one else c * f.shift(r)
-            push(t if sign > 0 else -t, pre + letters + post)
+            push(t if sign > 0 else -t, pre + letters + post, lo)
     return out

@@ -49,12 +49,28 @@ class UnknownToken(ExprSyntaxError):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# Most generator letters one term may expand to; also the largest exponent
+# and degree in H of a parsed coefficient.  The limit bounds the size of the
+# input, not the cost of straightening it.  U words are cheap (X(1)^8 X(-1)^8
+# takes about 2 ms); Z words cost more: E(2)^8 E(-2)^8 takes about 0.1 s,
+# E(2)^16 E(-2)^16 about 2 s, and E(2)^32 E(-2)^32, at the limit, still
+# about two minutes (2-core machine, Python 3.11).
+MAX_TERM_LETTERS = 64
+# Most decimal digits of an integer literal, and of any integer in the integer
+# form of a coefficient the parser builds; the text renderer's int-to-str
+# conversion stops at 4300.
+MAX_COEFF_DIGITS = 1000
+_COEFF_BOUND = 10**MAX_COEFF_DIGITS
+
 # One token and the whitespace before it.  Lines are matched one at a time,
-# with trailing whitespace stripped, so a match always ends in a token.
+# with trailing whitespace stripped, so a match always ends in a token.  A
+# generator letter written without spaces, such as X(-1), is one name token;
+# spaced or malformed ones (X ( - 1 ), X(a), a label of more than
+# MAX_COEFF_DIGITS digits) are read as a name and the tokens after it.
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<num>\d+)"
-    r"|(?P<name>[A-Za-z]+)"
+    rf"|(?P<name>[XtE]\(-?\d{{1,{MAX_COEFF_DIGITS}}}\)|[A-Za-z]+)"
     r"|(?P<diamond><>)"
     r"|(?P<sym>[()^+\-*/])"
     r"|(?P<bad>\S))"
@@ -62,7 +78,7 @@ _TOKEN_RE = re.compile(
 
 
 class Token(NamedTuple):
-    kind: str  # num | name | diamond | sym | end
+    kind: str  # num | name (a name or a whole letter, X(-1)) | diamond | sym | end
     text: str
     line: int
     column: int
@@ -85,6 +101,16 @@ def tokenize(text: str) -> list[Token]:
 
 # ---------------------------------------------------------------------------
 # Parser
+
+# The values of parenthesized coefficients parsed before, keyed by the texts
+# of the tokens from "(" to its ")": requests repeat a few coefficient texts,
+# and rebuilding one by Q(H) arithmetic is most of what parsing it costs.
+# Only spans of at most COEFF_SPAN tokens that parsed are kept, at most
+# COEFF_TABLE_SIZE of them, the oldest dropped first; an error is raised
+# by parsing, with its position, every time.
+COEFF_TABLE_SIZE = 256
+COEFF_SPAN = 64
+_COEFF_TABLE: dict[tuple[str, ...], RationalFunction] = {}
 
 # Per algebra, the parser's letter table (token -> letter index) and the hint
 # its unknown-generator message ends in.
@@ -204,21 +230,25 @@ class _Parser:
         """One generator power: (generator index, exponent)."""
         t = self.next()
         token = t.text
-        if token in ("X", "t", "E"):
-            self.expect("(")
-            neg = self.tok.text == "-"
-            if neg:
-                self.next()
-            if self.tok.kind != "num":
-                self.fail("expected integer generator label")
-            k = int(self.next().text)
-            self.expect(")")
-            token = f"{token}({-k if neg else k})"
-        elif token != "th":
-            raise UnknownToken(f"unknown generator {token!r}", t.line, t.column)
         g = self.letters.get(token)
         if g is None:
-            self.fail(f"unknown generator {token!r}{self.hint}", t)
+            if token in ("X", "t", "E"):
+                self.expect("(")
+                neg = self.tok.text == "-"
+                if neg:
+                    self.next()
+                if self.tok.kind != "num":
+                    self.fail("expected integer generator label")
+                k = int(self.next().text)
+                self.expect(")")
+                token = f"{token}({-k if neg else k})"
+            elif "(" in token:  # one letter token off the table, e.g. X(01), X(-0), X(3)
+                token = f"{token[0]}({int(token[2:-1])})"
+            elif token != "th":
+                raise UnknownToken(f"unknown generator {token!r}", t.line, t.column)
+            g = self.letters.get(token)
+            if g is None:
+                self.fail(f"unknown generator {token!r}{self.hint}", t)
         et = self.power()
         return g, int(et.text) if et else 1
 
@@ -268,13 +298,38 @@ class _Parser:
             self.next()
             return as_rf(H)
         if t.kind == "name":
-            raise UnknownToken(f"unknown symbol {t.text!r} in coefficient", t.line, t.column)
+            name = t.text.partition("(")[0]  # E, not E(1)
+            raise UnknownToken(f"unknown symbol {name!r} in coefficient", t.line, t.column)
         if t.text == "(":
+            key = self.paren_span()
+            value = _COEFF_TABLE.get(key)
+            if value is not None:
+                self.i += len(key)
+                self.tok = self.toks[self.i]
+                return value
             self.next()
             value = self.ratfunc()
             self.expect(")")
+            if key:
+                if len(_COEFF_TABLE) >= COEFF_TABLE_SIZE:
+                    del _COEFF_TABLE[next(iter(_COEFF_TABLE))]
+                _COEFF_TABLE[key] = value
             return value
         self.fail("expected a coefficient atom")
+
+    def paren_span(self) -> tuple[str, ...] | None:
+        """The texts of the tokens from the "(" at the cursor to its ")", or
+        None if the ")" is missing or more than COEFF_SPAN tokens away."""
+        toks, i, depth = self.toks, self.i, 0
+        for j in range(i, min(i + COEFF_SPAN, len(toks))):
+            text = toks[j].text
+            if text == "(":
+                depth += 1
+            elif text == ")":
+                depth -= 1
+                if not depth:
+                    return tuple([t.text for t in toks[i : j + 1]])
+        return None
 
 
 def parse_ratfunc(text: str) -> RationalFunction:
@@ -283,20 +338,6 @@ def parse_ratfunc(text: str) -> RationalFunction:
     if p.tok.kind != "end":
         p.fail("trailing input")
     return value
-
-
-# Most generator letters one term may expand to; also the largest exponent
-# and degree in H of a parsed coefficient.  The limit bounds the size of the
-# input, not the cost of straightening it.  U words are cheap (X(1)^8 X(-1)^8
-# takes about 2 ms); Z words cost more: E(2)^8 E(-2)^8 takes about 0.1 s,
-# E(2)^16 E(-2)^16 about 2 s, and E(2)^32 E(-2)^32, at the limit, still
-# about two minutes (2-core machine, Python 3.11).
-MAX_TERM_LETTERS = 64
-# Most decimal digits of an integer literal, and of any integer in the integer
-# form of a coefficient the parser builds; the text renderer's int-to-str
-# conversion stops at 4300.
-MAX_COEFF_DIGITS = 1000
-_COEFF_BOUND = 10**MAX_COEFF_DIGITS
 
 
 def parse_element(text: str, algebra: str = "u"):

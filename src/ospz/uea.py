@@ -278,20 +278,24 @@ def super_bracket(u: UeaElement, v: UeaElement, quotient=None) -> UeaElement:
 _THETA_IMAGE = {
     g.index: (_COPY[g.diagonal, -g.root], -1 if g.root and not g.odd else 1) for g in GENERATORS
 }
+# The letters theta negates.  It sends letter i to letter 8 - i (root -k
+# sits at the mirror place of root k in the order), so it reverses the
+# order of the alphabet.
+_THETA_NEGATED = tuple(g for g, (_, s) in _THETA_IMAGE.items() if s < 0)
 
 
 def theta(u: UeaElement) -> UeaElement:
     """Involutive anti-automorphism: reverses products, fixes the Cartan,
-    sends root vectors k -> -k with sign -(-1)^parity."""
+    sends root vectors k -> -k with sign -(-1)^parity.
+
+    It maps a PBW monomial to a signed PBW monomial: the images of the
+    letters of an ordered word, read backwards, are again in order, so
+    theta(m) is the reversed exponent tuple, with the sign of the negated
+    letters it holds.  A coefficient c(H), which theta fixes, ends up right
+    of theta(m) and moves back left as c(H + root sum of theta(m))."""
     total: dict = {}
     for m, c in u:
-        sign = 1
-        rev: list = []
-        for g in reversed(m.letters()):
-            img, s = _THETA_IMAGE[g]
-            sign *= s
-            rev.append(img)
-        rev.append(c)  # theta fixes f(H); it ends up on the right, to be shifted left
-        add_scaled(total, RF_ONE, straighten(rev, sign))
+        tm = Word(m[::-1])
+        c = c.shift(tm.root_sum())
+        total[tm] = -c if sum(m[g] for g in _THETA_NEGATED) & 1 else c
     return UeaElement(total)
-

@@ -6,13 +6,18 @@ agreement of independent randomized rewriting strategies.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
+from ospz import uea
 from ospz.coeffs import H, RationalFunction, as_rf
+from ospz.text import parse_ratfunc
 from ospz.uea import (
+    _THETA_IMAGE,
     GENERATORS,
+    TILDE_GENS,
     T1,
     T2,
     TH,
@@ -28,6 +33,7 @@ from ospz.uea import (
     super_bracket,
     theta,
 )
+from ospz.zalgebra import ZElement, tilde_to_z, z_multiply, z_straighten, z_theta, z_to_tilde
 
 ALL_GENS = (XN2, XN1, TN2, TN1, TH, T1, T2, X1, X2)
 
@@ -223,3 +229,70 @@ class TestTheta:
     def test_fixes_cartan(self):
         f = RationalFunction(H, H - 1)
         assert theta(UeaElement.coeff(f)) == UeaElement.coeff(f)
+
+
+# The coefficient texts of the calc benchmark's requests.
+_CALC_COEFFS = [parse_ratfunc(t) for t in ("1", "2", "3", "1/2", "(H + 1)", "(1/(H - 1))", "((H^2 - 2)/(H + 3))")]
+
+
+def _random_elements(algebra: str, n: int = 12) -> list:
+    """n seeded elements of U or Z, each a sum of one to three terms: a calc
+    coefficient and sign times a word of at most four letters (three in Z)."""
+    rng = random.Random(f"theta/{algebra}")
+    size, cap, fn, cls = (9, 4, straighten, UeaElement) if algebra == "u" else (5, 3, z_straighten, ZElement)
+    out = []
+    for _ in range(n):
+        e = cls.zero()
+        for _ in range(rng.randint(1, 3)):
+            letters = [rng.randrange(size) for _ in range(rng.randint(0, cap))]
+            e = e + fn([rng.choice(_CALC_COEFFS)] + letters, rng.choice((1, -1)))
+        out.append(e)
+    return out
+
+
+def _theta_reference(u: UeaElement) -> UeaElement:
+    """theta term by term as the anti-automorphism reads: the letters'
+    images in reverse order, then the coefficient, straightened."""
+    total = UeaElement.zero()
+    for m, c in u:
+        images = [_THETA_IMAGE[g] for g in reversed(m.letters())]
+        total = total + straighten([img for img, _ in images] + [c], math.prod(s for _, s in images))
+    return total
+
+
+# algebra -> (theta, product, reference)
+_THETAS = {
+    "u": (theta, mul, _theta_reference),
+    "z": (z_theta, z_multiply, lambda z: tilde_to_z(_theta_reference(z_to_tilde(z)))),
+}
+
+
+def _theta_failures(algebra: str, elements: list) -> set[str]:
+    """The checks that theta of `algebra` fails on the elements and on the
+    products of neighbours among them."""
+    th, product, reference = _THETAS[algebra]
+    failed = set()
+    for u, v in zip(elements, elements[1:]):
+        if th(th(u)) != u:
+            failed.add("involution")
+        if th(product(u, v)) != product(th(v), th(u)):
+            failed.add("anti-multiplicative")
+        if th(u) != reference(u):
+            failed.add("reference")
+    return failed
+
+
+class TestThetaOnRandomElements:
+    @pytest.mark.parametrize("algebra", ["u", "z"])
+    def test_involutive_anti_multiplicative_and_the_reference(self, algebra):
+        assert _theta_failures(algebra, _random_elements(algebra)) == set()
+
+    @pytest.mark.parametrize(
+        "algebra, g", [("u", g) for g in ALL_GENS] + [("z", g) for g in TILDE_GENS]
+    )
+    def test_a_flipped_letter_sign_fails(self, algebra, g, monkeypatch):
+        # z_theta is theta on the tilde letters; theta with one letter's sign
+        # flipped is no longer an anti-automorphism
+        elements = _random_elements(algebra)
+        monkeypatch.setattr(uea, "_THETA_NEGATED", tuple(sorted({*uea._THETA_NEGATED} ^ {g})))
+        assert {"anti-multiplicative", "reference"} <= _theta_failures(algebra, elements)
