@@ -297,8 +297,9 @@ def rewrite(
     Each pending word also carries a lower bound on its first violation,
     where the default strategy starts its scan (a chooser sees every
     violation): a rewrite at the first violation i leaves the letters
-    before i ordered, so no term it pushes has a violation before i - 1,
-    and a word reached twice keeps the smaller bound.
+    before i ordered, so no term it pushes has a violation before i - 1.
+    Every bound pushed for a word holds for it; a word reached twice
+    keeps the first.
     """
     odd, roots = monomial.ODD, monomial.ROOTS
     if not c:
@@ -316,8 +317,6 @@ def rewrite(
             heapq.heappush(heap, (-len(w), tuple(map(neg, w)), w))
         else:
             p[0] = p[0] + t
-            if lo < p[1]:
-                p[1] = lo
 
     push(c, tuple(word), i)
     out: dict = {}

@@ -102,16 +102,6 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
-# The values of parenthesized coefficients parsed before, keyed by the texts
-# of the tokens from "(" to its ")": requests repeat a few coefficient texts,
-# and rebuilding one by Q(H) arithmetic is most of what parsing it costs.
-# Only spans of at most COEFF_SPAN tokens that parsed are kept, at most
-# COEFF_TABLE_SIZE of them, the oldest dropped first; an error is raised
-# by parsing, with its position, every time.
-COEFF_TABLE_SIZE = 256
-COEFF_SPAN = 64
-_COEFF_TABLE: dict[tuple[str, ...], RationalFunction] = {}
-
 # Per algebra, the parser's letter table (token -> letter index) and the hint
 # its unknown-generator message ends in.
 _LETTERS = {
@@ -301,35 +291,11 @@ class _Parser:
             name = t.text.partition("(")[0]  # E, not E(1)
             raise UnknownToken(f"unknown symbol {name!r} in coefficient", t.line, t.column)
         if t.text == "(":
-            key = self.paren_span()
-            value = _COEFF_TABLE.get(key)
-            if value is not None:
-                self.i += len(key)
-                self.tok = self.toks[self.i]
-                return value
             self.next()
             value = self.ratfunc()
             self.expect(")")
-            if key:
-                if len(_COEFF_TABLE) >= COEFF_TABLE_SIZE:
-                    del _COEFF_TABLE[next(iter(_COEFF_TABLE))]
-                _COEFF_TABLE[key] = value
             return value
         self.fail("expected a coefficient atom")
-
-    def paren_span(self) -> tuple[str, ...] | None:
-        """The texts of the tokens from the "(" at the cursor to its ")", or
-        None if the ")" is missing or more than COEFF_SPAN tokens away."""
-        toks, i, depth = self.toks, self.i, 0
-        for j in range(i, min(i + COEFF_SPAN, len(toks))):
-            text = toks[j].text
-            if text == "(":
-                depth += 1
-            elif text == ")":
-                depth -= 1
-                if not depth:
-                    return tuple([t.text for t in toks[i : j + 1]])
-        return None
 
 
 def parse_ratfunc(text: str) -> RationalFunction:

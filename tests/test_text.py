@@ -22,7 +22,6 @@ from ospz.text import (
     render_uea,
     render_z,
 )
-from ospz import text as text_module
 from ospz import zalgebra
 from ospz.uea import GENERATORS, TILDE_GENS, X2, XN2, UeaElement, Word, straighten, theta
 from ospz.zalgebra import (
@@ -160,10 +159,6 @@ class TestParsing:
             ("X(" + "1" * 1001 + ")", "u", "line 1, column 3: integer of more than 1000 digits"),
             ("(E(1)) t(1)", "u", "line 1, column 2: unknown symbol 'E' in coefficient"),
             ("th E(1)", "u", "line 1, column 4: unknown generator 'E(1)'"),
-            # an error in a coefficient right after one read from the coefficient table
-            ("(H + 1) t(1) + (H + 1) t(2) + (H + ) t(1)", "u", "line 1, column 36: expected a coefficient atom"),
-            ("(H + 1) t(1) - (H + 1) (1/0) t(2)", "u", "line 1, column 24: trailing input"),
-            ("(H + 1) t(1) + (H + 1 t(2)", "u", "line 1, column 23: expected ')'"),
         ],
     )
     def test_pinned_error_messages(self, text, algebra, message):
@@ -187,30 +182,6 @@ class TestParsing:
     )
     def test_spellings_of_one_element(self, text, same, algebra):
         assert parse_element(text, algebra) == parse_element(same, algebra)
-
-    def test_a_coefficient_read_from_the_table_is_the_parsed_one(self, monkeypatch):
-        monkeypatch.setattr(text_module, "_COEFF_TABLE", {})
-        e = parse_element("(1/(H - 1)) t(1) + ((H^2 - 2)/(H + 3)) th", "u")
-        assert ("(", "H", "+", "3", ")") in text_module._COEFF_TABLE
-        assert parse_element("(1/(H - 1)) t(1) + ((H^2 - 2)/(H + 3)) th", "u") == e
-        assert e == straighten([RationalFunction(1, H - 1), TILDE_GENS[3]]) + straighten(
-            [RationalFunction(H**2 - 2, H + 3), TILDE_GENS[2]]
-        )
-
-    def test_the_coefficient_table_stays_within_its_bound(self, monkeypatch):
-        monkeypatch.setattr(text_module, "_COEFF_TABLE", {})
-        size = text_module.COEFF_TABLE_SIZE
-        for k in range(size + 40):
-            assert parse_element(f"(H + {k}) t(1)", "u") == straighten([H + k, TILDE_GENS[3]])
-            assert len(text_module._COEFF_TABLE) <= size
-        assert len(text_module._COEFF_TABLE) == size
-        # the newest texts stay, the oldest went first
-        assert ("(", "H", "+", str(size + 39), ")") in text_module._COEFF_TABLE
-        assert ("(", "H", "+", "39", ")") not in text_module._COEFF_TABLE
-        # a span of more than COEFF_SPAN tokens is parsed, never kept
-        long = "(" + " + ".join(["H"] * text_module.COEFF_SPAN) + ")"
-        assert parse_ratfunc(long) == as_rf(text_module.COEFF_SPAN * H)
-        assert all(len(key) <= text_module.COEFF_SPAN for key in text_module._COEFF_TABLE)
 
     def test_unknown_coefficient_symbol_is_an_unknown_token(self):
         with pytest.raises(UnknownToken):
