@@ -512,7 +512,8 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):  # a polynomial, a constant above all, hashes like its numerator
-        return hash(self.num) if self.den is _POLY_ONE else hash((self.num, self.den))
+        den = self.den
+        return hash(self.num) if den is _POLY_ONE else hash((self.num, den))
 
     def __add__(self, other):
         other = _as_rf(other)

@@ -17,10 +17,11 @@ by the alphabet's pair-rule table.
 The rules apply in two ways.  `rule_step` is one step: an ordered monomial
 times a letter out of order with its last one, the pair rule at the end
 applied once and its terms folded into the rest of the monomial through the
-algebra's cached step table.  `rewrite` runs an agenda over whole words.  Z
-folds every word through its step table; U takes a word whose only violation
-is its last pair as a step and every other word through the agenda, which
-merges the words it reaches.
+algebra's cached step table.  `rewrite` runs an agenda over whole words,
+carrying each pending word with its coefficient only.  Z folds every word
+through its step table.  U scans a word once: an ordered word is its
+monomial, a word whose only violation is its last pair is a step, and every
+other word goes through the agenda, which merges the words it reaches.
 """
 
 from __future__ import annotations
@@ -174,8 +175,7 @@ def bilinear(u, v, mono_product: Callable) -> dict:
         su, one = mu.root_sum(), cu.is_one()
         for mv, cv in v:
             c = cu if cv.is_one() else cv.shift(su) if one else cu * cv.shift(su)
-            if c:
-                add_scaled(out, c, mono_product(mu, mv))
+            add_scaled(out, c, mono_product(mu, mv))
     return out
 
 
@@ -255,6 +255,7 @@ def rule_step(mono, g: int, rules: dict, times_letter: Callable) -> dict:
     the letters left of the pair, and its letters fold into mono minus h
     through times_letter, the step table.  Every rule term is deglex-smaller
     than h g, so the table is only asked for words smaller than mono g.
+    Terms that cancel stay as zeros, for the caller's LinComb to drop.
     """
     h = max(i for i, e in enumerate(mono) if e)
     exps = list(mono)
@@ -265,7 +266,7 @@ def rule_step(mono, g: int, rules: dict, times_letter: Callable) -> dict:
     for sign, f, letters in rules[(h, g)]:
         t = RF_ONE if f is None else f.shift(r)
         add_scaled(out, t if sign > 0 else -t, fold_letters(head, letters, times_letter).items())
-    return {m: f for m, f in out.items() if f}
+    return out
 
 
 def rewrite(
@@ -292,41 +293,30 @@ def rewrite(
     by deglex-smaller words, so a word rewritten once never comes back, and
     a word reached along many rewrite paths is rewritten once, not once
     per path.  Were some rule to break that order, a word would only be
-    rewritten again; the sum would stay the same.
-
-    Each pending word also carries a lower bound on its first violation,
-    where the default strategy starts its scan (a chooser sees every
-    violation): a rewrite at the first violation i leaves the letters
-    before i ordered, so no term it pushes has a violation before i - 1.
-    Every bound pushed for a word holds for it; a word reached twice
-    keeps the first.
+    rewritten again; the sum would stay the same.  A popped word with a
+    zero coefficient is dropped and an ordered one is a result term; the
+    input word is treated like any other.
     """
     odd, roots = monomial.ODD, monomial.ROOTS
-    if not c:
-        return {}
-    i = _first_violation(word, odd)
-    if i < 0:  # already ordered
-        return {monomial.from_letters(word): c}
-    pending: dict = {}  # word -> [coefficient, bound on its first violation]
+    pending: dict = {}
     heap: list = []
 
-    def push(t, w, lo):
-        p = pending.get(w)
-        if p is None:
-            pending[w] = [t, lo]
-            heapq.heappush(heap, (-len(w), tuple(map(neg, w)), w))
+    def push(t, w):
+        if w in pending:
+            pending[w] = pending[w] + t
         else:
-            p[0] = p[0] + t
+            pending[w] = t
+            heapq.heappush(heap, (-len(w), tuple(map(neg, w)), w))
 
-    push(c, tuple(word), i)
+    push(c, tuple(word))
     out: dict = {}
     while heap:
         w = heapq.heappop(heap)[2]
-        c, lo = pending.pop(w)
+        c = pending.pop(w)
         if not c:
             continue
         if chooser is None:
-            i = _first_violation(w, odd, lo)
+            i = _first_violation(w, odd)
         else:
             viols = list(_violations(w, odd))
             i = viols[chooser(viols, w)] if viols else -1
@@ -334,9 +324,9 @@ def rewrite(
             m = monomial.from_letters(w)
             out[m] = out[m] + c if m in out else c
             continue
-        pre, post, one, lo = w[:i], w[i + 2 :], c.is_one(), max(i - 1, 0)
+        pre, post, one = w[:i], w[i + 2 :], c.is_one()
         r = sum(map(roots.__getitem__, pre))
         for sign, f, letters in rules[(w[i], w[i + 1])]:
             t = c if f is None else f.shift(r) if one else c * f.shift(r)
-            push(t if sign > 0 else -t, pre + letters + post, lo)
+            push(t if sign > 0 else -t, pre + letters + post)
     return out

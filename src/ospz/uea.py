@@ -180,13 +180,17 @@ def straighten(
     default takes the leftmost.  Any strategy yields the same canonical
     element (confluence; property-tested).
 
+    One scan picks each word's path.  An ordered word is its monomial.
     Without a chooser, a word whose only out-of-order pair is its last is
     one step: the pair rule at its end, folded into the ordered rest
     through the cached step table.  Every other word runs the agenda of
     `engine.rewrite`, which merges the words it reaches.
     """
     c, word = absorb(items, coeff, Word)
-    if chooser is None and c and ordered_prefix(word, Word.ODD) == len(word) - 1:
+    n = ordered_prefix(word, Word.ODD)
+    if n == len(word):
+        return UeaElement({Word.from_letters(word): c})
+    if chooser is None and n == len(word) - 1:
         out: dict = {}
         add_scaled(out, c, rule_step(Word.from_letters(word[:-1]), word[-1], _PAIR_RULES, _word_table).items())
         return UeaElement(out)

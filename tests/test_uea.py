@@ -200,6 +200,27 @@ class TestStraightening:
             rhs = mul(UeaElement.coeff(f.shift(GENERATORS[g].root)), gen(g))
             assert lhs == rhs, g
 
+    def test_each_path_of_one_scan(self):
+        # straighten scans a word once and returns an ordered word as its
+        # monomial, takes a word out of order only at its last pair as one
+        # step, and runs the agenda otherwise (always under a chooser); each
+        # result, zero coefficients included, is the mul fold of its items.
+        f = RationalFunction(H + 2, H - 1)
+        words = (
+            [XN2, XN2, XN1, TH, T2, X1],  # ordered
+            [XN2, f, XN1, TH, X1],  # ordered, with a coefficient
+            [X1, XN1],  # one step
+            [XN2, TN1, f, T1, X2, X1],  # one step after an ordered prefix
+            [T1, TN1, X1, XN1],  # agenda
+        )
+        choosers = (None, lambda viols, w: 0, lambda viols, w: len(viols) - 1)
+        for items, c, chooser in itertools.product(words, (1, f, 0), choosers):
+            fold = UeaElement.coeff(c)
+            for it in items:
+                fold = mul(fold, gen(it) if isinstance(it, int) else UeaElement.coeff(it))
+            assert straighten(items, c, chooser) == fold, (items, c)
+            assert bool(fold) == bool(c)
+
     def test_odd_exponent_capped(self):
         for g in (XN1, TN1, T1, X1):
             result = straighten([g, g])
