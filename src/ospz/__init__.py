@@ -2,7 +2,7 @@
 
 The package provides:
 
-- ``coeffs``: the coefficient field Q(H) and the quadratic extension Q(sqrt 2);
+- ``coeffs``: the coefficient field Q(H);
 - ``engine``: the shared PBW monomial type (an exponent tuple in both
   algebras), sparse-sum type, bilinear product and rewriting engine;
 - ``uea``: PBW normal ordering in the localized enveloping algebra of
@@ -20,12 +20,9 @@ The package provides:
 
 from .coeffs import (
     H,
-    INV_SQRT2,
     PoleEvaluationError,
     Polynomial,
     RationalFunction,
-    SQRT2,
-    Sqrt2,
     as_rf,
 )
 from .uea import (

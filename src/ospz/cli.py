@@ -28,8 +28,8 @@ from . import verify as verifymod
 MAX_N = 64
 
 # Largest --max-exp of `verify presentation` and the sweep scripts.  At 5
-# the sweep takes about 130 s and 440 MB on a 2-core machine
-# (BENCH_18_steps_max_exp5.json), and its memory doubles per step.
+# the sweep takes about 64 s and 292 MB on a 2-core machine
+# (BENCH_31_sweep_max_exp5.json), and its memory doubles per step.
 MAX_EXP = 5
 
 
@@ -89,7 +89,7 @@ def cmd_rep_primitives(args) -> int:
     weights = repmod.weight_window(Fraction(1, 2) - args.lam, top)
     vectors = module.primitive_vectors(weights)
     for v in vectors:
-        print(v)
+        print(repmod.x_basis_text(v))
     print(f"{len(vectors)} primitive vector(s) in weight window [{weights[0]}, {top}]")
     return 0
 

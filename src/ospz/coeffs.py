@@ -1,6 +1,6 @@
 """Exact coefficient arithmetic.
 
-Three scalar domains:
+Two scalar domains:
 
 * polynomials in the Cartan symbol H over Q, each stored as one integer
   coefficient list over one common denominator (the integer form),
@@ -13,9 +13,7 @@ Three scalar domains:
   the listed roots and a shift moves them, all without a gcd.  `/` and
   negative powers invert a canonical value, which needs no gcd either.
   Only the constructor (parsed or hand-written denominators) and
-  operations on a residual other than 1 run the general gcd path,
-* the quadratic extension Q(sqrt 2) = Q[s]/(s^2 - 2) used by the
-  representation code, held in the same integer form as a + b*s.
+  operations on a residual other than 1 run the general gcd path.
 
 Everything is immutable and pure; scalars are int or Fraction, never float.
 """
@@ -43,17 +41,16 @@ def _rational(x) -> RationalLike:
     raise TypeError(f"{type(x).__name__} is not an exact rational (int or Fraction)")
 
 
-class _IntegerForm:
-    """An element (1/den) * sum(a[d] * t**d) over Q, in integer form.
+class Polynomial:
+    """Polynomial in H with rational coefficients, in integer form.
 
-    The one stored value is ``_form = (den, a)`` with ``a`` a tuple of ints
-    whose last entry is nonzero, ``den > 0`` and ``gcd(den, *a) == 1``.  That
-    form is canonical, so equality and hashing compare it directly; zero is
-    ``(1, ())``.  A subclass says what t is (H for Polynomial, sqrt 2 for
-    Sqrt2) and brings its products.  Sums, negation, equality, hashing and
-    int or Fraction coercion are shared here; values of two different
-    subclasses never meet in arithmetic, and compare equal only as the same
-    rational constant.
+    The one stored value is ``_form = (den, a)``, the polynomial
+    (1/den) * sum(a[d] * H**d), with ``a`` a tuple of ints whose last entry
+    is nonzero, ``den > 0`` and ``gcd(den, *a) == 1``.  That form is
+    canonical, so equality and hashing compare it directly; zero is
+    ``(1, ())``, and the degree is ``len(a) - 1``, -1 for the zero
+    polynomial.  int and Fraction operands are coerced; a RationalFunction
+    operand takes over through its reflected operator.
     """
 
     __slots__ = ("_form",)
@@ -69,19 +66,17 @@ class _IntegerForm:
         object.__setattr__(self, "_form", _canonical(den, a))
 
     def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def _of(cls, x: RationalLike):
-        """The constant x, an int or Fraction."""
-        return _new(cls, (x.denominator, (x.numerator,)) if x else (1, ()))
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return Polynomial, (self.coeffs,)
 
     def _coerce(self, x):
-        """x as a value of self's type, or NotImplemented."""
-        if type(x) is type(self):
+        """x as a Polynomial, or NotImplemented."""
+        if type(x) is Polynomial:
             return x
         if isinstance(x, (int, Fraction)):
-            return self._of(x)
+            return _const(x)
         return NotImplemented
 
     def __bool__(self) -> bool:
@@ -89,13 +84,7 @@ class _IntegerForm:
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
-        if o is not NotImplemented:
-            return self._form == o._form
-        # a rational constant equals the same constant of the other scalar types
-        den, a = self._form
-        if len(a) > 1 or not isinstance(other, (_IntegerForm, RationalFunction)):
-            return NotImplemented
-        return other == (Fraction(a[0], den) if a else 0)
+        return NotImplemented if o is NotImplemented else self._form == o._form
 
     def __hash__(self):  # a constant hashes like its int or Fraction value
         den, a = self._form
@@ -113,14 +102,13 @@ class _IntegerForm:
             return self
         den = lcm(da, db)
         fa, fb = den // da, den // db
-        out = [x * fa + y * fb for x, y in zip_longest(a, b, fillvalue=0)]
-        return _new(type(self), _canonical(den, out))
+        return _poly(den, [x * fa + y * fb for x, y in zip_longest(a, b, fillvalue=0)])
 
     __radd__ = __add__
 
     def __neg__(self):
         den, a = self._form
-        return _new(type(self), (den, tuple([-c for c in a])))
+        return _raw(den, [-c for c in a])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -129,27 +117,10 @@ class _IntegerForm:
     def __rsub__(self, other):
         return (-self).__add__(other)
 
-
-def _new(cls, form: tuple):
-    """The value of cls with the integer form `form`, canonical as it stands."""
-    x = object.__new__(cls)
-    object.__setattr__(x, "_form", form)
-    return x
-
-
-class Polynomial(_IntegerForm):
-    """Polynomial in H with rational coefficients, in the shared integer form
-    (t = H); its degree is ``len(a) - 1``, -1 for the zero polynomial."""
-
-    __slots__ = ()
-
-    def __reduce__(self):  # copy and pickle rebuild through the constructor
-        return Polynomial, (self.coeffs,)
-
     # -- constructors -------------------------------------------------
     @classmethod
     def const(cls, c: RationalLike) -> "Polynomial":
-        return cls._of(_rational(c))
+        return _const(_rational(c))
 
     @classmethod
     def var(cls) -> "Polynomial":
@@ -292,9 +263,21 @@ def _canonical(den: int, a: list[int]) -> tuple[int, tuple[int, ...]]:
     return den, tuple(a)
 
 
+def _raw(den: int, a) -> Polynomial:
+    """The polynomial of an integer form that is canonical as it stands."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "_form", (den, tuple(a)))
+    return p
+
+
 def _poly(den: int, a: list[int]) -> Polynomial:
     """The polynomial (1/den) * sum a[d] H^d (a is consumed)."""
-    return _new(Polynomial, _canonical(den, a))
+    return _raw(*_canonical(den, a))
+
+
+def _const(x: RationalLike) -> Polynomial:
+    """The constant x, an int or Fraction."""
+    return _raw(x.denominator, (x.numerator,)) if x else _raw(1, ())
 
 
 def _as_poly(x) -> Polynomial:
@@ -379,11 +362,6 @@ _POLY_ONE = Polynomial.const(1)
 # A parsed or hand-made denominator is searched for integer roots up to this
 # absolute value; a larger root stays in the residual, which costs speed only.
 _ROOT_SEARCH = 4096
-
-
-def _raw(den: int, a) -> Polynomial:
-    """The polynomial of an integer form that is canonical as it stands."""
-    return _new(Polynomial, (den, tuple(a)))
 
 
 def _times_roots(p: Polynomial, roots) -> Polynomial:
@@ -655,69 +633,3 @@ def as_rf(x) -> RationalFunction:
     if r is NotImplemented:
         raise TypeError(f"cannot coerce {type(x).__name__} to RationalFunction")
     return r
-
-
-class Sqrt2(_IntegerForm):
-    """Element a + b*sqrt(2) of the real quadratic field Q(sqrt 2), held as
-    Q[s]/(s^2 - 2): its integer form is that of the polynomial a + b*s (so
-    ``Sqrt2(a, b)._form == Polynomial({0: a, 1: b})._form``), and only
-    products differ from polynomial ones, reducing s^2 to 2.  ``a`` and ``b``
-    are Fraction views."""
-
-    __slots__ = ()
-    a = property(lambda self: Fraction(_pq(self._form[1])[0], self._form[0]))
-    b = property(lambda self: Fraction(_pq(self._form[1])[1], self._form[0]))
-
-    def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        super().__init__({0: a, 1: b})
-
-    def __reduce__(self):
-        return Sqrt2, (self.a, self.b)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        (d1, x), (d2, y) = self._form, other._form
-        (p1, q1), (p2, q2) = _pq(x), _pq(y)
-        return _new(Sqrt2, _canonical(d1 * d2, [p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2]))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Sqrt2":
-        # d / (p + q sqrt2) = d (p - q sqrt2) / (p^2 - 2 q^2), sqrt 2 being irrational
-        d, x = self._form
-        p, q = _pq(x)
-        n = p * p - 2 * q * q
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt 2)")
-        return _new(Sqrt2, _canonical(n, [d * p, -d * q]))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return other if other is NotImplemented else self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return other if other is NotImplemented else other * self.inverse()
-
-    def __str__(self):
-        if not self.b:
-            return str(self.a)
-        root = "sqrt2" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt2"
-        if not self.a:
-            return root if self.b > 0 else f"-{root}"
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.a} {sign} {root}"
-
-    def __repr__(self):
-        return f"Sqrt2({self.a}, {self.b})"
-
-
-def _pq(a: tuple) -> tuple:
-    """The coefficients (p, q) of p + q*s from a trimmed integer tuple."""
-    return (a + (0, 0))[:2]
-
-
-SQRT2 = Sqrt2(0, 1)
-INV_SQRT2 = Sqrt2(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2

@@ -1,10 +1,10 @@
 """Modules over osp(1|2) x osp(1|2) and the induced action on primitive vectors.
 
 Building blocks: the finite-dimensional irreducibles V(lambda) of a single
-osp(1|2) (each generator a sparse map over Q(sqrt 2): the image of every
-basis vector), the odd-polynomial module C[x] truncated at a configurable
-degree, and their tensor product carrying the diagonal/anti-diagonal
-action.  Primitive vectors (annihilated by the raising subalgebra) are
+osp(1|2) (each generator a sparse map over Q: the image of every basis
+vector), the odd-polynomial module C[x] truncated at a configurable degree,
+and their tensor product carrying the diagonal/anti-diagonal action.
+Primitive vectors (annihilated by the raising subalgebra) are
 extracted weight by weight, and the reduction algebra acts on them through
 the projected-generator representatives.  All linear algebra on module
 vectors is one Gaussian elimination on the sparse vectors themselves.  The
@@ -12,8 +12,10 @@ action matrices are dense lists of rows, but the relation check turns them
 into sparse column images and acts on coordinate vectors with the same
 sum-of-monomials loop as the module action; no matrix is multiplied.
 
-Scalars are Q(sqrt 2) throughout: the odd polynomial actions carry 1/sqrt 2
-while all final matrix entries come out rational.  No floating point.
+Scalars are int or Fraction throughout, never float.  C[x] is held in the
+basis y_k = x^k / sqrt(2)^k, on which every generator acts over Q; only
+`x_basis_text` writes a vector in the published basis x^k, whose
+coordinates carry powers of sqrt 2.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import H, INV_SQRT2, RationalFunction, Sqrt2
+from .coeffs import H, RationalFunction, _rational
 from .engine import LinComb
 from .projector import phi, projected_generator
 from .uea import (
@@ -34,9 +36,6 @@ from .uea import (
     _base_bracket,
 )
 from .zalgebra import RULE_KEYS, Z_ROOTS, Z_TOKENS, ZElement, derived_rule
-
-_SR_ZERO = Sqrt2(0)
-_SR_ONE = Sqrt2(1)
 
 
 class TruncationOverflow(ArithmeticError):
@@ -52,7 +51,7 @@ class NotPrimitive(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Small exact linear algebra over Q(sqrt 2)
+# Small exact linear algebra over Q
 
 
 def eliminate(pairs):
@@ -70,7 +69,7 @@ def eliminate(pairs):
         image, source = reduce_vector(image, source, pivots)
         if image:
             key, c = next(iter(image))
-            inv = c.inverse()
+            inv = Fraction(1) / c
             pivots.append((key, image.scale(inv), source.scale(inv)))
         else:
             null.append(source)
@@ -119,7 +118,7 @@ class IrrepData:
     """
 
     lam: int
-    matrices: dict  # root -> images, images[j] = {i: entry over Sqrt2} is x u_j
+    matrices: dict  # root -> images, images[j] = {i: rational entry} is x u_j
 
     @property
     def dimension(self) -> int:
@@ -127,7 +126,7 @@ class IrrepData:
 
     def h_eigenvalue(self, j: int) -> Fraction:
         """Read off the (diagonal) h map, so any basis ordering works."""
-        return self.matrices[0][j].get(j, _SR_ZERO).a
+        return Fraction(self.matrices[0][j].get(j, 0))
 
     @classmethod
     def from_highest_weight(cls, lam: int) -> "IrrepData":
@@ -138,18 +137,17 @@ class IrrepData:
         for j in range(n):
             c[j + 1] = Fraction(-lam + j) - c[j]
         # x_{-alpha}: u_j -> u_{j+1};  x_alpha: u_j -> c_j u_{j-1}, c_j != 0
-        lower = [{j + 1: _SR_ONE} if j + 1 < n else {} for j in range(n)]
-        raise_ = [{j - 1: Sqrt2(c[j])} if j else {} for j in range(n)]
-        h = [{j: Sqrt2(Fraction(j - lam))} if j != lam else {} for j in range(n)]
+        lower = [{j + 1: 1} if j + 1 < n else {} for j in range(n)]
+        raise_ = [{j - 1: c[j]} if j else {} for j in range(n)]
+        h = [{j: j - lam} if j != lam else {} for j in range(n)]
         return cls._from_odd(lam, lower, raise_, h)
 
     @classmethod
     def standard(cls) -> "IrrepData":
         """C^{1|2}: basis v_0 (even), v_1, v_2 (odd)."""
-        one, minus = _SR_ONE, Sqrt2(-1)
-        lower = [{1: one}, {}, {0: one}]
-        raise_ = [{2: minus}, {0: one}, {}]
-        h = [{}, {1: one}, {2: minus}]
+        lower = [{1: 1}, {}, {0: 1}]
+        raise_ = [{2: -1}, {0: 1}, {}]
+        h = [{}, {1: 1}, {2: -1}]
         return cls._from_odd(1, lower, raise_, h)
 
     @classmethod
@@ -180,7 +178,7 @@ class IrrepData:
                     acc = _apply(m[j], m[k][u])
                     _apply(m[k], m[j][u], ba_sign, acc)
                     for label, coeff in bracket.items():
-                        _apply(m[label], {u: _SR_ONE}, -coeff, acc)
+                        _apply(m[label], {u: 1}, -coeff, acc)
                     if any(acc.values()):
                         raise AssertionError(f"bracket [{j}, {k}] fails for lambda={self.lam}")
 
@@ -191,11 +189,12 @@ class IrrepData:
 
 @dataclass(frozen=True)
 class PolyModule:
-    """C[x] with x odd, truncated at degree N.
+    """C[x] with x odd, truncated at degree N, in the basis y_k = x^k / sqrt(2)^k.
 
-    x_alpha acts as (1/sqrt 2) d/dx and x_{-alpha} as (1/sqrt 2) x; the even
-    root vectors are the corresponding odd squares, and h follows from
-    [x_alpha, x_{-alpha}] = h: the eigenvalue on x^k is k + 1/2.
+    x_alpha acts as (1/sqrt 2) d/dx and x_{-alpha} as (1/sqrt 2) x, so that
+    x_{-alpha} y_k = y_{k+1} and x_alpha y_k = (k/2) y_{k-1}; the even root
+    vectors are the corresponding odd squares, and h follows from
+    [x_alpha, x_{-alpha}] = h: the eigenvalue on y_k is k + 1/2.
     """
 
     trunc: int
@@ -203,22 +202,22 @@ class PolyModule:
     def h_eigenvalue(self, k: int) -> Fraction:
         return Fraction(2 * k + 1, 2)
 
-    def act(self, root: int, k: int) -> tuple[int, Sqrt2]:
-        """Image of x^k under the root-`root` generator: (degree, scalar)."""
+    def act(self, root: int, k: int) -> tuple[int, int | Fraction]:
+        """Image of y_k under the root-`root` generator: (degree, scalar)."""
         if root == 1:
-            return k - 1, INV_SQRT2 * k
+            return k - 1, Fraction(k, 2)
         if root == -1:
             if k + 1 > self.trunc:
                 raise TruncationOverflow(f"degree {k + 1} exceeds truncation {self.trunc}")
-            return k + 1, INV_SQRT2
+            return k + 1, 1
         if root == 2:  # -x_alpha^2 = -(1/2) d^2/dx^2
-            return k - 2, Sqrt2(Fraction(-k * (k - 1), 2))
+            return k - 2, Fraction(-k * (k - 1), 4)
         if root == -2:  # x_{-alpha}^2 = (1/2) x^2
             if k + 2 > self.trunc:
                 raise TruncationOverflow(f"degree {k + 2} exceeds truncation {self.trunc}")
-            return k + 2, Sqrt2(Fraction(1, 2))
+            return k + 2, 1
         if root == 0:
-            return k, Sqrt2(self.h_eigenvalue(k))
+            return k, self.h_eigenvalue(k)
         raise ValueError(f"unknown root {root}")
 
 
@@ -228,20 +227,39 @@ def weight_window(low: Fraction, high: Fraction) -> list[Fraction]:
 
 
 class ModuleVector(LinComb):
-    """Element of C[x] (x) V(lambda): coordinates on basis tensors x^k (x) v_i,
-    keyed (k, i).  The elimination also keys it otherwise: raising images
-    tagged by generator, and coordinates on a basis by position."""
+    """Element of C[x] (x) V(lambda): rational coordinates on basis tensors
+    y_k (x) v_i, keyed (k, i).  The elimination also keys it otherwise:
+    raising images tagged by generator, and coordinates on a basis by
+    position."""
 
     __slots__ = ()
-    coerce = staticmethod(lambda c: c if isinstance(c, Sqrt2) else Sqrt2(c))
+    coerce = staticmethod(_rational)
 
     @classmethod
     def basis(cls, k: int, i: int) -> "ModuleVector":
-        return cls({(k, i): _SR_ONE})
+        return cls({(k, i): 1})
 
     def __repr__(self):
-        bits = [f"({c}) x^{k}*v{i}" for (k, i), c in sorted(self.terms.items())]
-        return "ModuleVector(" + " + ".join(bits or ["0"]) + ")"
+        return _tensor_text(self.terms, "y")
+
+
+def _tensor_text(coords: dict, var: str) -> str:
+    bits = [f"({c}) {var}^{k}*v{i}" for (k, i), c in sorted(coords.items())]
+    return "ModuleVector(" + " + ".join(bits or ["0"]) + ")"
+
+
+def x_basis_text(v: ModuleVector) -> str:
+    """A nonzero vector as published, on the tensors x^k (x) v_i: scaled to 1
+    at its tensor of largest v index, where `eliminate` puts the 1 of a
+    primitive vector, the coordinate c of y_k (x) v_i is c sqrt(2)^(k0 - k)
+    on x^k (x) v_i, printed as q or q*sqrt2."""
+    (k0, _), c0 = max(v.terms.items(), key=lambda t: t[0][1])
+    texts = {}
+    for (k, i), c in v.terms.items():
+        q = Fraction(c) / c0 * Fraction(2) ** ((k0 - k) // 2)
+        root = "sqrt2" if abs(q) == 1 else f"{abs(q)}*sqrt2"
+        texts[k, i] = (root if q > 0 else f"-{root}") if (k0 - k) % 2 else q
+    return _tensor_text(texts, "x")
 
 
 def act_sum(element, act_letter, act_coeff, v: ModuleVector) -> ModuleVector:
@@ -320,7 +338,7 @@ class TensorModule:
     def act_coeff(self, f: RationalFunction, v: ModuleVector) -> ModuleVector:
         """f(H) acting by evaluation on H-eigencomponents (off-pole: the
         weights are in 1/2 + Z)."""
-        return ModuleVector({b: c * Sqrt2(f.eval(self.weight(*b))) for b, c in v.terms.items()})
+        return ModuleVector({b: c * f.eval(self.weight(*b)) for b, c in v.terms.items()})
 
     def act_uea(self, u: UeaElement, v: ModuleVector) -> ModuleVector:
         """Action of a normal-ordered element: letters right to left, the
@@ -375,10 +393,10 @@ class TensorModule:
 
     def rho_matrix(self, z: ZElement, basis: list[ModuleVector]):
         """Matrix of the z-action on the span of `basis` (columns act on
-        basis vectors; entries over Q(sqrt 2)): each image reduced against
+        basis vectors; rational entries): each image reduced against
         the pivots of the basis, NotPrimitive if a remainder is left."""
-        pivots, _ = eliminate((b, ModuleVector({j: _SR_ONE})) for j, b in enumerate(basis))
-        out = [[_SR_ZERO] * len(basis) for _ in basis]
+        pivots, _ = eliminate((b, ModuleVector({j: 1})) for j, b in enumerate(basis))
+        out = [[0] * len(basis) for _ in basis]
         for j, b in enumerate(basis):
             rest, source = reduce_vector(self.act_z(z, b), ModuleVector(), pivots)
             if rest:
@@ -395,7 +413,7 @@ class TensorModule:
 def check_rep_relations(rho: dict, eigen: list[Fraction]) -> dict:
     """Substitute generator matrices into every rewrite-rule family.
 
-    `rho` maps z-generator index (0..4) to a matrix over Q(sqrt 2) in an
+    `rho` maps z-generator index (0..4) to a rational matrix in an
     H-eigenbasis with eigenvalues `eigen`; f(H) becomes diag(f(mu_i)).  Each
     identity is checked on every coordinate vector, with each matrix turned
     into the sparse images of its columns once.
@@ -407,9 +425,9 @@ def check_rep_relations(rho: dict, eigen: list[Fraction]) -> dict:
         return ModuleVector(_apply(columns[g], w.terms))
 
     def coeff(f, w):
-        return ModuleVector({i: c * Sqrt2(f.eval(eigen[i])) for i, c in w.terms.items()})
+        return ModuleVector({i: c * f.eval(eigen[i]) for i, c in w.terms.items()})
 
-    units = [ModuleVector({j: _SR_ONE}) for j in range(n)]
+    units = [ModuleVector({j: 1}) for j in range(n)]
     checks = []
     for a, b in RULE_KEYS:
         rule = derived_rule(a, b)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import H, RF_ONE, RationalFunction, Sqrt2
+from .coeffs import H, RF_ONE, RationalFunction
 from .uea import (
     GENERATORS,
     T1,
@@ -365,31 +365,29 @@ def verify_pbw() -> dict:
 # ---------------------------------------------------------------------------
 
 _EXPECTED_CORNERS = {
-    ZN2: ((0, 0), (0, 0)),
-    ZN1: ((0, 0), (2, 0)),
-    ZH: ((Fraction(3, 2), 0), (0, Fraction(9, 2))),
-    Z1: ((0, 2), (0, 0)),
-    Z2: ((0, 0), (0, 0)),
+    ZN2: [[0, 0], [0, 0]],
+    ZN1: [[0, 0], [2, 0]],
+    ZH: [[Fraction(3, 2), 0], [0, Fraction(9, 2)]],
+    Z1: [[0, 2], [0, 0]],
+    Z2: [[0, 0], [0, 0]],
 }
 
 
 def verify_rep(trunc: int = 6) -> dict:
     checks = []
     module = repmod.TensorModule.standard(trunc=trunc)
+    # the published vectors on the tensors y_k (x) v_i, y_k = x^k / sqrt(2)^k
     w1 = repmod.ModuleVector.basis(0, 2)
-    w2 = repmod.ModuleVector.basis(0, 0) + repmod.ModuleVector.basis(1, 2).scale(
-        Sqrt2(0, 1)
-    )
+    w2 = repmod.ModuleVector.basis(0, 0) + repmod.ModuleVector.basis(1, 2).scale(2)
 
     # Primitive extraction in the weight window {-1/2, 1/2}.
     window = [Fraction(-1, 2), Fraction(1, 2)]
     prims = module.primitive_vectors(window)
-    expected = [w1, w2.scale(Sqrt2(Fraction(1, 2)))]
     checks.append(
         _check(
             "window {-1/2, 1/2}: primitive space is exactly span{w1, w2}",
-            len(prims) == 2 and repmod.span_dim(prims + expected) == 2,
-            basis=[repr(v) for v in prims],
+            len(prims) == 2 and repmod.span_dim(prims + [w1, w2]) == 2,
+            basis=[repmod.x_basis_text(v) for v in prims],
         )
     )
 
@@ -398,14 +396,14 @@ def verify_rep(trunc: int = 6) -> dict:
     full = module.primitive_vectors(full_window)
     w3 = (
         repmod.ModuleVector.basis(0, 1)
-        - repmod.ModuleVector.basis(1, 0).scale(Sqrt2(0, 1))
-        + repmod.ModuleVector.basis(2, 2)
+        - repmod.ModuleVector.basis(1, 0).scale(2)
+        + repmod.ModuleVector.basis(2, 2).scale(2)
     )
     checks.append(
         _check(
             "full primitive space is 3-dimensional: span{w1, w2, w3}",
             len(full) == 3 and repmod.span_dim(full + [w1, w2, w3]) == 3,
-            basis=[repr(v) for v in full],
+            basis=[repmod.x_basis_text(v) for v in full],
             note=(
                 "one more primitive vector than the published span{w1, w2}: "
                 "w3 = 1(x)v1 - sqrt2 x(x)v0 + x^2(x)v2 at weight 3/2"
@@ -423,8 +421,9 @@ def verify_rep(trunc: int = 6) -> dict:
         rho_render[Z_TOKENS[g]] = [[str(x) for x in row] for row in m]
 
     # The published 2x2 displays are exactly the upper-left corner blocks.
-    corners = {g: [[Sqrt2(x) for x in row] for row in rows] for g, rows in _EXPECTED_CORNERS.items()}
-    corner_bad = [Z_TOKENS[g] for g, want in corners.items() if [row[:2] for row in rho[g][:2]] != want]
+    corner_bad = [
+        Z_TOKENS[g] for g, want in _EXPECTED_CORNERS.items() if [row[:2] for row in rho[g][:2]] != want
+    ]
     checks.append(
         _check(
             "published matrix displays match the (w1, w2) corner blocks",
@@ -437,7 +436,7 @@ def verify_rep(trunc: int = 6) -> dict:
     f = RationalFunction(1, H - 1)
     fv = [module.act_coeff(f, b) for b in basis]
     diag_ok = all(
-        fv[i] == basis[i].scale(Sqrt2(f.eval(eigen[i]))) for i in range(3)
+        fv[i] == basis[i].scale(f.eval(eigen[i])) for i in range(3)
     )
     checks.append(
         _check("rho(f(H)) is diag(f(-1/2), f(1/2), f(3/2)) for f = 1/(H-1)", diag_ok)
@@ -451,7 +450,7 @@ def verify_rep(trunc: int = 6) -> dict:
 
     # The published 2x2 matrices alone do not close under the relations;
     # report that honestly rather than reconciling it silently.
-    rel2 = repmod.check_rep_relations(corners, eigen[:2])
+    rel2 = repmod.check_rep_relations(_EXPECTED_CORNERS, eigen[:2])
     checks.append(
         _check(
             "published 2x2 block is NOT closed under the relations (expected)",
@@ -475,7 +474,7 @@ def verify_rep(trunc: int = 6) -> dict:
             not module.apply_projector(lowered),
         )
     )
-    # The projector, the action and primitivity are Q(sqrt 2)-linear, so the
+    # The projector, the action and primitivity are linear, so the
     # nine basis vectors stand for every combination of them.
     tensors = [repmod.ModuleVector.basis(k, i) for k in range(3) for i in range(3)]
     images = [module.apply_projector(v) for v in tensors]

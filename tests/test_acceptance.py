@@ -18,7 +18,7 @@ import random
 import time
 from fractions import Fraction
 
-from ospz.coeffs import RF_ONE, H, RationalFunction, Sqrt2, as_rf
+from ospz.coeffs import RF_ONE, H, RationalFunction, as_rf
 from ospz.projector import (
     diamond,
     kappa,
@@ -310,14 +310,13 @@ def test_criterion_10_theta():
 
 def test_criterion_11_weight_window_example():
     module = repmod.TensorModule.standard(trunc=6)
+    # the published vectors on the tensors y_k (x) v_i, y_k = x^k / sqrt(2)^k
     w1 = repmod.ModuleVector.basis(0, 2)
-    w2 = repmod.ModuleVector.basis(0, 0) + repmod.ModuleVector.basis(1, 2).scale(
-        Sqrt2(0, 1)
-    )
+    w2 = repmod.ModuleVector.basis(0, 0) + repmod.ModuleVector.basis(1, 2).scale(2)
     w3 = (
         repmod.ModuleVector.basis(0, 1)
-        - repmod.ModuleVector.basis(1, 0).scale(Sqrt2(0, 1))
-        + repmod.ModuleVector.basis(2, 2)
+        - repmod.ModuleVector.basis(1, 0).scale(2)
+        + repmod.ModuleVector.basis(2, 2).scale(2)
     )
 
     prims = module.primitive_vectors([Fraction(-1, 2), Fraction(1, 2)])
@@ -327,13 +326,13 @@ def test_criterion_11_weight_window_example():
     eigen = [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
     rho = {g: module.rho_matrix(ZElement.gen(g), basis) for g in range(5)}
 
-    z = Sqrt2(0)
+    z = 0
     displays = {
-        Z1: [[z, Sqrt2(2)], [z, z]],
-        ZN1: [[z, z], [Sqrt2(2), z]],
+        Z1: [[z, 2], [z, z]],
+        ZN1: [[z, z], [2, z]],
         Z2: [[z, z], [z, z]],
         ZN2: [[z, z], [z, z]],
-        ZH: [[Sqrt2(Fraction(3, 2)), z], [z, Sqrt2(Fraction(9, 2))]],
+        ZH: [[Fraction(3, 2), z], [z, Fraction(9, 2)]],
     }
     corners_ok = all(
         [[rho[g][i][j] for j in range(2)] for i in range(2)] == want
@@ -341,7 +340,7 @@ def test_criterion_11_weight_window_example():
     )
     f = RationalFunction(1, H - 1)
     diag_ok = all(
-        module.act_coeff(f, v) == v.scale(Sqrt2(f.eval(mu)))
+        module.act_coeff(f, v) == v.scale(f.eval(mu))
         for v, mu in ((w1, Fraction(-1, 2)), (w2, Fraction(1, 2)))
     )
     full_ok = repmod.check_rep_relations(rho, eigen)["passed"]
@@ -398,15 +397,15 @@ def test_criterion_11_weight_window_example():
 # The nonzero w3-path entries (1-based row, column) of the four families the
 # 2x2 displays fail; the path term of every other family is zero.
 _W3_PATHS = {
-    "E(1) E(-2)": {(2, 1): Sqrt2(-12)},
-    "E(1) E(-1)": {(2, 2): Sqrt2(-36)},
-    "E(2) E(-2)": {(1, 1): Sqrt2(4)},
-    "E(2) E(-1)": {(1, 2): Sqrt2(12)},
+    "E(1) E(-2)": {(2, 1): -12},
+    "E(1) E(-1)": {(2, 2): -36},
+    "E(2) E(-2)": {(1, 1): 4},
+    "E(2) E(-1)": {(1, 2): 12},
 }
 
 
 def _corner_product(a, b, i, j):
-    return sum((a[i][t] * b[t][j] for t in range(len(b))), Sqrt2(0))
+    return sum(a[i][t] * b[t][j] for t in range(len(b)))
 
 
 def _w3_path(a, b, i, j):
@@ -428,7 +427,7 @@ def _family_values(rho, eigen, product):
 
     def diag(fn):
         return [
-            [Sqrt2(fn.eval(mus[i])) if i == j else Sqrt2(0) for j in range(n)]
+            [fn.eval(mus[i]) if i == j else 0 for j in range(n)]
             for i in range(n)
         ]
 
@@ -456,13 +455,7 @@ def _family_values(rho, eigen, product):
         name: [
             [
                 [
-                    sum(
-                        (
-                            Sqrt2(c.eval(eigen[i])) * product(x, y, i, j)
-                            for c, x, y in identity
-                        ),
-                        Sqrt2(0),
-                    )
+                    sum(c.eval(eigen[i]) * product(x, y, i, j) for c, x, y in identity)
                     for j in range(2)
                 ]
                 for i in range(2)
@@ -478,7 +471,7 @@ def _nonzero(m):
         (i + 1, j + 1): x
         for i, row in enumerate(m)
         for j, x in enumerate(row)
-        if x != Sqrt2(0)
+        if x != 0
     }
 
 

@@ -1,18 +1,14 @@
-"""Tests for the exact coefficient field Q(H) and the quadratic
-extension Q(sqrt 2).
+"""Tests for the exact coefficient field Q(H).
 
 Identities are cross-checked against an independent oracle: evaluation
 at rational sample points chosen away from every pole.
 """
 
-import copy
 import itertools
 import operator
-import pickle
 import sys
 import time
 from fractions import Fraction
-from math import gcd
 from unittest import mock
 
 import pytest
@@ -22,12 +18,10 @@ from hypothesis import strategies as st
 from ospz.coeffs import (
     RF_ONE,
     RF_ZERO,
-    SQRT2,
     H,
     PoleEvaluationError,
     Polynomial,
     RationalFunction,
-    Sqrt2,
     as_rf,
     poly_gcd,
 )
@@ -87,11 +81,6 @@ def mixed_rfs():
 
 
 small_fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
-sqrt2_pairs = st.tuples(small_fractions, small_fractions)
-
-
-def pair(u: Sqrt2) -> tuple:
-    return u.a, u.b
 
 
 class TestPolynomial:
@@ -362,103 +351,6 @@ class TestRationalFunction:
             assert lhs.eval(x) == Fraction(-2, 1) / (x - 2)
 
 
-class TestSqrt2:
-    @given(
-        st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_ring_axioms(self, a, b, c, d):
-        u = Sqrt2(a, b)
-        v = Sqrt2(c, d)
-        assert u + v == v + u
-        assert u * v == v * u
-        assert (u + v) * u == u * u + v * u
-
-    def test_float_components_are_rejected(self):
-        with pytest.raises(TypeError):
-            Sqrt2(0.5)
-        with pytest.raises(TypeError):
-            Sqrt2(1, 0.5)
-
-    def test_sqrt2_squares_to_two(self):
-        assert Sqrt2(0, 1) * Sqrt2(0, 1) == Sqrt2(2)
-
-    @given(st.integers(-9, 9), st.integers(-9, 9))
-    @settings(max_examples=60, deadline=None)
-    def test_inverse(self, a, b):
-        u = Sqrt2(a, b)
-        if not u:
-            return
-        assert u * u.inverse() == Sqrt2(1)
-
-    def test_subtraction_and_division(self):
-        assert Sqrt2(3, 2) - Sqrt2(1, 1) == Sqrt2(2, 1)
-        assert 1 - Sqrt2(0, 1) == Sqrt2(1, -1)
-        assert Sqrt2(2, 1) / Sqrt2(0, 1) == Sqrt2(1, 1)  # (1 + sqrt2) sqrt2 = 2 + sqrt2
-        assert 1 / Sqrt2(1, 1) == Sqrt2(-1, 1)  # (1 + sqrt2)(sqrt2 - 1) = 1
-
-    def test_mixed_scalar_ops(self):
-        assert 2 * Sqrt2(1, 1) == Sqrt2(2, 2)
-        assert Fraction(1, 2) + Sqrt2(0, 1) == Sqrt2(Fraction(1, 2), 1)
-
-    @given(sqrt2_pairs, sqrt2_pairs, small_fractions)
-    @settings(max_examples=300, deadline=None)
-    def test_integer_form_matches_a_fraction_reference(self, x, y, r):
-        # the reference holds a + b*sqrt2 as the Fraction pair (a, b)
-        (a, b), (c, d) = x, y
-        u, v = Sqrt2(a, b), Sqrt2(c, d)
-        den, ints = u._form
-        assert den > 0 and gcd(den, *ints) == 1
-        assert type(u.a) is type(u.b) is Fraction and (u.a, u.b) == (a, b)
-        assert pair(u + v) == (a + c, b + d) and pair(u - v) == (a - c, b - d)
-        assert pair(u * v) == (a * c + 2 * b * d, a * d + b * c)
-        assert pair(-u) == (-a, -b) and bool(u) == bool(a or b)
-        assert pair(u + r) == pair(r + u) == (a + r, b)
-        assert pair(r - u) == (r - a, -b) and pair(r * u) == pair(u * r) == (r * a, r * b)
-        assert (u == v) == (x == y) and (u == r) == (x == (r, 0))
-        norm = c * c - 2 * d * d  # zero only at v = 0, sqrt 2 being irrational
-        if norm:
-            assert pair(v.inverse()) == (c / norm, -d / norm)
-            assert pair(u / v) == ((a * c - 2 * b * d) / norm, (b * c - a * d) / norm)
-            assert pair(r / v) == (r * c / norm, -r * d / norm)
-        else:
-            for op in (v.inverse, lambda: u / v, lambda: r / v):
-                with pytest.raises(ZeroDivisionError):
-                    op()
-
-    @given(sqrt2_pairs, small_fractions)
-    @settings(max_examples=200, deadline=None)
-    def test_one_integer_form_for_sqrt2_and_polynomial(self, x, r):
-        # a + b*sqrt2 is held as the polynomial a + b*s, with s^2 = 2
-        (a, b), s = x, Sqrt2(0, 1)
-        u, p = Sqrt2(a, b), Polynomial({0: a, 1: b})
-        assert u._form == p._form and (-u)._form == (-p)._form
-        assert (u + r)._form == (p + r)._form and (u - r)._form == (p - r)._form
-        assert s != H and H != s and hash(s) == hash(H)
-        if b:
-            assert u != p and p != u
-        # a rational value compares and hashes equal across the scalar types
-        values = [Sqrt2(r), Polynomial.const(r), as_rf(r), RationalFunction(r), RationalFunction(3 * r, 3)]
-        for value in values:
-            assert value == r and r == value and hash(value) == hash(r)
-        assert len({r, *values}) == 1 and len({r.numerator, Sqrt2(r.numerator)}) == 1
-
-    @given(sqrt2_pairs)
-    @settings(max_examples=200, deadline=None)
-    def test_text_and_pickling_match_a_fraction_reference(self, x):
-        a, b = x
-        u = Sqrt2(a, b)
-        if not b:
-            text = str(a)
-        else:
-            root = "sqrt2" if abs(b) == 1 else f"{abs(b)}*sqrt2"
-            text = (root if b > 0 else f"-{root}") if not a else f"{a} {'+' if b > 0 else '-'} {root}"
-        assert str(u) == text and repr(u) == f"Sqrt2({a}, {b})"
-        assert u.__reduce__() == (Sqrt2, (a, b))
-        for twin in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
-            assert twin == u and twin._form == u._form and str(twin) == str(u)
-
-
 class TestMixedOperands:
     """Polynomial operators return NotImplemented for an operand they cannot
     coerce, so a RationalFunction on the right takes over."""
@@ -482,11 +374,6 @@ class TestMixedOperands:
                 op(H, bad)
             with pytest.raises(TypeError):
                 op(bad, H)
-        # Polynomial and Sqrt2 share one integer form but never combine it
-        with pytest.raises(TypeError):
-            op(H, SQRT2)
-        with pytest.raises(TypeError):
-            op(SQRT2, H)
         with pytest.raises(TypeError):
             divmod(H, RationalFunction(1, H))
 
@@ -494,26 +381,22 @@ class TestMixedOperands:
 @pytest.mark.parametrize("x", [0, 1, -3, 2**70, Fraction(3, 2), Fraction(-7, 5)])
 def test_equal_scalars_hash_equal(x):
     # eq and hash agree across the scalar types and the int or Fraction value
-    values = [Sqrt2(x), Polynomial.const(x), as_rf(x), RationalFunction(x), RationalFunction(2 * x, 2)]
+    values = [Polynomial.const(x), as_rf(x), RationalFunction(x), RationalFunction(2 * x, 2)]
     for value in values:
         assert value == x and hash(value) == hash(x)
     assert len({x, *values}) == 1
-    assert len({Sqrt2(x), Sqrt2(x, 1), x}) == 2
     f = RationalFunction(x * H * H - 1)
     assert f == x * H * H - 1 and hash(f) == hash(x * H * H - 1)
 
 
 @pytest.mark.parametrize("x", [0, 2, Fraction(-7, 5)])
 def test_equal_constants_are_one_set_element_in_any_order(x):
-    # equality is transitive across the scalar types: a Sqrt2 constant equals
-    # the Polynomial and RationalFunction constants of the same value
-    values = [x, Sqrt2(x), Polynomial.const(x), as_rf(x)]
+    # equality is transitive across the scalar types: an int or Fraction
+    # equals the Polynomial and RationalFunction constants of the same value
+    values = [x, Polynomial.const(x), as_rf(x)]
     for order in itertools.permutations(values):
         assert len(set(order)) == 1
     assert all(a == b and not a != b for a in values for b in values)
-    # non-constants stay unequal across types
-    for u, p in [(Sqrt2(0, 1), H), (Sqrt2(x, 1), as_rf(H + x)), (Sqrt2(x), H + x)]:
-        assert u != p and p != u and not u == p
 
 
 # Fast paths of RationalFunction arithmetic, each against the general

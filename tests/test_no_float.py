@@ -1,4 +1,4 @@
-"""No-float guard: the package computes over Q(H) and Q(sqrt 2) only.
+"""No-float guard: the package computes over Q(H) and Q only.
 
 No linter ships with the toolchain, so this check uses only `ast`.  It fails
 on a float (or imaginary) literal and on any use of the name `float` in

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from ospz.coeffs import H, RationalFunction, Sqrt2
+import json
+from pathlib import Path
+
+from ospz.coeffs import H, RationalFunction
 from ospz.uea import T1, T2, TH, TILDE_GENS, TN1, X1, X2, XN1, XN2
 from ospz.verify import verify_rep
 from ospz.zalgebra import Z1, Z2, ZH, ZN1, ZN2, ZElement
@@ -22,25 +25,26 @@ from ospz.rep import (
     irreducibility_witness,
     span_dim,
     weight_window,
+    x_basis_text,
 )
 
-SQRT2 = Sqrt2(0, 1)
 EIGEN = [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]  # weights of w1, w2, w3
 
 
+# The published vectors, on the tensors y_k (x) v_i with y_k = x^k / sqrt(2)^k.
 def w1():
     return ModuleVector.basis(0, 2)
 
 
 def w2():
-    return ModuleVector.basis(0, 0) + ModuleVector.basis(1, 2).scale(SQRT2)
+    return ModuleVector.basis(0, 0) + ModuleVector.basis(1, 2).scale(2)
 
 
 def w3():
     return (
         ModuleVector.basis(0, 1)
-        - ModuleVector.basis(1, 0).scale(SQRT2)
-        + ModuleVector.basis(2, 2)
+        - ModuleVector.basis(1, 0).scale(2)
+        + ModuleVector.basis(2, 2).scale(2)
     )
 
 
@@ -74,7 +78,7 @@ class TestPolyModule:
         ]
 
     def test_ladder_bracket_is_cartan(self):
-        # the anticommutator {x_alpha, x_-alpha} acts as h on x^k
+        # the anticommutator {x_alpha, x_-alpha} acts as h on y_k
         poly = PolyModule(6)
         for k in range(5):
             deg, c1 = poly.act(-1, k)
@@ -84,7 +88,7 @@ class TestPolyModule:
                 deg, d1 = poly.act(1, k)
                 _, d2 = poly.act(-1, deg)
                 total = total + d1 * d2
-            assert total == Sqrt2(poly.h_eigenvalue(k)), k
+            assert total == poly.h_eigenvalue(k), k
 
     def test_truncation_overflow(self):
         poly = PolyModule(2)
@@ -116,7 +120,7 @@ class TestTensorModule:
                     direct = module.act_uea(bracket, v)
                     ab = module.act(a, module.act(b, v))
                     ba = module.act(b, module.act(a, v))
-                    two_sided = ab - ba.scale(Sqrt2(sign))
+                    two_sided = ab - ba.scale(sign)
                     assert direct == two_sided, (a, b)
 
     def test_primitive_window(self, module):
@@ -145,7 +149,7 @@ class TestTensorModule:
 
     def test_rho_matrix_rejects_a_span_the_action_leaves(self, module):
         # E(-1) w2 = -6 w3 lies outside span{w1, w2}
-        assert module.act_z(ZElement.gen(ZN1), w2()) == w3().scale(Sqrt2(-6))
+        assert module.act_z(ZElement.gen(ZN1), w2()) == w3().scale(-6)
         with pytest.raises(NotPrimitive, match="left the primitive span"):
             module.rho_matrix(ZElement.gen(ZN1), [w1(), w2()])
 
@@ -158,7 +162,7 @@ def test_elimination_on_random_sparse_vectors(seed):
     keys = [(0, i) for i in range(5)]
 
     def scalar():
-        return Sqrt2(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 3))
 
     inputs = []
     for _ in range(8):
@@ -167,7 +171,7 @@ def test_elimination_on_random_sparse_vectors(seed):
         else:
             v = ModuleVector({key: scalar() for key in rng.sample(keys, rng.randint(0, 3))})
         inputs.append(v)
-    pivots, null = eliminate((v, ModuleVector({j: Sqrt2(1)})) for j, v in enumerate(inputs))
+    pivots, null = eliminate((v, ModuleVector({j: 1})) for j, v in enumerate(inputs))
     assert len(pivots) + len(null) == len(inputs) and null
     for source in null:
         image = sum((inputs[j].scale(c) for j, c in source.terms.items()), ModuleVector())
@@ -176,7 +180,7 @@ def test_elimination_on_random_sparse_vectors(seed):
     own = [max(source.terms) for source in null]
     assert len(set(own)) == len(own)
     for source, j in zip(null, own):
-        assert source.terms[j] == Sqrt2(1)
+        assert source.terms[j] == 1
         assert not any(source.terms.get(other) for other in own if other != j)
 
 
@@ -192,24 +196,23 @@ class TestRho:
         def corner(m):
             return [[m[i][j] for j in range(2)] for i in range(2)]
 
-        z = Sqrt2(0)
-        two = Sqrt2(2)
+        z, two = 0, 2
         assert corner(rho[Z1]) == [[z, two], [z, z]]
         assert corner(rho[ZN1]) == [[z, z], [two, z]]
         assert corner(rho[Z2]) == [[z, z], [z, z]]
         assert corner(rho[ZN2]) == [[z, z], [z, z]]
         assert corner(rho[ZH]) == [
-            [Sqrt2(Fraction(3, 2)), z],
-            [z, Sqrt2(Fraction(9, 2))],
+            [Fraction(3, 2), z],
+            [z, Fraction(9, 2)],
         ]
 
     def test_full_matrices(self, rho):
         # the action does not vanish on the full primitive space: E(-2)
         # and E(-1) reach the weight-3/2 primitive vector
-        assert rho[ZN2][2][0] == Sqrt2(-2)
-        assert rho[ZN1][2][1] == Sqrt2(-6)
-        assert rho[Z2][0][2] == Sqrt2(-2)
-        assert rho[ZH][2][2] == Sqrt2(Fraction(-9, 2))
+        assert rho[ZN2][2][0] == -2
+        assert rho[ZN1][2][1] == -6
+        assert rho[Z2][0][2] == -2
+        assert rho[ZH][2][2] == Fraction(-9, 2)
 
     def test_all_relation_families_hold_as_matrix_identities(self, rho):
         report = check_rep_relations(rho, EIGEN)
@@ -222,14 +225,13 @@ class TestRho:
         # fails in exactly the four families whose products pass through
         # the third primitive vector w3 (E(1) and E(2) leave w3, E(-1) and
         # E(-2) reach it).
-        z = Sqrt2(0)
-        two = Sqrt2(2)
+        z, two = 0, 2
         rho2 = {
             Z1: [[z, two], [z, z]],
             ZN1: [[z, z], [two, z]],
             Z2: [[z, z], [z, z]],
             ZN2: [[z, z], [z, z]],
-            ZH: [[Sqrt2(Fraction(3, 2)), z], [z, Sqrt2(Fraction(9, 2))]],
+            ZH: [[Fraction(3, 2), z], [z, Fraction(9, 2)]],
         }
         report = check_rep_relations(rho2, [Fraction(-1, 2), Fraction(1, 2)])
         failing = {c["name"] for c in report["checks"] if not c["pass"]}
@@ -270,7 +272,7 @@ class TestRho:
 
     def test_certificate_sees_an_invariant_line(self, rho):
         # without E(1) and E(2) nothing leaves w3, so span{w3} is invariant
-        zero = [[Sqrt2(0)] * 3 for _ in range(3)]
+        zero = [[0] * 3 for _ in range(3)]
         assert not irreducibility_witness({**rho, Z1: zero, Z2: zero}, EIGEN)
 
     def test_certificate_needs_distinct_eigenvalues(self, rho):
@@ -280,7 +282,7 @@ class TestRho:
     def test_rho_of_coefficient_is_diagonal_evaluation(self, module):
         f = RationalFunction(1, H - 1)
         for v, mu in ((w1(), Fraction(-1, 2)), (w2(), Fraction(1, 2))):
-            assert module.act_coeff(f, v) == v.scale(Sqrt2(f.eval(mu)))
+            assert module.act_coeff(f, v) == v.scale(f.eval(mu))
 
 
 _REAL_PROJECTOR = TensorModule.apply_projector
@@ -315,3 +317,42 @@ def test_polynomial_tensor_irrep_is_an_irreducible_z_module(lam):
     report = check_rep_relations(rho, eigen)
     assert len(report["checks"]) == 14 and report["passed"]
     assert irreducibility_witness(rho, eigen)
+
+
+class TestRationalScalars:
+    def test_module_scalars_reject_floats(self):
+        with pytest.raises(TypeError):
+            ModuleVector.basis(0, 0).scale(0.5)
+
+    def test_every_action_entry_is_rational(self, module):
+        def rational(x):
+            return type(x) in (int, Fraction)
+
+        for lam in range(4):
+            for images in IrrepData.from_highest_weight(lam).matrices.values():
+                assert all(rational(x) for image in images for x in image.values()), lam
+        poly = PolyModule(6)
+        for root in (-2, -1, 0, 1, 2):
+            for k in range(poly.trunc + 1 + min(root, 0)):  # lowering stays within trunc
+                assert rational(poly.act(root, k)[1]), (root, k)
+        basis = [w1(), w2(), w3()]
+        for g in range(5):
+            m = module.rho_matrix(ZElement.gen(g), basis)
+            assert all(rational(x) for row in m for x in row), g
+
+
+class TestPublishedText:
+    GOLDEN = json.loads((Path(__file__).parent / "golden" / "rep.json").read_text())
+
+    def test_published_vectors_render_as_the_golden_basis(self):
+        full = next(c for c in self.GOLDEN["checks"] if c["name"].startswith("full primitive space"))
+        assert [x_basis_text(v) for v in (w1(), w2(), w3())] == full["basis"]
+        # the vector itself prints honestly, unscaled, on the tensors y_k (x) v_i
+        assert repr(w2()) == "ModuleVector((1) y^0*v0 + (2) y^1*v2)"
+
+    @pytest.mark.parametrize("c", [2, -1, Fraction(1, 3), Fraction(-7, 4), 12])
+    def test_text_ignores_a_nonzero_scale(self, c):
+        module = TensorModule(PolyModule(6), IrrepData.from_highest_weight(2))
+        vectors = [w1(), w2(), w3()] + module.primitive_vectors(weight_window(Fraction(-3, 2), Fraction(9, 2)))
+        for v in vectors:
+            assert x_basis_text(v.scale(c)) == x_basis_text(v)
