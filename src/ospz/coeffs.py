@@ -9,7 +9,8 @@ Two scalar domains:
   denominator.  The denominator is held factored, as its integer roots with
   multiplicities times a monic residual.  Every coefficient the engines make
   is a localization at the H - k, so its residual is 1, and a product merges
-  root lists, a sum takes their lcm, cancellation divides synthetically at
+  root lists, a sum takes their lcm (and can cancel only at a root of equal
+  multiplicity in both summands), cancellation divides synthetically at
   the listed roots and a shift moves them, all without a gcd.  `/` and
   negative powers invert a canonical value, which needs no gcd either.
   Only the constructor (parsed or hand-written denominators) and
@@ -23,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from operator import add
 from typing import Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -364,14 +364,12 @@ _POLY_ONE = Polynomial.const(1)
 _ROOT_SEARCH = 4096
 
 
-def _times_roots(p: Polynomial, roots) -> Polynomial:
-    """p * prod (H - k)^m over the (k, m) of roots (a monic integer factor
-    keeps the integer form canonical)."""
-    den, a = p._form
+def _times_roots(a, roots) -> list[int]:
+    """Integer coefficients a times prod (H - k)^m over the (k, m) of roots."""
     for k, m in roots:
         for _ in range(m):
             a = [x - k * y for x, y in zip((0, *a), (*a, 0))]
-    return _raw(den, a)
+    return a
 
 
 def _peel(a, k: int, m: int) -> tuple[list[int], int]:
@@ -404,12 +402,11 @@ def _cancel(num: Polynomial, roots: tuple) -> tuple[Polynomial, tuple]:
     return (_raw(den, a), tuple(left)) if len(a) < len(num._form[1]) else (num, roots)
 
 
-def _merge(r1: tuple, r2: tuple, op) -> tuple:
-    """Sorted roots of r1 and r2, a root in both getting op of the two
-    multiplicities (add for a product, max for an lcm)."""
+def _merge(r1: tuple, r2: tuple) -> tuple:
+    """Sorted roots of the product of the denominators of roots r1 and r2."""
     m = dict(r1)
     for k, e in r2:
-        m[k] = op(m.get(k, 0), e)
+        m[k] = m.get(k, 0) + e
     return tuple(sorted(m.items()))
 
 
@@ -472,7 +469,7 @@ class RationalFunction:
         """The monic denominator, expanded."""
         if not self.roots:
             return self.rest
-        d = _times_roots(_POLY_ONE, self.roots)
+        d = _raw(1, _times_roots((1,), self.roots))
         return d if self.rest is _POLY_ONE else d * self.rest
 
     def __bool__(self) -> bool:
@@ -506,18 +503,35 @@ class RationalFunction:
             if d1 == d2:
                 return RationalFunction(self.num + other.num, d1)
             return RationalFunction(self.num * d2 + other.num * d1, d1 * d2)
-        r1, r2 = self.roots, other.roots
-        if r1 == r2:
-            num = self.num + other.num
-        else:
-            # over the lcm of the denominators; a root of lower multiplicity
-            # in one summand leaves the other nonzero there, so _cancel stops
-            # at such a root after one evaluation
-            m1, m2, top = dict(r1), dict(r2), _merge(r1, r2, max)
-            num = _times_roots(self.num, [(k, m - m1.get(k, 0)) for k, m in top])
-            num += _times_roots(other.num, [(k, m - m2.get(k, 0)) for k, m in top])
-            r1 = top
-        return _make(*_cancel(num, r1)) if num else RF_ZERO
+        # Over the lcm of the denominators, on the numerators' integer forms
+        # (c, a).  Each summand is in lowest terms, so at a root of unequal
+        # multiplicity the one of higher multiplicity is nonzero and the
+        # other's cofactor vanishes: the sum can vanish only at a root of
+        # equal multiplicity, and only those are tested.
+        (c1, a1), (c2, a2) = self.num._form, other.num._form
+        roots, tested = [], self.roots
+        if tested != other.roots:
+            m1, m2, tested = dict(tested), dict(other.roots), []
+            for k in sorted(m1.keys() | m2.keys()):
+                e1, e2 = m1.get(k, 0), m2.get(k, 0)
+                if e1 == e2:
+                    tested.append((k, e1))
+                    continue
+                roots.append((k, max(e1, e2)))
+                if e1 < e2:
+                    a1 = _times_roots(a1, ((k, e2 - e1),))
+                else:
+                    a2 = _times_roots(a2, ((k, e1 - e2),))
+        c = lcm(c1, c2)
+        f1, f2 = c // c1, c // c2
+        c, a = _canonical(c, [x * f1 + y * f2 for x, y in zip_longest(a1, a2, fillvalue=0)])
+        if not a:
+            return RF_ZERO
+        for k, m in tested:
+            a, m = _peel(a, k, m)
+            if m:
+                roots.append((k, m))
+        return _make(_raw(c, a), tuple(sorted(roots)))
 
     __radd__ = __add__
 
@@ -549,10 +563,12 @@ class RationalFunction:
         if self.rest is not _POLY_ONE or other.rest is not _POLY_ONE:
             return RationalFunction(n1 * n2, self.den * other.den)
         # each factor is coprime, so only n1 against d2 and n2 against d1
-        # can cancel, and only at the listed roots
-        n1, r2 = _cancel(n1, r2)
-        n2, r1 = _cancel(n2, r1)
-        return _make(n1 * n2, _merge(r1, r2, add) if r1 and r2 else r1 or r2)
+        # can cancel, only at the listed roots, and a constant not at all
+        if len(n1._form[1]) > 1:
+            n1, r2 = _cancel(n1, r2)
+        if len(n2._form[1]) > 1:
+            n2, r1 = _cancel(n2, r1)
+        return _make(n1 * n2, _merge(r1, r2) if r1 and r2 else r1 or r2)
 
     __rmul__ = __mul__
 

@@ -17,11 +17,12 @@ by the alphabet's pair-rule table.
 The rules apply in two ways.  `rule_step` is one step: an ordered monomial
 times a letter out of order with its last one, the pair rule at the end
 applied once and its terms folded into the rest of the monomial through the
-algebra's cached step table.  `rewrite` runs an agenda over whole words,
-carrying each pending word with its coefficient only.  Z folds every word
-through its step table.  U scans a word once: an ordered word is its
-monomial, a word whose only violation is its last pair is a step, and every
-other word goes through the agenda, which merges the words it reaches.
+algebra's cached step table, which answers a monomial times a letter in
+order with it (`ordered_times`) directly.  `rewrite` runs an agenda over
+whole words, carrying each pending word with its coefficient only.  Z folds
+every word through its step table.  U scans a word once: an ordered word is
+its monomial, a word whose only violation is its last pair is a step, and
+every other word goes through the agenda, which merges the words it reaches.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ class Monomial(tuple):
 class LinComb:
     """Immutable finite sum {basis key: coefficient} without zero entries.
 
-    Subclasses set `coerce`, which turns a scalar into their coefficient type.
+    The constructor drops zero coefficients; `wrap` takes a dict that has
+    none as it stands.  Subclasses set `coerce`, which turns a scalar into
+    their coefficient type.
     """
 
     __slots__ = ("terms",)
@@ -77,6 +80,14 @@ class LinComb:
     def __init__(self, terms: dict | None = None):
         clean = {m: c for m, c in (terms or {}).items() if c}
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def wrap(cls, terms: dict):
+        """The element of `terms`, a dict without zero coefficients, which
+        it takes over uncopied."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "terms", terms)
+        return obj
 
     @classmethod
     def zero(cls):
@@ -105,18 +116,19 @@ class LinComb:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return type(self)(out)
+            _add(out, m, c)
+        return self.wrap(out)
 
     def __neg__(self):
-        return type(self)({m: -c for m, c in self.terms.items()})
+        return self.wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, f):
+        # a product of nonzero field elements is nonzero
         f = self.coerce(f)
-        return type(self)({m: f * c for m, c in self.terms.items()})
+        return self.wrap({m: f * c for m, c in self.terms.items()} if f else {})
 
     def __rmul__(self, f):
         # scalar * element: the scalar acts from the left
@@ -152,20 +164,40 @@ class PBWElement(LinComb):
         return f"{type(self).__name__}({render(self)})"
 
 
+def _add(out: dict, m, f) -> None:
+    """out[m] += f for a nonzero f, deleting the key if the sum cancels."""
+    if m in out:
+        f = out[m] + f
+        if not f:
+            del out[m]
+            return
+    out[m] = f
+
+
 def add_scaled(out: dict, c, terms) -> None:
-    """out += c * terms, for (monomial, coefficient) pairs `terms`."""
-    if c.is_one():
-        for m, f in terms:
-            out[m] = out[m] + f if m in out else f
-    else:
-        for m, f in terms:
+    """out += c * terms, for (monomial, nonzero coefficient) pairs `terms`.
+
+    Keeps `out` free of zeros: a key whose sum cancels is deleted, and a
+    zero `c` adds nothing (a product of nonzero field elements is nonzero)."""
+    if not c:
+        return
+    one = c.is_one()
+    # _add inlined: this loop is the inner loop of every product and step
+    for m, f in terms:
+        if not one:
             f = c if f.is_one() else c * f
-            out[m] = out[m] + f if m in out else f
+        if m in out:
+            f = out[m] + f
+            if not f:
+                del out[m]
+                continue
+        out[m] = f
 
 
 def bilinear(u, v, mono_product: Callable) -> dict:
     """Sum over the terms of u and v of cu * cv(H + mu.root_sum()) times
-    mono_product(mu, mv), an iterable of (monomial, coefficient) pairs.
+    mono_product(mu, mv), an iterable of (monomial, nonzero coefficient)
+    pairs; the sum has no zero coefficient.
 
     Coefficients sit left of their monomials, so the right coefficient
     shifts as it passes the left monomial.
@@ -191,7 +223,7 @@ def fold_letters(
         nxt: dict = {}
         for m, f in acc.items():
             add_scaled(nxt, f, times_letter(m, g))
-        acc = {m: f for m, f in nxt.items() if f and (keep is None or keep(m))}
+        acc = nxt if keep is None else {m: f for m, f in nxt.items() if keep(m)}
     return acc
 
 
@@ -247,17 +279,38 @@ def ordered_prefix(word: Sequence[int], odd: Sequence[bool]) -> int:
     return len(word) if i < 0 else i + 1
 
 
+def last_letter(mono) -> int:
+    """The last letter of the ordered word of `mono`, -1 if it is empty."""
+    for i in range(len(mono) - 1, -1, -1):
+        if mono[i]:
+            return i
+    return -1
+
+
+def ordered_times(mono, g: int):
+    """The monomial of the word mono g when it is ordered, that is, when g
+    sorts after the last letter of mono or equals it and is even; else None."""
+    h = last_letter(mono)
+    if g < h or (g == h and mono.ODD[g]):
+        return None
+    exps = list(mono)
+    exps[g] += 1
+    return tuple.__new__(type(mono), exps)
+
+
 def rule_step(mono, g: int, rules: dict, times_letter: Callable) -> dict:
     """mono * g for an ordered monomial `mono` whose last letter h is out of
-    order with the letter g: the pair rule of (h, g) applied once.
+    order with the letter g (`ordered_times` is None): the pair rule of
+    (h, g) applied once.
 
     Each rule term's coefficient shifts by the root sum of mono minus h,
     the letters left of the pair, and its letters fold into mono minus h
     through times_letter, the step table.  Every rule term is deglex-smaller
     than h g, so the table is only asked for words smaller than mono g.
-    Terms that cancel stay as zeros, for the caller's LinComb to drop.
+    Terms that cancel are deleted as they cancel, so the result has no zero
+    coefficient.
     """
-    h = max(i for i, e in enumerate(mono) if e)
+    h = last_letter(mono)
     exps = list(mono)
     exps[h] -= 1
     head = tuple.__new__(type(mono), exps)
@@ -278,7 +331,7 @@ def rewrite(
 ) -> dict:
     """Normal-order c times the letters `word` (ints indexing the alphabet
     of the Monomial subclass `monomial`), as `absorb` returns them; returns
-    {monomial: coefficient}.
+    {monomial: nonzero coefficient}.
 
     `rules[(a, b)]` lists the terms (sign, coefficient or None, letter
     tuple) that replace a violating pair a b; a term's coefficient is
@@ -321,8 +374,7 @@ def rewrite(
             viols = list(_violations(w, odd))
             i = viols[chooser(viols, w)] if viols else -1
         if i < 0:
-            m = monomial.from_letters(w)
-            out[m] = out[m] + c if m in out else c
+            _add(out, monomial.from_letters(w), c)
             continue
         pre, post, one = w[:i], w[i + 2 :], c.is_one()
         r = sum(map(roots.__getitem__, pre))

@@ -88,7 +88,7 @@ def diamond(u: UeaElement, v: UeaElement) -> UeaElement:
     chains start from monomials, on which ad X(-1) and ad X(1) are locally
     nilpotent, so they always end.
     """
-    return UeaElement(bilinear(u, v, _diamond_mono))
+    return UeaElement.wrap(bilinear(u, v, _diamond_mono))
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +126,7 @@ def _diamond_mono(mu, mv) -> UeaElement:
         right = _raise_chain(mv, n)
         left = right and _lower_chain(mu, n)
         if not left:
-            return UeaElement(total)
+            return UeaElement.wrap(total)
         # phi_n(H + n) right of a monomial m of root sum mu.root_sum() - n
         # moves left as phi_n(H + mu.root_sum()), one scalar for the term
         add_scaled(total, phi(n).shift(mu.root_sum()), mul(left, right, "both"))
@@ -145,6 +145,6 @@ def projected_generator(g: int) -> UeaElement:
     for n in count():
         term = _raise_chain(word, n)
         if not term:
-            return UeaElement(total)
+            return UeaElement.wrap(total)
         add_scaled(total, phi(n), mul(lower_pow, term, "right"))
         lower_pow = mul(lower_pow, _X_LOWER)

@@ -314,7 +314,7 @@ def parse_element(text: str, algebra: str = "u"):
     total: dict = {}
     for sign, items in terms:
         add_scaled(total, RF_ONE, straighten_fn(items, sign))
-    return cls(total)
+    return cls.wrap(total)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +340,13 @@ def _coeff_text(c: RationalFunction) -> str:
     return f"({ns}/{ds})"
 
 
+# An exponent of two or more digits, which LaTeX needs in braces.
+_LONG_EXPONENT = re.compile(r"\^(\d\d+)")
+
+
 def _poly_latex(p: Polynomial) -> str:
     s = str(p).replace("*", " ")
-    return re.sub(r"\^(\d\d+)", r"^{\1}", s)
+    return _LONG_EXPONENT.sub(r"^{\1}", s) if "^" in s else s
 
 
 def _coeff_latex(c: RationalFunction) -> str:

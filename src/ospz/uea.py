@@ -24,7 +24,8 @@ from typing import Callable, Sequence
 
 from .coeffs import RF_ONE, Polynomial, as_rf
 from .engine import (
-    Monomial, PBWElement, absorb, add_scaled, bilinear, fold_letters, ordered_prefix, rewrite, rule_step, rule_term,
+    Monomial, PBWElement, absorb, add_scaled, bilinear, fold_letters, ordered_prefix, ordered_times, rewrite, rule_step,
+    rule_term,
 )
 
 
@@ -122,7 +123,7 @@ class UeaElement(PBWElement):
     # -- coset reductions ---------------------------------------------
     def mod_ii(self) -> "UeaElement":
         """Canonical representative modulo g_-*U + U*g_+ (pure tilde monomials)."""
-        return UeaElement(_reduce(self.terms, "both"))
+        return UeaElement.wrap(_reduce(self.terms, "both"))
 
     def is_pure_tilde(self) -> bool:
         return not any(_in_left(m) or _in_right(m) for m in self.terms)
@@ -193,8 +194,8 @@ def straighten(
     if chooser is None and n == len(word) - 1:
         out: dict = {}
         add_scaled(out, c, rule_step(Word.from_letters(word[:-1]), word[-1], _PAIR_RULES, _word_table).items())
-        return UeaElement(out)
-    return UeaElement(rewrite(c, word, chooser, Word, _PAIR_RULES))
+        return UeaElement.wrap(out)
+    return UeaElement.wrap(rewrite(c, word, chooser, Word, _PAIR_RULES))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +234,8 @@ def _not_left(m: Word) -> bool:
 
 @lru_cache(maxsize=None)
 def _word_times_gen(word: Word, g: int) -> UeaElement:
-    return straighten(word.letters() + [g])
+    m = ordered_times(word, g)
+    return straighten(word.letters() + [g]) if m is None else UeaElement.wrap({m: RF_ONE})
 
 
 # The table a straightening step folds through, bound once: rebinding the
@@ -247,7 +249,7 @@ def _word_times_word(mu: Word, mv: Word, quotient) -> UeaElement:
     # ending in X(1) or X(2) mid-fold is not in U g_+ until no letter follows it.
     left, right = _SIDES[quotient]
     terms = fold_letters(mu, mv.letters(), _word_times_gen, _not_left if left else None)
-    return UeaElement(_reduce(terms, "right") if right else terms)
+    return UeaElement.wrap(_reduce(terms, "right") if right else terms)
 
 
 def mul(u: UeaElement, v: UeaElement, quotient=None) -> UeaElement:
@@ -263,7 +265,7 @@ def mul(u: UeaElement, v: UeaElement, quotient=None) -> UeaElement:
         u = [(m, c) for m, c in u if not _in_left(m)]
     if right:
         v = [(m, c) for m, c in v if not _in_right(m)]
-    return UeaElement(bilinear(u, v, lambda mu, mv: _word_times_word(mu, mv, quotient)))
+    return UeaElement.wrap(bilinear(u, v, lambda mu, mv: _word_times_word(mu, mv, quotient)))
 
 
 def super_bracket(u: UeaElement, v: UeaElement, quotient=None) -> UeaElement:
@@ -302,4 +304,4 @@ def theta(u: UeaElement) -> UeaElement:
         tm = Word(m[::-1])
         c = c.shift(tm.root_sum())
         total[tm] = -c if sum(m[g] for g in _THETA_NEGATED) & 1 else c
-    return UeaElement(total)
+    return UeaElement.wrap(total)

@@ -35,7 +35,10 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .coeffs import H, RF_ONE, RF_ZERO, RationalFunction, as_rf
-from .engine import Monomial, PBWElement, absorb, add_scaled, bilinear, fold_letters, ordered_prefix, rule_step, rule_term
+from .engine import (
+    Monomial, PBWElement, absorb, add_scaled, bilinear, fold_letters, ordered_prefix, ordered_times, rule_step,
+    rule_term,
+)
 from .projector import diamond
 from .uea import TILDE_GENS, TN2, X1, UeaElement, Word, theta
 
@@ -209,12 +212,13 @@ def z_straighten(items: Sequence, coeff=RF_ONE) -> ZElement:
         terms = fold_letters(mono, rest, _z_table)
     out: dict = {}
     add_scaled(out, c, terms.items())
-    return ZElement(out)
+    return ZElement.wrap(out)
 
 
 @lru_cache(maxsize=None)
 def _z_mono_times_gen(mono: ZMonomial, g: int) -> ZElement:
-    return z_straighten(mono.letters() + [g])
+    m = ordered_times(mono, g)
+    return z_straighten(mono.letters() + [g]) if m is None else ZElement.wrap({m: RF_ONE})
 
 
 # The table z_straighten folds through, bound once: rebinding the module
@@ -229,7 +233,7 @@ def _fold_product(u: ZElement, v: ZElement, step: Callable) -> ZElement:
     def times(mu, mv):
         return fold_letters(mu, mv.letters(), step).items()
 
-    return ZElement(bilinear(u, v, times))
+    return ZElement.wrap(bilinear(u, v, times))
 
 
 def z_multiply(u: ZElement, v: ZElement) -> ZElement:
@@ -259,7 +263,7 @@ def z_to_tilde(z: ZElement) -> UeaElement:
     out: dict = {}
     for m, c in z:
         add_scaled(out, c, _z_mono_tilde(m))
-    return UeaElement(out)
+    return UeaElement.wrap(out)
 
 
 def tilde_word(exponents: Sequence[int]) -> Word:
@@ -313,7 +317,7 @@ def tilde_to_z(u: UeaElement) -> ZElement:
                 del rem[w2]
             else:
                 rem[w2] = rem[w2] - t
-    return ZElement(out)
+    return ZElement.wrap(out)
 
 
 def z_oracle_multiply(u: ZElement, v: ZElement) -> ZElement:
@@ -343,10 +347,8 @@ def _oracle_fold(mono: ZMonomial, g: int) -> ZElement:
     definition this very diamond, so it is read from that cache rather than
     built a second time.  tilde_to_z runs on every step either way, so its
     triangularity checks cover every monomial a sweep reaches."""
-    last = max((i for i, e in enumerate(mono) if e), default=-1)
-    if g > last or (g == last and not ZMonomial.ODD[g]):
-        return tilde_to_z(_z_mono_tilde(ZMonomial.from_letters(mono.letters() + [g])))
-    return tilde_to_z(diamond(_z_mono_tilde(mono), _tilde_gen(g)))
+    m = ordered_times(mono, g)
+    return tilde_to_z(diamond(_z_mono_tilde(mono), _tilde_gen(g)) if m is None else _z_mono_tilde(m))
 
 
 def z_theta(z: ZElement) -> ZElement:

@@ -443,3 +443,49 @@ class TestFastPaths:
         for d in range(p.degree, -1, -1):
             acc = acc * x + p.coeffs.get(d, 0)
         assert p.eval(x) == acc and type(p.eval(x)) is Fraction
+
+
+# A root both summands of a split sum have, and split denominators around it
+# (roots 1, -2, 0 and 3, none of them shared).
+SHARED = (-1, 2, 5)
+AROUND = [Polynomial.const(1), H - 1, (H + 2) ** 2, H * (H - 3)]
+
+
+def split_sum(f, g, expected=None):
+    """Check f + g and g + f against the constructor's canonical form of
+    n1 d2 + n2 d1 over d1 d2, against `expected` and at SAMPLES."""
+    general = f.num * g.den + g.num * f.den, f.den * g.den
+    for total in (f + g, g + f):
+        assert same(total, *general)
+        assert expected is None or total == expected
+        for x in SAMPLES:
+            assert total.eval(x) == f.eval(x) + g.eval(x)
+    return f + g
+
+
+class TestSplitSums:
+    # A sum of split fractions tests for cancellation only at the roots of
+    # equal multiplicity in both summands.
+
+    @given(small_polys(), small_polys(), st.integers(1, 6), st.sampled_from(SHARED), st.integers(1, 3),
+           st.integers(1, 4), st.sampled_from(AROUND), st.sampled_from(AROUND), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_multiplicity_cancels_partly_fully_or_to_zero(self, p, c, a0, k, m, t, e1, e2, zero):
+        # f + g = c (H - k)^t / ((H - k)^m e1 e2): t < m leaves part of
+        # (H - k)^m, t >= m none of it, and c = 0 leaves zero
+        c = 0 * c if zero else c
+        d, a = (H - k) ** m, p * (H - k) + a0
+        f = RationalFunction(a, d * e1)
+        g = RationalFunction(c * (H - k) ** t - a * e2, d * e1 * e2)
+        assert dict(f.roots)[k] == dict(g.roots)[k] == m
+        total = split_sum(f, g, RationalFunction(c * (H - k) ** t, d * e1 * e2))
+        assert dict(total.roots).get(k, 0) <= max(m - t, 0) and bool(total) == bool(c)
+
+    @given(small_polys(), small_polys(), st.integers(1, 6), st.integers(-6, -1), st.sampled_from(SHARED),
+           st.integers(0, 3), st.integers(1, 3), st.sampled_from(AROUND), st.sampled_from(AROUND))
+    @settings(max_examples=150, deadline=None)
+    def test_unequal_multiplicity_never_cancels(self, p, q, a0, b0, k, m, extra, e1, e2):
+        # both numerators are nonzero at k, where the denominators' powers differ
+        f = RationalFunction(p * (H - k) + a0, (H - k) ** m * e1)
+        g = RationalFunction(q * (H - k) + b0, (H - k) ** (m + extra) * e2)
+        assert dict(split_sum(f, g).roots)[k] == m + extra

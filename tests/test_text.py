@@ -221,6 +221,15 @@ class TestRendering:
         u = straighten([TILDE_GENS[3]])
         assert "\\tilde" in render(u, "latex")
 
+    def test_latex_braces_two_digit_exponents(self):
+        # H^12 + 2 has no integer root, so both exponents stay in one
+        # numerator and one denominator, and H^2 shows that one digit stays bare
+        c = RationalFunction(H**10 - 3 * H**2, H**12 + 2)
+        tex = render(ZElement.monomial(ZMonomial.make(t=1), c), "latex")
+        assert tex == r"\frac{H^{10} - 3 H^2}{H^{12} + 2} \, \bar{x}_{2\alpha}"
+        tex = render(UeaElement.coeff(RationalFunction(H**12 + 2, H**10 + 1)), "latex")
+        assert tex == r"\frac{H^{12} + 2}{H^{10} + 1}"
+
     def test_deterministic_ordering(self):
         terms = {
             ZMonomial.make(p=1): as_rf(1),

@@ -8,12 +8,14 @@ agreement of independent randomized rewriting strategies.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from ospz import uea
-from ospz.coeffs import H, RationalFunction, as_rf
+from ospz.coeffs import H, RF_ONE, RationalFunction, as_rf
 from ospz.text import parse_ratfunc
+from ospz.engine import add_scaled, ordered_times
 from ospz.uea import (
     _THETA_IMAGE,
     GENERATORS,
@@ -24,10 +26,12 @@ from ospz.uea import (
     TN1,
     TN2,
     UeaElement,
+    Word,
     X1,
     X2,
     XN1,
     XN2,
+    commutator_table,
     mul,
     straighten,
     super_bracket,
@@ -221,6 +225,35 @@ class TestStraightening:
             assert straighten(items, c, chooser) == fold, (items, c)
             assert bool(fold) == bool(c)
 
+    def test_step_table_entries_equal_straightening(self):
+        # the table answers an ordered product itself, without straightening;
+        # every entry is what straightening makes of its letters, by one scan
+        # and by the agenda
+        def leftmost(viols, w):
+            return 0
+
+        monos = {
+            Word.from_letters(w)
+            for n in range(4)
+            for w in itertools.combinations_with_replacement(ALL_GENS, n)
+            if not any(a == b and GENERATORS[a].odd for a, b in zip(w, w[1:]))
+        }
+        assert len(monos) == 180
+        ordered = 0
+        for m, g in itertools.product(monos, ALL_GENS):
+            letters = m.letters() + [g]
+            entry = uea._word_times_gen(m, g)
+            assert entry == straighten(letters) == straighten(letters, chooser=leftmost), (m, g)
+            if ordered_times(m, g) is not None:
+                ordered += 1
+                assert entry == UeaElement.monomial(Word.from_letters(letters)), (m, g)
+        assert ordered == 500
+        # an odd letter times itself is half its bracket, never an exponent 2
+        for g in (XN1, TN1, T1, X1):
+            m = Word.from_letters([g])
+            assert ordered_times(m, g) is None
+            assert uea._word_times_gen(m, g) == commutator_table(g, g).scale(Fraction(1, 2))
+
     def test_odd_exponent_capped(self):
         for g in (XN1, TN1, T1, X1):
             result = straighten([g, g])
@@ -317,3 +350,19 @@ class TestThetaOnRandomElements:
         elements = _random_elements(algebra)
         monkeypatch.setattr(uea, "_THETA_NEGATED", tuple(sorted({*uea._THETA_NEGATED} ^ {g})))
         assert {"anti-multiplicative", "reference"} <= _theta_failures(algebra, elements)
+
+
+class TestAddScaled:
+    def test_a_cancelled_key_is_removed(self):
+        m, n = Word.from_letters([TH]), Word.from_letters([T1])
+        out = {m: as_rf(2), n: RationalFunction(1, H)}
+        add_scaled(out, as_rf(-2), [(m, RF_ONE), (n, as_rf(3))])
+        assert out == {n: RationalFunction(1, H) - 6}
+        add_scaled(out, RationalFunction(1, H), [(n, as_rf(6 * H - 1))])
+        assert out == {}
+
+    def test_a_zero_scalar_adds_nothing(self):
+        m = Word.from_letters([TH])
+        out = {m: as_rf(2)}
+        add_scaled(out, as_rf(0), [(m, as_rf(-2)), (Word.from_letters([T1]), RF_ONE)])
+        assert out == {m: as_rf(2)}

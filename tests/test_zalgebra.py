@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ospz.coeffs import H, RF_ONE, Polynomial, RationalFunction, as_rf
+from ospz.engine import ordered_times
 from ospz.rep import ModuleVector
 from ospz.text import parse_element, render_uea, render_z
 from ospz.uea import UeaElement
@@ -253,6 +254,53 @@ class TestMultiplication:
                 factor = zgen(it) if isinstance(it, int) else ZElement.coeff(it)
                 expected = z_oracle_multiply(expected, factor)
             assert z_straighten(items) == expected, items
+
+    def test_step_table_entries_equal_straightening(self):
+        # the table answers an ordered product itself, without straightening;
+        # every entry is what z_straighten makes of its letters
+        import ospz.zalgebra as zalgebra
+
+        ordered = 0
+        for m, g in itertools.product(all_monomials(2), range(5)):
+            entry = zalgebra._z_mono_times_gen(m, g)
+            assert entry == z_straighten(m.letters() + [g]), (m, g)
+            if ordered_times(m, g) is not None:
+                ordered += 1
+                assert entry == ZElement.monomial(ZMonomial.from_letters(m.letters() + [g])), (m, g)
+        assert ordered == 150
+        # E(1) E(1) and E(-1) E(-1) go through their pair rules
+        for g in (ZN1, Z1):
+            m = ZMonomial.from_letters([g])
+            assert ordered_times(m, g) is None
+            assert zalgebra._z_mono_times_gen(m, g) == derived_rule(g, g) == STATED_RULES[g, g]
+
+    def test_cached_steps_and_diamonds_hold_no_zero(self):
+        # sums are zero-free by construction (add_scaled deletes what cancels,
+        # LinComb.wrap does not filter): after a presentation run, every
+        # value of the step, product, chain and diamond caches has none
+        import gc
+
+        from ospz import projector, uea
+        import ospz.zalgebra as zalgebra
+
+        run_suite("presentation")
+        caches = [
+            uea._word_times_gen,
+            uea._word_times_word,
+            projector._lower_chain,
+            projector._raise_chain,
+            projector._diamond_mono,
+            zalgebra._z_mono_times_gen,
+            zalgebra._z_mono_tilde,
+            zalgebra._oracle_fold,
+        ]
+        for cache in caches:
+            # CPython's lru_cache refers to its {key: value} dict, the one
+            # dict among its referents besides its __dict__
+            (values,) = [r for r in gc.get_referents(cache) if type(r) is dict and r is not cache.__dict__]
+            assert len(values) == cache.cache_info().currsize > 0, cache.__name__
+            for key, element in values.items():
+                assert all(c for _, c in element), (cache.__name__, key)
 
 
 class TestTriangularity:
