@@ -96,10 +96,6 @@ class Polynomial:
             return NotImplemented
         da, a = self._form
         db, b = other._form
-        if not a:
-            return other
-        if not b:
-            return self
         den = lcm(da, db)
         fa, fb = den // da, den // db
         return _poly(den, [x * fa + y * fb for x, y in zip_longest(a, b, fillvalue=0)])
@@ -156,8 +152,6 @@ class Polynomial:
             return NotImplemented
         da, a = self._form
         db, b = other._form
-        if not a or not b:
-            return Polynomial()
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -494,10 +488,6 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num:
-            return other
-        if not other.num:
-            return self
         if self.rest is not _POLY_ONE or other.rest is not _POLY_ONE:
             d1, d2 = self.den, other.den
             if d1 == d2:

@@ -148,6 +148,8 @@ class PBWElement(LinComb):
 
     @classmethod
     def gen(cls, g: int):
+        if not 0 <= g < len(cls.MONOMIAL.ODD):  # absorb's rule
+            raise ValueError(f"bad generator letter {g}")
         return cls({cls.MONOMIAL.from_letters([g]): RF_ONE})
 
     @classmethod
@@ -211,19 +213,17 @@ def bilinear(u, v, mono_product: Callable) -> dict:
     return out
 
 
-def fold_letters(
-    mono, letters: Sequence[int], times_letter: Callable, keep: Callable | None = None
-) -> dict:
+def fold_letters(mono, letters: Sequence[int], times_letter: Callable) -> dict:
     """mono * letters[0] * letters[1] * ..., one letter at a time, where
-    times_letter(m, g) is the ordered form of monomial m times letter g.
-    With `keep`, only the monomials it accepts stay after each letter: that
-    is exact when the rejected ones span a right ideal."""
+    times_letter(m, g) is the ordered form of monomial m times letter g;
+    the sum has no zero coefficient.  Every term is carried to the end: a
+    caller that wants a quotient reduces the result (`uea._word_times_word`)."""
     acc = {mono: RF_ONE}
     for g in letters:
         nxt: dict = {}
         for m, f in acc.items():
             add_scaled(nxt, f, times_letter(m, g))
-        acc = nxt if keep is None else {m: f for m, f in nxt.items() if keep(m)}
+        acc = nxt
     return acc
 
 

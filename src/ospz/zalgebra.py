@@ -252,8 +252,6 @@ def _z_mono_tilde(mono: ZMonomial) -> UeaElement:
     letters = mono.letters()
     if not letters:
         return UeaElement.one()
-    if len(letters) == 1:
-        return _tilde_gen(letters[0])
     head = ZMonomial.from_letters(letters[:-1])
     return diamond(_z_mono_tilde(head), _tilde_gen(letters[-1]))
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from ospz.cli import MAX_EXP, main
+from ospz.zalgebra import Z_TOKENS
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -235,6 +236,18 @@ class TestCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["E(0)"][0][0] == "3/2"
+
+    def test_rep_rho_latex(self, capsys):
+        code, out, _ = run(capsys, "rep", "rho", "--format", "latex")
+        assert code == 0
+        rho = json.loads((GOLDEN / "rep.json").read_text())["rho"]
+        expected = [
+            f"\\rho({t}) = \\begin{{bmatrix}} " + " \\\\ ".join(" & ".join(row) for row in rho[t]) + " \\end{bmatrix}"
+            for t in Z_TOKENS
+        ]
+        assert len(expected) == 5 and out.splitlines() == expected
+        e0 = r"\rho(E(0)) = \begin{bmatrix} 3/2 & 0 & 0 \\ 0 & 9/2 & 0 \\ 0 & 0 & -9/2 \end{bmatrix}"
+        assert out.splitlines()[2] == e0
 
     def test_latex_format(self, capsys):
         code, out, _ = run(capsys, "zmul", "E(1)", "E(1)", "--format", "latex")

@@ -489,3 +489,27 @@ class TestSplitSums:
         f = RationalFunction(p * (H - k) + a0, (H - k) ** m * e1)
         g = RationalFunction(q * (H - k) + b0, (H - k) ** (m + extra) * e2)
         assert dict(split_sum(f, g).roots)[k] == m + extra
+
+
+# A sum with a zero summand takes the general path of `+`, which must give
+# the canonical form of the other summand: a constant, a split fraction and
+# one with a residual (H - 5000 lies beyond the root search).
+ZERO_SUMMANDS = [
+    RationalFunction(Fraction(-3, 4)),
+    RationalFunction(2 * H - 1, (H - 1) ** 2 * (H + 2)),
+    RationalFunction(H, (H * H + 1) * (H - 5000)),
+    RF_ZERO,
+]
+
+
+@pytest.mark.parametrize("x", ZERO_SUMMANDS, ids=["constant", "split", "residual", "zero"])
+def test_adding_zero_gives_the_canonical_form(x):
+    canonical = RationalFunction(x.num, x.den)
+    for total in (x + RF_ZERO, RF_ZERO + x, x + 0, 0 + x):
+        assert total == x
+        assert (total.num, total.roots, total.rest) == (canonical.num, canonical.roots, canonical.rest)
+        assert hash(total) == hash(canonical)
+        assert (total.rest is coeffs._POLY_ONE) == (canonical.rest is coeffs._POLY_ONE)
+    p = x.num
+    for total in (p + Polynomial(), Polynomial() + p, p + 0, 0 + p):
+        assert total._form == Polynomial(p.coeffs)._form and hash(total) == hash(p)

@@ -73,6 +73,25 @@ class TestBrackets:
             else:
                 assert lhs == -rhs, (a, b)
 
+    def test_a_zero_bracket_needs_no_parity(self):
+        # super_bracket's zero exit: a zero argument has no parity to read,
+        # so a mixed one beside it is no error
+        mixed = gen(X1) + gen(X2)
+        for quotient in (None, "left", "right", "both"):
+            assert super_bracket(UeaElement.zero(), mixed, quotient) == UeaElement.zero()
+            assert super_bracket(mixed, UeaElement.zero(), quotient) == UeaElement.zero()
+        with pytest.raises(uea.MixedParityError):
+            super_bracket(gen(X1), mixed)
+
+    @pytest.mark.parametrize("element, size", [(UeaElement, 9), (ZElement, 5)], ids=["u", "z"])
+    def test_gen_rejects_a_letter_outside_the_alphabet(self, element, size):
+        first, last = element.gen(0), element.gen(size - 1)
+        assert list(first.terms) == [element.MONOMIAL.from_letters([0])]
+        assert list(last.terms) == [element.MONOMIAL.from_letters([size - 1])]
+        for g in (-1, -2, size):
+            with pytest.raises(ValueError, match=f"bad generator letter {g}"):
+                element.gen(g)
+
     def test_copy_rule_diagonal_squares(self):
         # Products of two anti-diagonal odd generators land in the
         # diagonal copy: t(-1)^2 = X(-2) and t(1)^2 = -X(2).

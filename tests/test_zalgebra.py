@@ -5,6 +5,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,17 @@ class TestMultiplication:
             lhs = z_multiply(zgen(g), ZElement.coeff(f))
             rhs = z_multiply(ZElement.coeff(f.shift(root)), zgen(g))
             assert lhs == rhs, g
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: z_straighten([Z2] * 32 + [ZN2] * 32, 0), lambda: parse_element("0 E(2)^32 E(-2)^32", "z")],
+        ids=["z_straighten", "parse_element"],
+    )
+    def test_a_zero_scalar_straightens_nothing(self, make):
+        # z_straighten's zero exit: folding E(2)^32 E(-2)^32 would take minutes
+        t0 = time.perf_counter()
+        assert make() == ZElement.zero()
+        assert time.perf_counter() - t0 < 1
 
     def test_straightening_confluence(self):
         # A coefficient item inserted anywhere must give the product with
