@@ -32,7 +32,7 @@ import time
 
 from ospz import projector, uea, zalgebra
 from ospz.cli import MAX_EXP, int_at_least, output_file, quiet_on_closed_pipe
-from ospz.text import render_z
+from ospz.text import render
 from ospz.zalgebra import Z_TOKENS, ZElement, all_monomials
 
 
@@ -61,10 +61,10 @@ def main() -> int:
             print(f"  {i}/{len(monos)} rows, {elapsed:.1f} s, ETA {eta:.1f} s")
     elapsed = time.perf_counter() - t0
     for n, (mono, g) in enumerate(bad):
-        print(f"MISMATCH {render_z(ZElement.monomial(mono))} * {Z_TOKENS[g]}")
+        print(f"MISMATCH {render(ZElement.monomial(mono))} * {Z_TOKENS[g]}")
         if n < 5:
             diff = zalgebra._z_mono_times_gen(mono, g) - zalgebra._oracle_fold(mono, g)
-            print(f"  _z_mono_times_gen - _oracle_fold = {render_z(diff)}")
+            print(f"  _z_mono_times_gen - _oracle_fold = {render(diff)}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"{steps} steps covering {total} pairs, {len(bad)} mismatches, {elapsed:.1f} s, peak RSS {peak_mb:.0f} MB")
     if args.bench_out:

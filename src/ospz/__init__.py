@@ -4,9 +4,10 @@ The package provides:
 
 - ``coeffs``: the coefficient field Q(H);
 - ``engine``: the shared PBW monomial type (an exponent tuple in both
-  algebras), sparse-sum type, bilinear product and rewriting engine;
-- ``uea``: PBW normal ordering in the localized enveloping algebra of
-  osp(1|2) x osp(1|2) with its diagonal / anti-diagonal generators;
+  algebras), sparse-sum type, bilinear product and rewriting step;
+- ``uea``: PBW normal ordering (steps and the rewriting agenda) in the
+  localized enveloping algebra of osp(1|2) x osp(1|2) with its
+  diagonal / anti-diagonal generators;
 - ``projector``: the extremal projector coefficients and the diamond product;
 - ``zalgebra``: the reduction algebra — ordered monomials, the rewriting
   system, the oracle multiplication, the stated and derived rules, and the

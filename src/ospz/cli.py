@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rep", help="module computations")
     rep_sub = p.add_subparsers(dest="rep_command", required=True)
     q = rep_sub.add_parser("primitives", help="basis of the primitive subspace")
-    q.add_argument("--lam", "--lambda", dest="lam", type=int_at_least(0, MAX_N), default=1)
+    q.add_argument("--lam", type=int_at_least(0, MAX_N), default=1)
     q.add_argument("--trunc", type=int_at_least(0, MAX_N), default=6)
     q.set_defaults(func=cmd_rep_primitives)
     q = rep_sub.add_parser("rho", help="matrices of the reduction-algebra action")

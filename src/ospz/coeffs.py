@@ -535,7 +535,8 @@ class RationalFunction:
         return self + (-o)
 
     def __rsub__(self, other):
-        return _as_rf(other) - self
+        o = _as_rf(other)
+        return NotImplemented if o is NotImplemented else o - self
 
     def __mul__(self, other):
         other = _as_rf(other)
@@ -574,7 +575,8 @@ class RationalFunction:
         return self * other._reciprocal()
 
     def __rtruediv__(self, other):
-        return _as_rf(other) / self
+        o = _as_rf(other)
+        return NotImplemented if o is NotImplemented else o / self
 
     def __pow__(self, n: int):
         if n < 0:

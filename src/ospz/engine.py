@@ -14,22 +14,18 @@ r being the root sum of the letters to its left.  A violation is two adjacent
 letters out of order, where an odd letter next to itself counts; it rewrites
 by the alphabet's pair-rule table.
 
-The rules apply in two ways.  `rule_step` is one step: an ordered monomial
-times a letter out of order with its last one, the pair rule at the end
-applied once and its terms folded into the rest of the monomial through the
-algebra's cached step table, which answers a monomial times a letter in
-order with it (`ordered_times`) directly.  `rewrite` runs an agenda over
-whole words, carrying each pending word with its coefficient only.  Z folds
-every word through its step table.  U scans a word once: an ordered word is
-its monomial, a word whose only violation is its last pair is a step, and
-every other word goes through the agenda, which merges the words it reaches.
+`rule_step` is one step: an ordered monomial times a letter out of order
+with its last one, the pair rule at the end applied once and its terms
+folded into the rest of the monomial through the algebra's cached step
+table, which answers a monomial times a letter in order with it
+(`ordered_times`) directly.  Z folds every word through its step table; U
+also runs an agenda over whole words, which lives with its alphabet in `uea`.
 """
 
 from __future__ import annotations
 
-import heapq
-from operator import mul, neg
-from typing import Callable, Iterator, Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 from .coeffs import RF_ONE, as_rf
 
@@ -114,6 +110,8 @@ class LinComb:
         return iter(self.terms.items())
 
     def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
             _add(out, m, c)
@@ -123,6 +121,8 @@ class LinComb:
         return self.wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, f):
@@ -243,14 +243,6 @@ def _first_violation(w: Sequence[int], odd: Sequence[bool], lo: int = 0) -> int:
     return -1
 
 
-def _violations(w: Sequence[int], odd: Sequence[bool]) -> Iterator[int]:
-    """Positions i of the out-of-order pairs w[i] w[i+1], left to right."""
-    i = _first_violation(w, odd)
-    while i >= 0:
-        yield i
-        i = _first_violation(w, odd, i + 1)
-
-
 def absorb(items: Sequence, coeff, monomial: type[Monomial]) -> tuple:
     """(scalar, letters) of a raw word.
 
@@ -321,64 +313,3 @@ def rule_step(mono, g: int, rules: dict, times_letter: Callable) -> dict:
         add_scaled(out, t if sign > 0 else -t, fold_letters(head, letters, times_letter).items())
     return out
 
-
-def rewrite(
-    c,
-    word: list[int],
-    chooser: Callable[[list[int], tuple[int, ...]], int] | None,
-    monomial: type[Monomial],
-    rules: dict,
-) -> dict:
-    """Normal-order c times the letters `word` (ints indexing the alphabet
-    of the Monomial subclass `monomial`), as `absorb` returns them; returns
-    {monomial: nonzero coefficient}.
-
-    `rules[(a, b)]` lists the terms (sign, coefficient or None, letter
-    tuple) that replace a violating pair a b; a term's coefficient is
-    absorbed into the scalar, shifted by the root sum of the letters before
-    the pair.  `chooser(violations, word)` picks
-    which violation to rewrite next; the default takes the leftmost without
-    listing the others.  Any strategy yields the same element (confluence;
-    property-tested).
-
-    Pending words are merged, {word: coefficient}, and the deglex-largest
-    (length, then letters) is rewritten first.  Every rule replaces a pair
-    by deglex-smaller words, so a word rewritten once never comes back, and
-    a word reached along many rewrite paths is rewritten once, not once
-    per path.  Were some rule to break that order, a word would only be
-    rewritten again; the sum would stay the same.  A popped word with a
-    zero coefficient is dropped and an ordered one is a result term; the
-    input word is treated like any other.
-    """
-    odd, roots = monomial.ODD, monomial.ROOTS
-    pending: dict = {}
-    heap: list = []
-
-    def push(t, w):
-        if w in pending:
-            pending[w] = pending[w] + t
-        else:
-            pending[w] = t
-            heapq.heappush(heap, (-len(w), tuple(map(neg, w)), w))
-
-    push(c, tuple(word))
-    out: dict = {}
-    while heap:
-        w = heapq.heappop(heap)[2]
-        c = pending.pop(w)
-        if not c:
-            continue
-        if chooser is None:
-            i = _first_violation(w, odd)
-        else:
-            viols = list(_violations(w, odd))
-            i = viols[chooser(viols, w)] if viols else -1
-        if i < 0:
-            _add(out, monomial.from_letters(w), c)
-            continue
-        pre, post, one = w[:i], w[i + 2 :], c.is_one()
-        r = sum(map(roots.__getitem__, pre))
-        for sign, f, letters in rules[(w[i], w[i + 1])]:
-            t = c if f is None else f.shift(r) if one else c * f.shift(r)
-            push(t if sign > 0 else -t, pre + letters + post)
-    return out

@@ -389,7 +389,7 @@ def _latex_name(x: str, h: str, root: int) -> str:
     return rf"{x}_{{{k}\alpha}}"
 
 
-# Per algebra and format, the row that drives _render: the letter names by
+# Per algebra and format, the row that drives render: the letter names by
 # index, the format of a letter to a power above 1, the separator between
 # factors, the coefficient printer and the separator between a coefficient
 # other than 1 and its monomial.  JSON names letters as text does.
@@ -403,12 +403,20 @@ _Z_FORMATS = {
     "latex": (tuple(_latex_name(r"\bar{x}", r"\bar{h}", k) for k in Z_ROOTS),
               "{}^{{{}}}", r" \mathbin{\diamond} ", _coeff_latex, r" \, "),
 }
+# Per algebra, its format rows and the rank of a term among those of its degree.
+_RENDERING = {UeaElement: (_U_FORMATS, _pairs), ZElement: (_Z_FORMATS, tuple)}
 
 
-def _render(e, fmt: str, formats: dict, rank) -> str:
-    """Render a sum in either algebra with the rows `formats`, terms by
-    degree, then by `rank(m)`.  Text and LaTeX read "a + b - c": a leading
-    sign is split off each coefficient, and the row prints what is left."""
+def render(e, fmt: str = "text") -> str:
+    """Render a sum in either algebra as text, LaTeX or JSON, terms by
+    degree, then by the algebra's rank: U terms of one degree print in the
+    order of their (letter, exponent) pairs, Z terms in the order of their
+    exponent tuples.  Text and LaTeX read "a + b - c": a leading sign is
+    split off each coefficient, and the format row prints what is left."""
+    row = _RENDERING.get(type(e))
+    if row is None:
+        raise TypeError(f"cannot render {type(e).__name__}")
+    formats, rank = row
     if fmt != "json" and fmt not in formats:
         raise ValueError(f"unknown format {fmt!r}")
     order = sorted(e.terms, key=lambda m: (m.degree(), rank(m)))
@@ -435,21 +443,3 @@ def _render(e, fmt: str, formats: dict, rank) -> str:
         else:
             parts.append(f"-{body}" if negative else body)
     return " ".join(parts)
-
-
-def render_uea(e: UeaElement, fmt: str = "text") -> str:
-    # U terms of one degree print in the order of their (letter, exponent) pairs.
-    return _render(e, fmt, _U_FORMATS, _pairs)
-
-
-def render_z(z: ZElement, fmt: str = "text") -> str:
-    # Z terms of one degree print in the order of their exponent tuples.
-    return _render(z, fmt, _Z_FORMATS, tuple)
-
-
-def render(e, fmt: str = "text") -> str:
-    if isinstance(e, UeaElement):
-        return render_uea(e, fmt)
-    if isinstance(e, ZElement):
-        return render_z(e, fmt)
-    raise TypeError(f"cannot render {type(e).__name__}")

@@ -17,15 +17,17 @@ through the half-bracket.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from operator import neg
+from typing import Callable, Iterator, Sequence
 
 from .coeffs import RF_ONE, Polynomial, as_rf
 from .engine import (
-    Monomial, PBWElement, absorb, add_scaled, bilinear, fold_letters, ordered_prefix, ordered_times, rewrite, rule_step,
-    rule_term,
+    Monomial, PBWElement, _add, _first_violation, absorb, add_scaled, bilinear, fold_letters, ordered_prefix,
+    ordered_times, rule_step, rule_term,
 )
 
 
@@ -125,9 +127,6 @@ class UeaElement(PBWElement):
         """Canonical representative modulo g_-*U + U*g_+ (pure tilde monomials)."""
         return UeaElement.wrap(_reduce(self.terms, "both"))
 
-    def is_pure_tilde(self) -> bool:
-        return not any(_in_left(m) or _in_right(m) for m in self.terms)
-
 
 def commutator_table(a: int, b: int) -> UeaElement:
     """[a, b] for single generators, as a canonical element.
@@ -185,7 +184,7 @@ def straighten(
     Without a chooser, a word whose only out-of-order pair is its last is
     one step: the pair rule at its end, folded into the ordered rest
     through the cached step table.  Every other word runs the agenda of
-    `engine.rewrite`, which merges the words it reaches.
+    `_rewrite`, which merges the words it reaches.
     """
     c, word = absorb(items, coeff, Word)
     n = ordered_prefix(word, Word.ODD)
@@ -195,7 +194,70 @@ def straighten(
         out: dict = {}
         add_scaled(out, c, rule_step(Word.from_letters(word[:-1]), word[-1], _PAIR_RULES, _word_table).items())
         return UeaElement.wrap(out)
-    return UeaElement.wrap(rewrite(c, word, chooser, Word, _PAIR_RULES))
+    return UeaElement.wrap(_rewrite(c, word, chooser))
+
+
+def _violations(w: Sequence[int]) -> Iterator[int]:
+    """Positions i of the out-of-order pairs w[i] w[i+1], left to right."""
+    odd = Word.ODD
+    i = _first_violation(w, odd)
+    while i >= 0:
+        yield i
+        i = _first_violation(w, odd, i + 1)
+
+
+def _rewrite(c, word: list[int], chooser: Callable[[list[int], tuple[int, ...]], int] | None) -> dict:
+    """Normal-order c times the letters `word`, as `absorb` returns them;
+    returns {Word: nonzero coefficient}.
+
+    `_PAIR_RULES[(a, b)]` lists the terms (sign, coefficient or None, letter
+    tuple) that replace a violating pair a b; a term's coefficient is
+    absorbed into the scalar, shifted by the root sum of the letters before
+    the pair.  `chooser(violations, word)` picks which violation to rewrite
+    next; the default takes the leftmost without listing the others.  Any
+    strategy yields the same element (confluence; property-tested).
+
+    Pending words are merged, {word: coefficient}, and the deglex-largest
+    (length, then letters) is rewritten first.  Every rule replaces a pair
+    by deglex-smaller words, so a word rewritten once never comes back, and
+    a word reached along many rewrite paths is rewritten once, not once
+    per path.  Were some rule to break that order, a word would only be
+    rewritten again; the sum would stay the same.  A popped word with a
+    zero coefficient is dropped and an ordered one is a result term; the
+    input word is treated like any other.
+    """
+    odd, roots, rules = Word.ODD, Word.ROOTS, _PAIR_RULES
+    pending: dict = {}
+    heap: list = []
+
+    def push(t, w):
+        if w in pending:
+            pending[w] = pending[w] + t
+        else:
+            pending[w] = t
+            heapq.heappush(heap, (-len(w), tuple(map(neg, w)), w))
+
+    push(c, tuple(word))
+    out: dict = {}
+    while heap:
+        w = heapq.heappop(heap)[2]
+        c = pending.pop(w)
+        if not c:
+            continue
+        if chooser is None:
+            i = _first_violation(w, odd)
+        else:
+            viols = list(_violations(w))
+            i = viols[chooser(viols, w)] if viols else -1
+        if i < 0:
+            _add(out, Word.from_letters(w), c)
+            continue
+        pre, post, one = w[:i], w[i + 2 :], c.is_one()
+        r = sum(map(roots.__getitem__, pre))
+        for sign, f, letters in rules[(w[i], w[i + 1])]:
+            t = c if f is None else f.shift(r) if one else c * f.shift(r)
+            push(t if sign > 0 else -t, pre + letters + post)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from .coeffs import H, RF_ONE, RF_ZERO, RationalFunction, as_rf
+from .coeffs import H, RF_ONE, RationalFunction, as_rf
 from .engine import (
     Monomial, PBWElement, absorb, add_scaled, bilinear, fold_letters, ordered_prefix, ordered_times, rule_step,
     rule_term,
@@ -45,6 +45,8 @@ from .uea import TILDE_GENS, TN2, X1, UeaElement, Word, theta
 Z_TOKENS = ("E(-2)", "E(-1)", "E(0)", "E(1)", "E(2)")
 Z_ROOTS = (-2, -1, 0, 1, 2)
 ZN2, ZN1, ZH, Z1, Z2 = range(5)
+# The tilde generators t(-2), t(-1), th, t(1), t(2) as elements of U, by Z letter.
+TILDE = tuple(UeaElement.gen(g) for g in TILDE_GENS)
 
 
 class ZMonomial(Monomial):
@@ -54,20 +56,13 @@ class ZMonomial(Monomial):
     ROOTS = Z_ROOTS
     ODD = tuple(abs(k) == 1 for k in Z_ROOTS)
 
-    def __new__(cls, p=0, q=0, r=0, s=0, t=0):
-        return tuple.__new__(cls, (p, q, r, s, t))
-
-    def __getnewargs__(self):
-        # copy and pickle rebuild through __new__, which takes five exponents
-        return tuple(self)
-
     @classmethod
     def make(cls, p=0, q=0, r=0, s=0, t=0) -> "ZMonomial":
         if min(p, q, r, s, t) < 0:
             raise ValueError("negative exponent")
         if q > 1 or s > 1:
             raise ValueError("odd exponents must be at most 1")
-        return cls(p, q, r, s, t)
+        return cls((p, q, r, s, t))
 
     def spread(self) -> int:
         return sum(abs(k) * e for k, e in zip(Z_ROOTS, self))
@@ -89,16 +84,8 @@ class ZElement(PBWElement):
 # Rule catalog
 
 
-def _rf(num, den=1) -> RationalFunction:
-    return RationalFunction(num, den)
-
-
 def _zel(*terms) -> ZElement:
-    out: dict[ZMonomial, RationalFunction] = {}
-    for c, exps in terms:
-        m = ZMonomial.make(*exps)
-        out[m] = out.get(m, RF_ZERO) + as_rf(c)
-    return ZElement(out)
+    return ZElement({ZMonomial.make(*exps): as_rf(c) for c, exps in terms})
 
 
 def _stated_rules() -> dict[tuple[int, int], ZElement]:
@@ -109,51 +96,47 @@ def _stated_rules() -> dict[tuple[int, int], ZElement]:
     """
     one = RF_ONE
     return {
-        (Z2, Z1): _zel((one - _rf(2, H - 1), (0, 0, 0, 1, 1))),
-        (Z1, Z1): _zel((_rf(2, H), (0, 0, 1, 0, 1))),
-        (ZN1, ZN1): _zel((-_rf(2, H - 2), (1, 0, 1, 0, 0))),
-        (Z2, ZH): _zel((one - _rf(2, H + 1), (0, 0, 1, 0, 1))),
+        (Z2, Z1): _zel((one - RationalFunction(2, H - 1), (0, 0, 0, 1, 1))),
+        (Z1, Z1): _zel((RationalFunction(2, H), (0, 0, 1, 0, 1))),
+        (ZN1, ZN1): _zel((-RationalFunction(2, H - 2), (1, 0, 1, 0, 0))),
+        (Z2, ZH): _zel((one - RationalFunction(2, H + 1), (0, 0, 1, 0, 1))),
         (Z2, ZN1): _zel(
-            (one - _rf(2, H * (H - 1)), (0, 1, 0, 0, 1)),
-            (_rf(2, H + 1), (0, 0, 1, 1, 0)),
+            (one - RationalFunction(2, H * (H - 1)), (0, 1, 0, 0, 1)),
+            (RationalFunction(2, H + 1), (0, 0, 1, 1, 0)),
         ),
         (Z2, ZN2): _zel(
             (
                 one
-                + _rf(
+                + RationalFunction(
                     2 * (H**3 + H**2 - 6 * H + 4),
                     (H - 2) * (H - 1) * H * (H + 1) * (H + 2),
                 ),
                 (1, 0, 0, 0, 1),
             ),
-            (-_rf(H**2 - H - 1, (H - 1) * H * (H + 1)), (0, 1, 0, 1, 0)),
-            (_rf(1, H + 1), (0, 0, 2, 0, 0)),
-            (_rf(-(H**2), H + 1), (0, 0, 0, 0, 0)),
+            (-RationalFunction(H**2 - H - 1, (H - 1) * H * (H + 1)), (0, 1, 0, 1, 0)),
+            (RationalFunction(1, H + 1), (0, 0, 2, 0, 0)),
+            (RationalFunction(-(H**2), H + 1), (0, 0, 0, 0, 0)),
         ),
-        (Z1, ZH): _zel((one - _rf(1, H), (0, 0, 1, 1, 0))),
+        (Z1, ZH): _zel((one - RationalFunction(1, H), (0, 0, 1, 1, 0))),
         (Z1, ZN1): _zel(
-            (-one - _rf(1, H - 1), (0, 1, 0, 1, 0)),
-            (_rf(4 * H, (H - 1) * (H - 2)), (1, 0, 0, 0, 1)),
-            (-_rf(1, H), (0, 0, 2, 0, 0)),
+            (-one - RationalFunction(1, H - 1), (0, 1, 0, 1, 0)),
+            (RationalFunction(4 * H, (H - 1) * (H - 2)), (1, 0, 0, 0, 1)),
+            (-RationalFunction(1, H), (0, 0, 2, 0, 0)),
             (as_rf(H), (0, 0, 0, 0, 0)),
         ),
         (Z1, ZN2): _zel(
-            (one - _rf(2, (H - 1) * (H - 2)), (1, 0, 0, 1, 0)),
-            (-_rf(2, H), (0, 1, 1, 0, 0)),
+            (one - RationalFunction(2, (H - 1) * (H - 2)), (1, 0, 0, 1, 0)),
+            (-RationalFunction(2, H), (0, 1, 1, 0, 0)),
         ),
-        (ZH, ZN1): _zel((one - _rf(1, H - 1), (0, 1, 1, 0, 0))),
-        (ZH, ZN2): _zel((one - _rf(2, H - 1), (1, 0, 1, 0, 0))),
-        (ZN1, ZN2): _zel((one - _rf(2, H - 4), (1, 1, 0, 0, 0))),
+        (ZH, ZN1): _zel((one - RationalFunction(1, H - 1), (0, 1, 1, 0, 0))),
+        (ZH, ZN2): _zel((one - RationalFunction(2, H - 1), (1, 0, 1, 0, 0))),
+        (ZN1, ZN2): _zel((one - RationalFunction(2, H - 4), (1, 1, 0, 0, 0))),
     }
 
 
 STATED_RULES = _stated_rules()
 
 RULE_KEYS = tuple(sorted(STATED_RULES))
-
-
-def _tilde_gen(g: int) -> UeaElement:
-    return UeaElement.gen(TILDE_GENS[g])
 
 
 def derived_rule(a: int, b: int) -> ZElement:
@@ -253,7 +236,7 @@ def _z_mono_tilde(mono: ZMonomial) -> UeaElement:
     if not letters:
         return UeaElement.one()
     head = ZMonomial.from_letters(letters[:-1])
-    return diamond(_z_mono_tilde(head), _tilde_gen(letters[-1]))
+    return diamond(_z_mono_tilde(head), TILDE[letters[-1]])
 
 
 def z_to_tilde(z: ZElement) -> UeaElement:
@@ -287,10 +270,10 @@ def tilde_to_z(u: UeaElement) -> ZElement:
     The expansion of a diamond monomial is unit-triangular: its leading
     tilde monomial (maximal degree, then minimal spread) has the same
     exponents with coefficient 1, and every correction term is strictly
-    smaller in that order.  Repeatedly strip the leading term.
+    smaller in that order.  Repeatedly strip the leading term.  A term with
+    a diagonal letter raises ValueError (`tilde_exponents`) before any term
+    is stripped.
     """
-    if not u.is_pure_tilde():
-        raise ValueError("input is not a pure tilde representative")
     out: dict[ZMonomial, RationalFunction] = {}
     rem = dict(u.terms)
     last = None
@@ -346,7 +329,7 @@ def _oracle_fold(mono: ZMonomial, g: int) -> ZElement:
     built a second time.  tilde_to_z runs on every step either way, so its
     triangularity checks cover every monomial a sweep reaches."""
     m = ordered_times(mono, g)
-    return tilde_to_z(diamond(_z_mono_tilde(mono), _tilde_gen(g)) if m is None else _z_mono_tilde(m))
+    return tilde_to_z(diamond(_z_mono_tilde(mono), TILDE[g]) if m is None else _z_mono_tilde(m))
 
 
 def z_theta(z: ZElement) -> ZElement:

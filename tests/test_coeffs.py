@@ -367,13 +367,13 @@ class TestMixedOperands:
         assert p + f == f + p and p - f == -(f - p) and p * f == f * p
         assert type(p + f) is type(p - f) is type(p * f) is RationalFunction
 
-    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
     def test_other_operands_still_raise(self, op):
-        for bad in (1.5, "x"):
+        for value, bad in itertools.product((H, RationalFunction(1, H)), (1.5, "x")):
             with pytest.raises(TypeError):
-                op(H, bad)
+                op(value, bad)
             with pytest.raises(TypeError):
-                op(bad, H)
+                op(bad, value)
         with pytest.raises(TypeError):
             divmod(H, RationalFunction(1, H))
 

@@ -14,7 +14,7 @@ import pytest
 
 from ospz import zalgebra
 from ospz.cli import MAX_EXP
-from ospz.text import render_z
+from ospz.text import render
 from ospz.verify import SUITES, run_suite
 from ospz.zalgebra import ZElement, ZMonomial
 
@@ -122,7 +122,7 @@ def test_step_sweep_prints_the_differing_step(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["oracle_sweep.py", "--max-exp", "1"])
     assert script.main() == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1:3] == [f"MISMATCH {render_z(ZElement.monomial(m))} * E(1)", "  _z_mono_times_gen - _oracle_fold = 1"]
+    assert lines[1:3] == [f"MISMATCH {render(ZElement.monomial(m))} * E(1)", "  _z_mono_times_gen - _oracle_fold = 1"]
     assert lines[-1].startswith("594 steps covering 1024 pairs, 1 mismatches")
 
 
