@@ -2,7 +2,9 @@
 
 The package provides:
 
-- ``coeffs``: the coefficient field Q(H);
+- ``coeffs``: the coefficient field Q(H), one type ``RationalFunction``
+  whose numerator and denominator residual are integer forms of
+  polynomials, with the polynomial arithmetic on those forms;
 - ``engine``: the shared PBW monomial type (an exponent tuple in both
   algebras), sparse-sum type, bilinear product and rewriting step;
 - ``uea``: PBW normal ordering (steps and the rewriting agenda) in the
@@ -22,7 +24,6 @@ The package provides:
 from .coeffs import (
     H,
     PoleEvaluationError,
-    Polynomial,
     RationalFunction,
     as_rf,
 )

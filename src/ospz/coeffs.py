@@ -1,20 +1,21 @@
-"""Exact coefficient arithmetic.
+"""Exact coefficient arithmetic: the field Q(H) of rational functions in
+the Cartan symbol H.
 
-Two scalar domains:
-
-* polynomials in the Cartan symbol H over Q, each stored as one integer
-  coefficient list over one common denominator (the integer form),
-* rational functions num/den in H (the left coefficient ring of the
-  normal-ordering engine), kept in canonical form: coprime, monic
-  denominator.  The denominator is held factored, as its integer roots with
-  multiplicities times a monic residual.  Every coefficient the engines make
-  is a localization at the H - k, so its residual is 1, and a product merges
-  root lists, a sum takes their lcm (and can cancel only at a root of equal
-  multiplicity in both summands), cancellation divides synthetically at
-  the listed roots and a shift moves them, all without a gcd.  `/` and
-  negative powers invert a canonical value, which needs no gcd either.
-  Only the constructor (parsed or hand-written denominators) and
-  operations on a residual other than 1 run the general gcd path.
+One scalar type, `RationalFunction`, num/den in canonical form: coprime,
+monic denominator.  Its numerator and the residual of its denominator are
+integer forms: a polynomial (1/d) * sum(a[i] * H**i) is the pair (d, a),
+with `a` a tuple of ints whose last entry is nonzero, d > 0 and
+gcd(d, *a) == 1, so equal polynomials have equal forms; zero is (1, ()).
+The module-level `form_*` functions and `poly_gcd` are the polynomial
+arithmetic on forms.  The denominator is held factored, as its integer
+roots with multiplicities times a monic residual.  Every coefficient the
+engines make is a localization at the H - k, so its residual is 1, and a
+product merges root lists, a sum takes their lcm (and can cancel only at a
+root of equal multiplicity in both summands), cancellation divides
+synthetically at the listed roots and a shift moves them, all without a
+gcd.  `/` and negative powers invert a canonical value, which needs no gcd
+either.  Only the constructor (parsed or hand-written denominators) and
+operations on a residual other than 1 run the general gcd path.
 
 Everything is immutable and pure; scalars are int or Fraction, never float.
 """
@@ -24,9 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Mapping, Union
+from typing import Union
 
 RationalLike = Union[int, Fraction]
+Form = tuple[int, tuple[int, ...]]
 
 
 class PoleEvaluationError(ArithmeticError):
@@ -41,208 +43,7 @@ def _rational(x) -> RationalLike:
     raise TypeError(f"{type(x).__name__} is not an exact rational (int or Fraction)")
 
 
-class Polynomial:
-    """Polynomial in H with rational coefficients, in integer form.
-
-    The one stored value is ``_form = (den, a)``, the polynomial
-    (1/den) * sum(a[d] * H**d), with ``a`` a tuple of ints whose last entry
-    is nonzero, ``den > 0`` and ``gcd(den, *a) == 1``.  That form is
-    canonical, so equality and hashing compare it directly; zero is
-    ``(1, ())``, and the degree is ``len(a) - 1``, -1 for the zero
-    polynomial.  int and Fraction operands are coerced; a RationalFunction
-    operand takes over through its reflected operator.
-    """
-
-    __slots__ = ("_form",)
-
-    def __init__(self, coeffs: Mapping[int, RationalLike] | None = None):
-        coeffs = coeffs or {}
-        den = lcm(*[_rational(c).denominator for c in coeffs.values()])
-        a = [0] * (max(coeffs) + 1 if coeffs else 0)
-        for d, c in coeffs.items():
-            if d < 0:
-                raise ValueError("negative degree")
-            a[d] = c.numerator * (den // c.denominator)
-        object.__setattr__(self, "_form", _canonical(den, a))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):  # copy and pickle rebuild through the constructor
-        return Polynomial, (self.coeffs,)
-
-    def _coerce(self, x):
-        """x as a Polynomial, or NotImplemented."""
-        if type(x) is Polynomial:
-            return x
-        if isinstance(x, (int, Fraction)):
-            return _const(x)
-        return NotImplemented
-
-    def __bool__(self) -> bool:
-        return bool(self._form[1])
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self._form == o._form
-
-    def __hash__(self):  # a constant hashes like its int or Fraction value
-        den, a = self._form
-        return hash(self._form if len(a) > 1 else Fraction(a[0], den) if a else 0)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        da, a = self._form
-        db, b = other._form
-        den = lcm(da, db)
-        fa, fb = den // da, den // db
-        return _poly(den, [x * fa + y * fb for x, y in zip_longest(a, b, fillvalue=0)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        den, a = self._form
-        return _raw(den, [-c for c in a])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return other if other is NotImplemented else self + -other
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def const(cls, c: RationalLike) -> "Polynomial":
-        return _const(_rational(c))
-
-    @classmethod
-    def var(cls) -> "Polynomial":
-        """The polynomial H."""
-        return _poly(1, [0, 1])
-
-    # -- structure ----------------------------------------------------
-    @property
-    def coeffs(self) -> dict[int, Fraction]:
-        """Read-only view {degree: nonzero coefficient}, built on each call."""
-        den, a = self._form
-        return {d: Fraction(n, den) for d, n in enumerate(a) if n}
-
-    @property
-    def degree(self) -> int:
-        return len(self._form[1]) - 1
-
-    @property
-    def height(self) -> int:
-        """Largest integer of the integer form: den or some |a[d]|."""
-        den, a = self._form
-        return max([den, *map(abs, a)])
-
-    @property
-    def lead(self) -> Fraction:
-        den, a = self._form
-        return Fraction(a[-1], den) if a else Fraction(0)
-
-    # -- arithmetic ---------------------------------------------------
-    def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        da, a = self._form
-        db, b = other._form
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return _poly(da * db, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        da, a = self._form
-        db, b = other._form
-        # l^k a = q b + r, with self = a/da and other = b/db
-        k, q, r = _pseudo_divmod(a, b)
-        scale = b[-1] ** k * da
-        return _poly(scale, [c * db for c in q]), _poly(scale, r)
-
-    def __floordiv__(self, other) -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Polynomial":
-        den, a = self._form
-        return _poly(a[-1], list(a)) if a and a[-1] != den else self
-
-    def shift(self, k: int) -> "Polynomial":
-        """Substitute H -> H + k (integer Taylor shift by synthetic Horner)."""
-        if k == 0 or self.degree <= 0:
-            return self
-        den, m = self._form
-        a = list(m)
-        n = len(a) - 1
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                a[j] += k * a[j + 1]
-        return _poly(den, a)
-
-    def eval(self, x: RationalLike) -> Fraction:
-        x = _rational(x)  # x = n/d: Horner on integers, times d^degree
-        (den, a), n, d = self._form, x.numerator, x.denominator
-        acc = 0
-        for i, c in enumerate(reversed(a)):
-            acc = acc * n + c * d**i
-        return Fraction(acc, den * d ** max(len(a) - 1, 0))
-
-    # -- text ---------------------------------------------------------
-    def __str__(self) -> str:
-        den, a = self._form
-        parts = []
-        for d in range(len(a) - 1, -1, -1):
-            if not a[d]:
-                continue
-            n = abs(a[d])
-            g = gcd(n, den)
-            mag = str(n // g) if g == den else f"{n // g}/{den // g}"
-            if d == 0:
-                body = mag
-            else:
-                var = "H" if d == 1 else f"H^{d}"
-                body = var if mag == "1" else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if a[d] > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if a[d] > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self})"
-
-
-def _canonical(den: int, a: list[int]) -> tuple[int, tuple[int, ...]]:
+def _canonical(den: int, a: list[int]) -> Form:
     """The integer form of (1/den) * sum a[d] t^d: trimmed, den > 0, content 1."""
     while a and not a[-1]:
         a.pop()
@@ -257,34 +58,114 @@ def _canonical(den: int, a: list[int]) -> tuple[int, tuple[int, ...]]:
     return den, tuple(a)
 
 
-def _raw(den: int, a) -> Polynomial:
-    """The polynomial of an integer form that is canonical as it stands."""
-    p = object.__new__(Polynomial)
-    object.__setattr__(p, "_form", (den, tuple(a)))
-    return p
+_ZERO = (1, ())
+# The form of 1, and the `rest` of every split denominator: operations tell
+# a residual of 1 by identity with this object.
+_ONE = (1, (1,))
 
 
-def _poly(den: int, a: list[int]) -> Polynomial:
-    """The polynomial (1/den) * sum a[d] H^d (a is consumed)."""
-    return _raw(*_canonical(den, a))
+def _const(x: RationalLike) -> Form:
+    """The form of the constant x, an int or Fraction."""
+    return (x.denominator, (x.numerator,)) if x else _ZERO
 
 
-def _const(x: RationalLike) -> Polynomial:
-    """The constant x, an int or Fraction."""
-    return _raw(x.denominator, (x.numerator,)) if x else _raw(1, ())
+def form_add(f: Form, g: Form) -> Form:
+    (da, a), (db, b) = f, g
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    return _canonical(den, [x * fa + y * fb for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def _as_poly(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Polynomial.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Polynomial")
+def form_mul(f: Form, g: Form) -> Form:
+    (da, a), (db, b) = f, g
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
+    return _canonical(da * db, out)
+
+
+def form_pow(f: Form, n: int) -> Form:
+    """f**n for n >= 0, by repeated squaring."""
+    out = _ONE
+    while n:
+        if n & 1:
+            out = form_mul(out, f)
+        f = form_mul(f, f)
+        n >>= 1
+    return out
+
+
+def form_shift(f: Form, k: int) -> Form:
+    """f(H + k): an integer Taylor shift by synthetic Horner.  It is
+    invertible over the integers, so the content stays 1."""
+    den, m = f
+    if k == 0 or len(m) <= 1:
+        return f
+    a = list(m)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += k * a[j + 1]
+    return den, tuple(a)
+
+
+def form_eval(f: Form, x: RationalLike) -> Fraction:
+    x = _rational(x)  # x = n/d: Horner on integers, times d^degree
+    (den, a), n, d = f, x.numerator, x.denominator
+    acc = 0
+    for i, c in enumerate(reversed(a)):
+        acc = acc * n + c * d**i
+    return Fraction(acc, den * d ** max(len(a) - 1, 0))
+
+
+def form_monic(f: Form) -> Form:
+    den, a = f
+    return _canonical(a[-1], list(a)) if a and a[-1] != den else f
+
+
+def form_div(f: Form, g: Form) -> Form:
+    """f / g for a nonzero g that divides f."""
+    (da, a), (db, b) = f, g
+    # l^k a = q b, with f = a/da and g = b/db
+    k, q, _ = _pseudo_divmod(a, b)
+    return _canonical(b[-1] ** k * da, [c * db for c in q])
+
+
+def form_size(f: Form) -> tuple[int, int]:
+    """The degree of f (-1 for zero) and its height, the largest integer of
+    its form: den or some |a[i]|."""
+    den, a = f
+    return len(a) - 1, max([den, *map(abs, a)])
+
+
+def form_text(f: Form) -> str:
+    """f as text, terms by falling degree, e.g. "3/2*H^2 - H + 1"."""
+    den, a = f
+    parts = []
+    for d in range(len(a) - 1, -1, -1):
+        if not a[d]:
+            continue
+        n = abs(a[d])
+        g = gcd(n, den)
+        mag = str(n // g) if g == den else f"{n // g}/{den // g}"
+        if d == 0:
+            body = mag
+        else:
+            var = "H" if d == 1 else f"H^{d}"
+            body = var if mag == "1" else f"{mag}*{var}"
+        if not parts:
+            parts.append(body if a[d] > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if a[d] > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
 
 
 def _pseudo_divmod(a, b) -> tuple[int, list[int], list[int]]:
     """Fraction-free pseudo-division of integer coefficient sequences, the
-    one division loop behind divmod, //, % and poly_gcd.
+    one division loop behind form_div and poly_gcd.
 
     Returns (k, q, r) with l**k * a == q*b + r and r shorter than b, where
     l = b[-1] is the leading coefficient of the trimmed, nonzero b.  A step
@@ -311,16 +192,16 @@ def _pseudo_divmod(a, b) -> tuple[int, list[int], list[int]]:
     return k, q, r
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor: 1 at once for coprime inputs that one
-    gcd modulo a prime certifies, else by Euclid's algorithm on integer
-    forms.  Every term is kept monic, so its integer coefficients are
-    primitive and the remainders form a primitive pseudo-remainder sequence."""
-    a, b = a.monic(), b.monic()
-    if a.degree > 0 and b.degree > 0 and _coprime_mod_p(a._form[1], b._form[1]):
-        return _POLY_ONE
-    while b:
-        a, b = b, _poly(1, _pseudo_divmod(a._form[1], b._form[1])[2]).monic()
+def poly_gcd(a: Form, b: Form) -> Form:
+    """Monic greatest common divisor of two forms: 1 at once for coprime
+    inputs that one gcd modulo a prime certifies, else by Euclid's algorithm.
+    Every term is kept monic, so its integer coefficients are primitive and
+    the remainders form a primitive pseudo-remainder sequence."""
+    a, b = form_monic(a), form_monic(b)
+    if len(a[1]) > 1 and len(b[1]) > 1 and _coprime_mod_p(a[1], b[1]):
+        return _ONE
+    while b[1]:
+        a, b = b, form_monic(_canonical(1, _pseudo_divmod(a[1], b[1])[2]))
     return a
 
 
@@ -349,9 +230,6 @@ def _coprime_mod_p(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
         a, b = b, r
     return True
 
-
-H = Polynomial.var()
-_POLY_ONE = Polynomial.const(1)
 
 # A parsed or hand-made denominator is searched for integer roots up to this
 # absolute value; a larger root stays in the residual, which costs speed only.
@@ -384,16 +262,17 @@ def _peel(a, k: int, m: int) -> tuple[list[int], int]:
     return a, m
 
 
-def _cancel(num: Polynomial, roots: tuple) -> tuple[Polynomial, tuple]:
+def _cancel(num: Form, roots: tuple) -> tuple[Form, tuple]:
     """num divided by H - k while it vanishes at k and k's multiplicity in
-    roots is positive, for each (k, m) of roots; and the roots left."""
-    den, a = num._form
+    roots is positive, for each (k, m) of roots; and the roots left.  A
+    monic integer divisor keeps the form canonical."""
+    den, a = num
     left = []
     for k, m in roots:
         a, m = _peel(a, k, m)
         if m:
             left.append((k, m))
-    return (_raw(den, a), tuple(left)) if len(a) < len(num._form[1]) else (num, roots)
+    return ((den, tuple(a)), tuple(left)) if len(a) < len(num[1]) else (num, roots)
 
 
 def _merge(r1: tuple, r2: tuple) -> tuple:
@@ -404,16 +283,16 @@ def _merge(r1: tuple, r2: tuple) -> tuple:
     return tuple(sorted(m.items()))
 
 
-def _canonical_rf(num: Polynomial, den: Polynomial) -> tuple:
+def _canonical_rf(num: Form, den: Form) -> tuple:
     """(num, roots, rest) of num/den for coprime num and den: the denominator
     made monic, then split by the rational-root test on its integer form (an
     integer root divides the constant term and lies within Cauchy's bound
     1 + max |a_i / a_n|)."""
-    if not num:
-        return num, (), _POLY_ONE
-    c, a = den._form
+    if not num[1]:
+        return num, (), _ONE
+    c, a = den
     if a[-1] != c:
-        num, (c, a) = num * Fraction(c, a[-1]), den.monic()._form
+        num, (c, a) = form_mul(num, _const(Fraction(c, a[-1]))), form_monic(den)
     roots = []
     bound = 1 + max(map(abs, a[:-1]), default=0) // a[-1]
     for d in range(min(bound, _ROOT_SEARCH) + 1):
@@ -426,79 +305,86 @@ def _canonical_rf(num: Polynomial, den: Polynomial) -> tuple:
             a = _peel(a, k, n)[0]
             if len(a) < n:
                 roots.append((k, n - len(a)))
-    return num, tuple(sorted(roots)), _raw(c, a) if len(a) > 1 else _POLY_ONE
+    return num, tuple(sorted(roots)), (c, tuple(a)) if len(a) > 1 else _ONE
+
+
+def _reduced(num: Form, den: Form) -> "RationalFunction":
+    """num/den in canonical form, for forms num and den != 0."""
+    if len(num[1]) > 1 and len(den[1]) > 1:
+        g = poly_gcd(num, den)
+        if len(g[1]) > 1:
+            num, den = form_div(num, g), form_div(den, g)
+    return _make(*_canonical_rf(num, den))
 
 
 class RationalFunction:
     """Quotient of polynomials in H, canonical: coprime with monic denominator.
 
-    The numerator `num` is a Polynomial.  The denominator is kept factored:
-    `roots`, a sorted tuple of (k, m) for its factors (H - k)^m with integer
-    k, times `rest`, the monic residual without an integer root found.  Every
-    coefficient the engines make splits, with `rest` the shared `_POLY_ONE`,
-    and their arithmetic runs no gcd.  `den` expands the product on demand.
+    The numerator `num` is an integer form.  The denominator is kept
+    factored: `roots`, a sorted tuple of (k, m) for its factors (H - k)^m
+    with integer k, times `rest`, the form of the monic residual without an
+    integer root found.  Every coefficient the engines make splits, with
+    `rest` the shared `_ONE`, and their arithmetic runs no gcd.  `den`
+    expands the product on demand.
     """
 
     __slots__ = ("num", "roots", "rest")
 
-    def __init__(self, num, den=1):
-        num, den = _as_poly(num), _as_poly(den)
+    def __new__(cls, num, den=1):
+        """num/den for num and den each an int, Fraction or RationalFunction."""
+        num, den = as_rf(num), as_rf(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if num and num.degree > 0 and den.degree > 0:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-        for name, value in zip(self.__slots__, _canonical_rf(num, den)):
-            object.__setattr__(self, name, value)
+        return _reduced(form_mul(num.num, den.den), form_mul(num.den, den.num))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RationalFunction is immutable")
 
-    def __reduce__(self):  # the constructor restores the shared _POLY_ONE
-        return RationalFunction, (self.num, self.den)
+    def __reduce__(self):  # rebuilt by _canonical_rf, which restores the shared _ONE
+        return _reduced, (self.num, self.den)
 
     @property
-    def den(self) -> Polynomial:
-        """The monic denominator, expanded."""
+    def den(self) -> Form:
+        """The form of the monic denominator, expanded."""
         if not self.roots:
             return self.rest
-        d = _raw(1, _times_roots((1,), self.roots))
-        return d if self.rest is _POLY_ONE else d * self.rest
+        d = (1, tuple(_times_roots((1,), self.roots)))
+        return d if self.rest is _ONE else form_mul(d, self.rest)
 
     def __bool__(self) -> bool:
-        return bool(self.num._form[1])
+        return bool(self.num[1])
 
     def is_one(self) -> bool:
-        return self.num._form == (1, (1,)) and not self.roots and self.rest is _POLY_ONE
+        return self.num == _ONE and not self.roots and self.rest is _ONE
 
     def __eq__(self, other) -> bool:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.rest is other.rest is _POLY_ONE:
+        if self.rest is other.rest is _ONE:
             return self.num == other.num and self.roots == other.roots
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):  # a polynomial, a constant above all, hashes like its numerator
-        den = self.den
-        return hash(self.num) if den is _POLY_ONE else hash((self.num, den))
+    def __hash__(self):  # a constant hashes like its int or Fraction value
+        den, a = self.num
+        num = self.num if len(a) > 1 else Fraction(a[0], den) if a else 0
+        return hash(num) if not self.roots and self.rest is _ONE else hash((num, self.den))
 
     def __add__(self, other):
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.rest is not _POLY_ONE or other.rest is not _POLY_ONE:
+        if self.rest is not _ONE or other.rest is not _ONE:
             d1, d2 = self.den, other.den
             if d1 == d2:
-                return RationalFunction(self.num + other.num, d1)
-            return RationalFunction(self.num * d2 + other.num * d1, d1 * d2)
+                return _reduced(form_add(self.num, other.num), d1)
+            return _reduced(form_add(form_mul(self.num, d2), form_mul(other.num, d1)), form_mul(d1, d2))
         # Over the lcm of the denominators, on the numerators' integer forms
         # (c, a).  Each summand is in lowest terms, so at a root of unequal
         # multiplicity the one of higher multiplicity is nonzero and the
         # other's cofactor vanishes: the sum can vanish only at a root of
         # equal multiplicity, and only those are tested.
-        (c1, a1), (c2, a2) = self.num._form, other.num._form
+        (c1, a1), (c2, a2) = self.num, other.num
         roots, tested = [], self.roots
         if tested != other.roots:
             m1, m2, tested = dict(tested), dict(other.roots), []
@@ -521,12 +407,13 @@ class RationalFunction:
             a, m = _peel(a, k, m)
             if m:
                 roots.append((k, m))
-        return _make(_raw(c, a), tuple(sorted(roots)))
+        return _make((c, tuple(a)), tuple(sorted(roots)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.num, self.roots, self.rest)
+        den, a = self.num
+        return _make((den, tuple([-c for c in a])), self.roots, self.rest)
 
     def __sub__(self, other):
         o = _as_rf(other)
@@ -544,22 +431,22 @@ class RationalFunction:
             return NotImplemented
         n1, r1 = self.num, self.roots
         n2, r2 = other.num, other.roots
-        if not n1._form[1] or not n2._form[1]:
+        if not n1[1] or not n2[1]:
             return RF_ZERO
         # a nonzero constant keeps any fraction canonical: it scales the numerator
-        if not r1 and len(n1._form[1]) == 1 and self.rest is _POLY_ONE:
-            return other if n1._form == (1, (1,)) else _make(n1 * n2, r2, other.rest)
-        if not r2 and len(n2._form[1]) == 1 and other.rest is _POLY_ONE:
-            return self if n2._form == (1, (1,)) else _make(n1 * n2, r1, self.rest)
-        if self.rest is not _POLY_ONE or other.rest is not _POLY_ONE:
-            return RationalFunction(n1 * n2, self.den * other.den)
+        if not r1 and len(n1[1]) == 1 and self.rest is _ONE:
+            return other if n1 == _ONE else _make(form_mul(n1, n2), r2, other.rest)
+        if not r2 and len(n2[1]) == 1 and other.rest is _ONE:
+            return self if n2 == _ONE else _make(form_mul(n1, n2), r1, self.rest)
+        if self.rest is not _ONE or other.rest is not _ONE:
+            return _reduced(form_mul(n1, n2), form_mul(self.den, other.den))
         # each factor is coprime, so only n1 against d2 and n2 against d1
         # can cancel, only at the listed roots, and a constant not at all
-        if len(n1._form[1]) > 1:
+        if len(n1[1]) > 1:
             n1, r2 = _cancel(n1, r2)
-        if len(n2._form[1]) > 1:
+        if len(n2[1]) > 1:
             n2, r1 = _cancel(n2, r1)
-        return _make(n1 * n2, _merge(r1, r2) if r1 and r2 else r1 or r2)
+        return _make(form_mul(n1, n2), _merge(r1, r2) if r1 and r2 else r1 or r2)
 
     __rmul__ = __mul__
 
@@ -584,38 +471,38 @@ class RationalFunction:
         if n == 0:
             return RF_ONE
         # powers of coprime polynomials stay coprime, of a monic one monic
-        rest = self.rest if self.rest is _POLY_ONE else self.rest**n
-        return _make(self.num**n, tuple((k, m * n) for k, m in self.roots), rest)
+        rest = self.rest if self.rest is _ONE else form_pow(self.rest, n)
+        return _make(form_pow(self.num, n), tuple((k, m * n) for k, m in self.roots), rest)
 
     def shift(self, k: int) -> "RationalFunction":
         """Substitute H -> H + k.  A field automorphism for every integer k;
         the root j of a factor H - j moves to j - k.  A constant is its own shift."""
-        if k == 0 or (self.num.degree <= 0 and not self.roots and self.rest is _POLY_ONE):
+        if k == 0 or (len(self.num[1]) <= 1 and not self.roots and self.rest is _ONE):
             return self
-        rest = self.rest if self.rest is _POLY_ONE else self.rest.shift(k)
-        return _make(self.num.shift(k), tuple((j - k, m) for j, m in self.roots), rest)
+        rest = self.rest if self.rest is _ONE else form_shift(self.rest, k)
+        return _make(form_shift(self.num, k), tuple((j - k, m) for j, m in self.roots), rest)
 
     def eval(self, x: RationalLike) -> Fraction:
-        d = self.rest.eval(x)
+        d = form_eval(self.rest, x)
         for k, m in self.roots:
             d *= (x - k) ** m
         if d == 0:
             raise PoleEvaluationError(f"pole at H = {x}")
-        return self.num.eval(x) / d
+        return form_eval(self.num, x) / d
 
     def __str__(self) -> str:
-        if not self.roots and self.rest is _POLY_ONE:
-            return str(self.num)
-        num = str(self.num)
-        if self.num.degree > 0 or self.num.lead < 0:
+        num = form_text(self.num)
+        if not self.roots and self.rest is _ONE:
+            return num
+        if len(self.num[1]) > 1 or self.num[1][-1] < 0:
             num = f"({num})"
-        return f"{num}/({self.den})"
+        return f"{num}/({form_text(self.den)})"
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
 
 
-def _make(num: Polynomial, roots: tuple = (), rest: Polynomial = _POLY_ONE) -> RationalFunction:
+def _make(num: Form, roots: tuple = (), rest: Form = _ONE) -> RationalFunction:
     """Wrap a canonical numerator and factored denominator."""
     f = object.__new__(RationalFunction)
     object.__setattr__(f, "num", num)
@@ -627,13 +514,14 @@ def _make(num: Polynomial, roots: tuple = (), rest: Polynomial = _POLY_ONE) -> R
 def _as_rf(x):
     if isinstance(x, RationalFunction):
         return x
-    if isinstance(x, (int, Fraction, Polynomial)):
-        return _make(_as_poly(x))
+    if isinstance(x, (int, Fraction)):
+        return _make(_const(x))
     return NotImplemented
 
 
-RF_ZERO = _make(Polynomial())
-RF_ONE = _make(_POLY_ONE)
+RF_ZERO = _make(_ZERO)
+RF_ONE = _make(_ONE)
+H = _make((1, (0, 1)))
 
 
 def as_rf(x) -> RationalFunction:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 
-from .coeffs import RF_ONE, Polynomial, RationalFunction, as_rf
+from .coeffs import RF_ONE, H, RationalFunction, as_rf
 from .engine import add_scaled, bilinear
 from .uea import (
     TILDE_GENS,
@@ -48,7 +48,7 @@ _X_LOWER = UeaElement.gen(XN1)
 _X_RAISE = UeaElement.gen(X1)
 
 
-def kappa(n: int) -> Polynomial:
+def kappa(n: int) -> RationalFunction:
     """Coefficient in [X(1), X(-1)^n] = kappa_n(H) X(-1)^(n-1).
 
     Closed form: n/2 for even n, H - (n-1)/2 for odd n.
@@ -56,8 +56,8 @@ def kappa(n: int) -> Polynomial:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n % 2 == 0:
-        return Polynomial.const(Fraction(n, 2))
-    return Polynomial.var() - Polynomial.const(Fraction(n - 1, 2))
+        return as_rf(Fraction(n, 2))
+    return H - Fraction(n - 1, 2)
 
 
 # phi_0, phi_1, ... as far as they have been asked for.
@@ -72,7 +72,7 @@ def phi(n: int) -> RationalFunction:
     while len(_PHI) <= n:
         m = len(_PHI)
         sign = 1 if m % 2 == 0 else -1
-        _PHI.append(_PHI[m - 1] / as_rf(kappa(m).shift(-1)) * sign)
+        _PHI.append(_PHI[m - 1] / kappa(m).shift(-1) * sign)
     return _PHI[n]
 
 

@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .coeffs import RationalFunction, RF_ONE, H, Polynomial, as_rf
+from .coeffs import RF_ONE, Form, H, RationalFunction, as_rf, form_size, form_text
 from .engine import add_scaled
 from .uea import GENERATORS, TOKEN_TO_GEN, UeaElement, straighten
 from .zalgebra import ZElement, Z_ROOTS, Z_TOKENS, z_straighten
@@ -136,10 +136,10 @@ class _Parser:
         ExprSyntaxError at tok.  Checked before the power is taken: every
         integer of the integer form of p**n is at most
         height(p)**n * (deg p + 1)**(n - 1)."""
-        for p in (value.num, value.den):
-            if p.degree * power > MAX_TERM_LETTERS:
+        for degree, height in map(form_size, (value.num, value.den)):
+            if degree * power > MAX_TERM_LETTERS:
                 self.fail(f"coefficient of degree above {MAX_TERM_LETTERS} in H", tok)
-            if p.height**power * (p.degree + 1) ** max(power - 1, 0) >= _COEFF_BOUND:
+            if height**power * (degree + 1) ** max(power - 1, 0) >= _COEFF_BOUND:
                 self.fail(f"coefficient with integers of more than {MAX_COEFF_DIGITS} digits", tok)
         return value
 
@@ -286,7 +286,7 @@ class _Parser:
             return as_rf(int(self.next().text))
         if t.text == "H":
             self.next()
-            return as_rf(H)
+            return H
         if t.kind == "name":
             name = t.text.partition("(")[0]  # E, not E(1)
             raise UnknownToken(f"unknown symbol {name!r} in coefficient", t.line, t.column)
@@ -320,21 +320,21 @@ def parse_element(text: str, algebra: str = "u"):
 # ---------------------------------------------------------------------------
 # Rendering
 
-def _bare(p: Polynomial) -> bool:
+def _bare(p: Form) -> bool:
     """Whether p prints as a nonnegative integer."""
-    den, a = p._form
+    den, a = p
     return den == 1 and len(a) <= 1 and not (a and a[0] < 0)
 
 
 def _coeff_text(c: RationalFunction) -> str:
     """The coefficient as a text factor, parenthesized unless atomic."""
     num, den = c.num, c.den
-    ns = str(num)
-    if den._form == (1, (1,)):
+    ns = form_text(num)
+    if den == (1, (1,)):
         return ns if _bare(num) else f"({ns})"
     if not _bare(num):
         ns = f"({ns})"
-    ds, da = str(den), den._form[1]
+    ds, da = form_text(den), den[1]
     if len(da) - da.count(0) > 1:  # e.g. "H - 1"; bare "H" or "H^2" stays unwrapped
         ds = f"({ds})"
     return f"({ns}/{ds})"
@@ -344,16 +344,16 @@ def _coeff_text(c: RationalFunction) -> str:
 _LONG_EXPONENT = re.compile(r"\^(\d\d+)")
 
 
-def _poly_latex(p: Polynomial) -> str:
-    s = str(p).replace("*", " ")
+def _poly_latex(p: Form) -> str:
+    s = form_text(p).replace("*", " ")
     return _LONG_EXPONENT.sub(r"^{\1}", s) if "^" in s else s
 
 
 def _coeff_latex(c: RationalFunction) -> str:
     num, den = c.num, c.den
     s = _poly_latex(num)
-    if den._form == (1, (1,)):
-        a = num._form[1]
+    if den == (1, (1,)):
+        a = num[1]
         return rf"\left({s}\right)" if len(a) > 1 or a[-1] < 0 else s
     return rf"\frac{{{s}}}{{{_poly_latex(den)}}}"
 
@@ -369,7 +369,7 @@ def _json_payload(terms, names) -> str:
         word = ",\n".join(f"        [\n          {q(names[g])},\n          {ex}\n        ]" for g, ex in _pairs(m))
         word = f"[\n{word}\n      ]" if word else "[]"
         blocks.append(
-            f'    {{\n      "coeff": {{\n        "den": {q(str(c.den))},\n        "num": {q(str(c.num))}\n'
+            f'    {{\n      "coeff": {{\n        "den": {q(form_text(c.den))},\n        "num": {q(form_text(c.num))}\n'
             f'      }},\n      "word": {word}\n    }}'
         )
     body = ",\n".join(blocks)
@@ -429,7 +429,7 @@ def render(e, fmt: str = "text") -> str:
     for m in order:
         c = e.terms[m]
         mono = sep.join(power.format(names[g], ex) if ex > 1 else names[g] for g, ex in _pairs(m))
-        negative = c.num._form[1][-1] < 0
+        negative = c.num[1][-1] < 0
         if negative:
             c = -c
         if mono and c.is_one():

@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import neg
 from typing import Callable, Iterator, Sequence
 
-from .coeffs import RF_ONE, Polynomial, as_rf
+from .coeffs import RF_ONE, H, as_rf
 from .engine import (
     Monomial, PBWElement, _add, _first_violation, absorb, add_scaled, bilinear, fold_letters, ordered_prefix,
     ordered_times, rule_step, rule_term,
@@ -143,7 +143,7 @@ def commutator_table(a: int, b: int) -> UeaElement:
     ((label, coeff),) = base.items()
     diagonal = ga.diagonal == gb.diagonal
     if diagonal and label == 0:
-        return UeaElement.coeff(coeff * Polynomial.var())
+        return UeaElement.coeff(coeff * H)
     return UeaElement({Word.from_letters([_COPY[diagonal, label]]): as_rf(coeff)})
 
 

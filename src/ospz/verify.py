@@ -107,12 +107,12 @@ def verify_projector(n_max: int = 10) -> dict:
     for n in range(1, n_max + 1):
         prev, power = power, mul(power, x_low)
         bracket = super_bracket(x_hi, power)
-        expected = mul(UeaElement.coeff(RationalFunction(kappa(n))), prev)
+        expected = mul(UeaElement.coeff(kappa(n)), prev)
         checks.append(
             _check(
                 f"kappa_{n} matches bracket extraction",
                 bracket == expected,
-                kappa=str(RationalFunction(kappa(n))),
+                kappa=str(kappa(n)),
             )
         )
 
@@ -136,11 +136,11 @@ def verify_projector(n_max: int = 10) -> dict:
 # mul(..., "both") as `diamond` does: it is the independent reference the
 # lemmas are checked against.
 def _prod(a: int, b: int) -> UeaElement:
-    return mul(UeaElement.gen(a), UeaElement.gen(b)).mod_ii()
+    return mul(TILDE[a - TN2], TILDE[b - TN2]).mod_ii()
 
 
 def _diamond(a: int, b: int) -> UeaElement:
-    return diamond(UeaElement.gen(a), UeaElement.gen(b))
+    return diamond(TILDE[a - TN2], TILDE[b - TN2])
 
 
 def verify_lemmas() -> dict:

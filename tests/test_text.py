@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ospz.coeffs import H, RationalFunction, as_rf
+from ospz.coeffs import H, RationalFunction, as_rf, form_text
 from ospz.engine import LinComb
 from ospz.text import (
     ExprSyntaxError,
@@ -357,7 +357,7 @@ def _reference_json(e) -> str:
         tokens, rank = Z_TOKENS, tuple
     terms = [
         {
-            "coeff": {"num": str(c.num), "den": str(c.den)},
+            "coeff": {"num": form_text(c.num), "den": form_text(c.den)},
             "word": [[tokens[g], ex] for g, ex in enumerate(m) if ex],
         }
         for m, c in sorted(e, key=lambda t: (t[0].degree(), rank(t[0])))
